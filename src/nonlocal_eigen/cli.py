@@ -175,8 +175,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     lam = cfg.lam if cfg.lam is not None else 0.0
     ctx = _context_or_exit(sd, lam)
     g = resolve_g(cfg.g, grid, sd, op)
-    rep = solver_mod.solve_large(op, sd, ctx, g, tuple(cfg.h) if len(cfg.h) > 1
-                                 else cfg.h[0], cfg.K_frac)
+    rep = solver_mod.solve_large(op, sd, ctx, g, cfg.h, cfg.K_frac)
     path = os.path.join(cfg.out, "profile.csv")
     write_csv(path, ["x", "delta", "v_h", "explicit", "u_perp", "v_lambda"],
               zip(grid.x, grid.delta, rep.v_h.values, rep.explicit.values,
@@ -190,6 +189,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     _, op, grid = _setup(cfg)
     sd = eigendecompose(assemble_green_matrix(op, grid))
+    if not 1 <= cfg.group <= len(sd.groups):
+        raise ConfigError(f"eigenvalue group {cfg.group} out of range 1..{len(sd.groups)}")
     if cfg.lam_list:
         lams = np.asarray(cfg.lam_list, dtype=float)
     else:
@@ -197,8 +198,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         lams = sd.lam[grp[0]] * (1.0 - np.array([1e-2, 1e-3, 1e-4, 1e-5, 2e-6]))
     g = resolve_g(cfg.g, grid, sd, op)
     try:
-        sw = solver_mod.sweep_lambda(op, sd, g, tuple(cfg.h) if len(cfg.h) > 1
-                                     else cfg.h[0], cfg.group, lams, cfg.K_frac)
+        sw = solver_mod.sweep_lambda(op, sd, g, cfg.h, cfg.group, lams, cfg.K_frac)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SINGULAR
@@ -221,9 +221,7 @@ def cmd_limit_s(cfg: RunConfig) -> int:
     fam = make_family(cfg.op, domain, cfg.M)
     lam = cfg.lam if cfg.lam is not None else 0.0
     if cfg.g == "zero":
-        rep = large_solution_limit_s(fam, cfg.s_list, lam, None,
-                                     tuple(cfg.h) if len(cfg.h) > 1 else cfg.h[0],
-                                     grid, cfg.K_frac)
+        rep = large_solution_limit_s(fam, cfg.s_list, lam, None, cfg.h, grid, cfg.K_frac)
     else:
         opc = fam.classical()
         g = resolve_g(cfg.g, grid, None, opc)
@@ -251,47 +249,41 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
 def _parse_args(argv) -> tuple[str, RunConfig]:
     p = argparse.ArgumentParser(
         prog="nonlocal-eigen",
         description="Nonlocal eigenvalue laboratory: Green's operators, "
                     "Nystrom spectra, large boundary-blow-up solutions.")
     sub = p.add_subparsers(dest="command", required=True)
+    d = RunConfig()
     for name in ("eigen", "solve", "sweep", "limit-s", "verify"):
         q = sub.add_parser(name)
-        q.add_argument("--op", choices=["rfl", "sfl", "classical"], default="rfl")
-        q.add_argument("--s", type=float, default=0.75)
-        q.add_argument("--domain", choices=["interval", "ball"], default="interval")
-        q.add_argument("--n", type=int, default=1)
-        q.add_argument("--r", type=float, default=1.0)
-        q.add_argument("--N", type=int, default=256)
-        q.add_argument("--grade", type=float, default=2.0)
-        q.add_argument("--M", type=int, default=4096)
-        q.add_argument("--lambda", dest="lam", type=float, default=None)
-        q.add_argument("--lambda-list", dest="lam_list", type=str, default="")
-        q.add_argument("--g", type=str, default="zero")
-        q.add_argument("--h", type=str, default="1")
-        q.add_argument("--K-frac", dest="K_frac", type=float, default=0.25)
-        q.add_argument("--out", type=str, default=".")
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--group", type=int, default=1)
-        q.add_argument("--j-max", dest="j_max", type=int, default=10)
-        q.add_argument("--s-list", dest="s_list", type=str, default="")
-    a = p.parse_args(argv)
-    try:
-        cfg = RunConfig(
-            op=a.op, s=a.s, domain=a.domain, n=a.n, r=a.r, N=a.N,
-            grade=a.grade, M=a.M, lam=a.lam,
-            lam_list=[float(v) for v in a.lam_list.split(",") if v.strip()],
-            g=a.g, h=[float(v) for v in a.h.split(",") if v.strip()],
-            K_frac=a.K_frac, out=a.out, seed=a.seed, group=a.group,
-            j_max=a.j_max,
-            s_list=[float(v) for v in a.s_list.split(",") if v.strip()]
-            or [0.7, 0.8, 0.9, 0.95, 0.99],
-        )
-    except ValueError as exc:
-        p.error(str(exc))
-    return a.command, cfg
+        q.add_argument("--op", choices=["rfl", "sfl", "classical"], default=d.op)
+        q.add_argument("--s", type=float, default=d.s)
+        q.add_argument("--domain", choices=["interval", "ball"], default=d.domain)
+        q.add_argument("--n", type=int, default=d.n)
+        q.add_argument("--r", type=float, default=d.r)
+        q.add_argument("--N", type=int, default=d.N)
+        q.add_argument("--grade", type=float, default=d.grade)
+        q.add_argument("--M", type=int, default=d.M)
+        q.add_argument("--lambda", dest="lam", type=float, default=d.lam)
+        q.add_argument("--lambda-list", dest="lam_list", type=_floats, default=d.lam_list)
+        q.add_argument("--g", type=str, default=d.g)
+        q.add_argument("--h", type=_floats, default=d.h)
+        q.add_argument("--K-frac", dest="K_frac", type=float, default=d.K_frac)
+        q.add_argument("--out", type=str, default=d.out)
+        q.add_argument("--seed", type=int, default=d.seed)
+        q.add_argument("--group", type=int, default=d.group)
+        q.add_argument("--j-max", dest="j_max", type=int, default=d.j_max)
+        q.add_argument("--s-list", dest="s_list", type=_floats, default=d.s_list)
+    a = vars(p.parse_args(argv))
+    command = a.pop("command")
+    a["s_list"] = a["s_list"] or d.s_list  # an empty --s-list keeps the default ladder
+    return command, RunConfig(**a)
 
 
 _COMMANDS = {"eigen": cmd_eigen, "solve": cmd_solve, "sweep": cmd_sweep,

@@ -50,7 +50,9 @@ class GridFunction:
 def as_values(f, grid: QuadGrid) -> np.ndarray:
     """Accept a GridFunction, an array of node values, or a callable."""
     if isinstance(f, GridFunction):
-        if f.grid is not grid and f.grid.N != grid.N:
+        same = f.grid is grid or (np.array_equal(f.grid.x, grid.x)
+                                  and np.array_equal(f.grid.w, grid.w))
+        if not same:
             raise ValueError("grid mismatch")
         return f.values
     if callable(f):

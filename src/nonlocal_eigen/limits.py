@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import as_values, assemble_green_matrix, weighted_norm
+from .discretize import as_values, assemble_green_matrix
 from .geometry import DomainSpec, QuadGrid
 from .kernels import OperatorKind, OperatorSpec, make_operator
-from .solver import SolveReport, solve_large
+from .solver import solve_large
 from .spectral import SpectralData, eigendecompose, lambda_context, apply_Glambda
 
 
@@ -87,7 +87,9 @@ def boundary_exponent_fit(v, grid: QuadGrid, n_nodes: int = 5) -> float:
     return float(slope)
 
 
-def _check_ladder(s_list) -> np.ndarray:
+def _ladder(family: OperatorFamily, s_list, grid: QuadGrid, tau_mult: float):
+    """Validate the s ladder, then yield (op, sd): the classical endpoint
+    first, then one rung per s."""
     s_list = np.asarray(s_list, dtype=float)
     if s_list.size == 0:
         raise ValueError("empty s ladder")
@@ -95,59 +97,47 @@ def _check_ladder(s_list) -> np.ndarray:
         raise ValueError("s ladder must be strictly increasing")
     if np.any((s_list <= 0.5) | (s_list >= 1.0)):
         raise ValueError("s ladder must lie in (1/2, 1)")
-    return s_list
+    for op in [family.classical()] + [family.at(s) for s in s_list]:
+        yield op, eigendecompose(assemble_green_matrix(op, grid), tau_mult)
+
+
+def _report(sd1: SpectralData, rungs: list, **monotone) -> SLimitReport:
+    """Stack per-rung (op, lambda_1, metrics) into a report; each monotone
+    flag names the column whose magnitude must not grow along the ladder."""
+    cols = {name: np.array([m[name] for _, _, m in rungs]) for name in rungs[0][2]}
+    lam1 = np.array([l1 for _, l1, _ in rungs])
+    cols["lam1_err"] = np.abs(lam1 - sd1.lam[0])
+    return SLimitReport(
+        s_list=np.array([op.s for op, _, _ in rungs]), lam1=lam1,
+        b=np.array([op.b for op, _, _ in rungs]), **cols,
+        monotone={flag: _monotone_decreasing(np.abs(cols[name]))
+                  for flag, name in monotone.items()})
 
 
 def spectral_convergence_s(family: OperatorFamily, s_list, j_max: int,
                            grid: QuadGrid, tau_mult: float = 1e-6) -> SLimitReport:
     """Eigenvalue/eigenfunction convergence toward the classical spectrum."""
-    s_list = _check_ladder(s_list)
-    sd1 = eigendecompose(assemble_green_matrix(family.classical(), grid), tau_mult)
-    lam1c, mu1 = sd1.lam[0], 1.0 / sd1.lam[:j_max]
-    phi1 = sd1.phi[:, :j_max]
-
-    lam1, omega, align, bvals = [], [], [], []
-    for s in s_list:
-        op = family.at(s)
-        sd = eigendecompose(assemble_green_matrix(op, grid), tau_mult)
-        lam1.append(sd.lam[0])
-        omega.append(np.max(np.abs(1.0 / sd.lam[:j_max] - mu1)))
-        align.append(np.abs(phi1.T @ (grid.w[:, None] * sd.phi[:, :j_max])).diagonal())
-        bvals.append(op.b)
-    lam1 = np.array(lam1)
-    omega = np.array(omega)
-    return SLimitReport(
-        s_list=s_list, lam1=lam1, lam1_err=np.abs(lam1 - lam1c),
-        b=np.array(bvals), omega=omega, alignment=np.array(align),
-        monotone={"omega_decreasing": _monotone_decreasing(omega),
-                  "lam1_err_decreasing": _monotone_decreasing(np.abs(lam1 - lam1c))},
-    )
+    ladder = _ladder(family, s_list, grid, tau_mult)
+    _, sd1 = next(ladder)
+    mu1, phi1 = 1.0 / sd1.lam[:j_max], sd1.phi[:, :j_max]
+    rungs = [(op, sd.lam[0], {
+        "omega": np.max(np.abs(1.0 / sd.lam[:j_max] - mu1)),
+        "alignment": np.abs(phi1.T @ (grid.w[:, None] * sd.phi[:, :j_max])).diagonal(),
+    }) for op, sd in ladder]
+    return _report(sd1, rungs, omega_decreasing="omega", lam1_err_decreasing="lam1_err")
 
 
 def resolvent_convergence_s(family: OperatorFamily, s_list, lam: float, f,
                             grid: QuadGrid, tau_mult: float = 1e-6) -> SLimitReport:
     """L2 convergence of the shifted solution operator to the classical one."""
-    s_list = _check_ladder(s_list)
-    sd1 = eigendecompose(assemble_green_matrix(family.classical(), grid), tau_mult)
-    ctx1 = lambda_context(sd1, lam)
-    u1 = apply_Glambda(sd1, ctx1, f).values
-
-    lam1, dists, bvals = [], [], []
-    for s in s_list:
-        op = family.at(s)
-        sd = eigendecompose(assemble_green_matrix(op, grid), tau_mult)
-        ctx = lambda_context(sd, lam)
-        u = apply_Glambda(sd, ctx, f).values
-        lam1.append(sd.lam[0])
-        dists.append(np.sqrt(np.sum(grid.w * (u - u1) ** 2)))
-        bvals.append(op.b)
-    lam1 = np.array(lam1)
-    dists = np.array(dists)
-    return SLimitReport(
-        s_list=s_list, lam1=lam1, lam1_err=np.abs(lam1 - sd1.lam[0]),
-        b=np.array(bvals), sol_dist=dists,
-        monotone={"sol_dist_decreasing": _monotone_decreasing(dists)},
-    )
+    ladder = _ladder(family, s_list, grid, tau_mult)
+    _, sd1 = next(ladder)
+    u1 = apply_Glambda(sd1, lambda_context(sd1, lam), f).values
+    rungs = []
+    for op, sd in ladder:
+        u = apply_Glambda(sd, lambda_context(sd, lam), f).values
+        rungs.append((op, sd.lam[0], {"sol_dist": np.sqrt(np.sum(grid.w * (u - u1) ** 2))}))
+    return _report(sd1, rungs, sol_dist_decreasing="sol_dist")
 
 
 def large_solution_limit_s(family: OperatorFamily, s_list, lam: float, g, h,
@@ -160,32 +150,21 @@ def large_solution_limit_s(family: OperatorFamily, s_list, lam: float, g, h,
     set K, the boundary-exponent fit of log|v| vs log delta and the
     near-boundary amplification v * delta^{b(s)} are recorded.
     """
-    s_list = _check_ladder(s_list)
-    op1 = family.classical()
-    sd1 = eigendecompose(assemble_green_matrix(op1, grid), tau_mult)
-    v1 = solve_large(op1, sd1, lambda_context(sd1, lam), g, h, K_frac).v_total.values
+    def solve(op, sd):
+        return solve_large(op, sd, lambda_context(sd, lam), g, h, K_frac).v_total.values
 
+    ladder = _ladder(family, s_list, grid, tau_mult)
+    op1, sd1 = next(ladder)
+    v1 = solve(op1, sd1)
     mask = grid.compact_mask(K_frac)
     near = np.argsort(grid.delta)[:5]
-    lam1, dists, bvals, fits, supK, amp = [], [], [], [], [], []
-    for s in s_list:
-        op = family.at(s)
-        sd = eigendecompose(assemble_green_matrix(op, grid), tau_mult)
-        rep = solve_large(op, sd, lambda_context(sd, lam), g, h, K_frac)
-        v = rep.v_total.values
-        lam1.append(sd.lam[0])
-        dists.append(np.sum(grid.w[mask] * np.abs(v - v1)[mask]))
-        bvals.append(op.b)
-        fits.append(boundary_exponent_fit(v, grid))
-        supK.append(np.max(np.abs(v[mask])))
-        amp.append(np.max(np.abs(v[near]) * grid.delta[near] ** op.b))
-    lam1 = np.array(lam1)
-    dists = np.array(dists)
-    fits = np.array(fits)
-    return SLimitReport(
-        s_list=s_list, lam1=lam1, lam1_err=np.abs(lam1 - sd1.lam[0]),
-        b=np.array(bvals), sol_dist=dists, boundary_fit=fits,
-        sup_K=np.array(supK), near_boundary_amp=np.array(amp),
-        monotone={"sol_dist_decreasing": _monotone_decreasing(dists),
-                  "fit_to_zero": _monotone_decreasing(np.abs(fits))},
-    )
+    rungs = []
+    for op, sd in ladder:
+        v = solve(op, sd)
+        rungs.append((op, sd.lam[0], {
+            "sol_dist": np.sum(grid.w[mask] * np.abs(v - v1)[mask]),
+            "boundary_fit": boundary_exponent_fit(v, grid),
+            "sup_K": np.max(np.abs(v[mask])),
+            "near_boundary_amp": np.max(np.abs(v[near]) * grid.delta[near] ** op.b),
+        }))
+    return _report(sd1, rungs, sol_dist_decreasing="sol_dist", fit_to_zero="boundary_fit")

@@ -13,16 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryData, make_boundary_data, martin_apply
+from .boundary import martin_apply
 from .discretize import DiscreteKernel, GridFunction, as_values, weighted_norm
 from .kernels import OperatorSpec
-from .spectral import (
-    LambdaContext,
-    SpectralData,
-    apply_Glambda,
-    lambda_context,
-    project_perp,
-)
+from .spectral import LambdaContext, SpectralData, apply_Glambda, lambda_context
 
 
 @dataclass(frozen=True)
@@ -47,28 +41,29 @@ class SolveReport:
                 "v_total": list(self.v_total.values)}
 
 
-def _decompose_solve(sd: SpectralData, ctx: LambdaContext, rhs: np.ndarray,
-                     split_at: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Split G_lambda(rhs) into the explicit part on modes < split_at and
-    the complement.  split_at defaults to ctx.I."""
+def _data(op: OperatorSpec, grid, g, h) -> tuple[np.ndarray, np.ndarray]:
+    """Node values of the interior datum g and of v_h = M(h); None is zero data."""
+    gv = as_values(g, grid) if g is not None else np.zeros(grid.N)
+    v_h = martin_apply(op, grid, h).values if h is not None else np.zeros(grid.N)
+    return gv, v_h
+
+
+def _solve(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext, gv: np.ndarray,
+           v_h: np.ndarray, split_at: int, K_frac: float) -> SolveReport:
+    """v = v_h + G_lambda(g + lambda v_h), split into the explicit part on
+    the modes below split_at and the complement u_perp."""
     if ctx.singular:
         raise ValueError("solve requested at a spectral value")
-    I = ctx.I if split_at is None else split_at
-    c = sd.coeffs(rhs) / (sd.lam - ctx.lam)
-    explicit = sd.phi[:, :I] @ c[:I]
-    perp = sd.phi[:, I:] @ c[I:]
-    return explicit, perp
-
-
-def _report(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
-            v_h: np.ndarray, rhs: np.ndarray, explicit: np.ndarray,
-            perp: np.ndarray, K_frac: float = 0.25) -> SolveReport:
     grid = sd.grid
-    g_ = grid
+    rhs = gv + ctx.lam * v_h
+    c = sd.coeffs(rhs) / (sd.lam - ctx.lam)
+    explicit = sd.synth(c[:split_at], slice(split_at)).values
+    perp = sd.synth(c[split_at:], slice(split_at, None)).values
     total = v_h + explicit + perp
     u = explicit + perp  # = G_lambda(rhs)
-    Kw = sd.dk.matrix * g_.w[None, :]
-    green_res = np.sqrt(np.sum(g_.w * (u - ctx.lam * (Kw @ u) - Kw @ rhs) ** 2))
+    # Green identity u = G_0(rhs + lambda u), one matvec
+    u_green = sd.dk.matrix @ (grid.w * (rhs + ctx.lam * u))
+    green_res = np.sqrt(np.sum(grid.w * (u - u_green) ** 2))
     mask = grid.compact_mask(K_frac)
     gam = op.gamma
     norms = {
@@ -88,21 +83,14 @@ def _report(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
 def solve_dirichlet(sd: SpectralData, ctx: LambdaContext, f,
                     K_frac: float = 0.25) -> SolveReport:
     """Homogeneous boundary data: v = G_lambda(f), decomposed over E/E-perp."""
-    op = sd.dk.op
-    rhs = as_values(f, sd.grid)
-    explicit, perp = _decompose_solve(sd, ctx, rhs)
-    return _report(op, sd, ctx, np.zeros(sd.grid.N), rhs, explicit, perp, K_frac)
+    return _solve(sd.dk.op, sd, ctx, as_values(f, sd.grid), np.zeros(sd.grid.N),
+                  ctx.I, K_frac)
 
 
 def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
                 g, h, K_frac: float = 0.25) -> SolveReport:
     """Singular boundary data: v = v_h + G_lambda(g + lambda v_h)."""
-    grid = sd.grid
-    gv = as_values(g, grid) if g is not None else np.zeros(grid.N)
-    v_h = martin_apply(op, grid, h).values
-    rhs = gv + ctx.lam * v_h
-    explicit, perp = _decompose_solve(sd, ctx, rhs)
-    return _report(op, sd, ctx, v_h, rhs, explicit, perp, K_frac)
+    return _solve(op, sd, ctx, *_data(op, sd.grid, g, h), ctx.I, K_frac)
 
 
 @dataclass(frozen=True)
@@ -130,17 +118,19 @@ def fredholm_diagnose(sd: SpectralData, op: OperatorSpec, g, h, i: int,
     i is 1-based.  When eps is omitted it defaults to 1e-3 times the sup
     of the projection, keeping the sign sets nonempty in the blow-up case.
     """
+    return _fredholm(sd, *_data(op, sd.grid, g, h), i, eps)
+
+
+def _fredholm(sd: SpectralData, gv: np.ndarray, v_h: np.ndarray, i: int,
+              eps: float | None) -> FredholmReport:
     groups = sd.groups
     if not 1 <= i <= len(groups):
         raise ValueError(f"eigenvalue group index {i} out of range")
     grp = groups[i - 1]
     lam_i = float(sd.lam[grp[0]])
     grid = sd.grid
-    gv = as_values(g, grid) if g is not None else np.zeros(grid.N)
-    v_h = martin_apply(op, grid, h).values if h is not None else np.zeros(grid.N)
     rhs = gv + lam_i * v_h
-    c = sd.coeffs(rhs)[grp]
-    proj = sd.phi[:, grp] @ c
+    proj = sd.synth(sd.coeffs(rhs)[grp], grp).values
     sup = float(np.max(np.abs(proj)))
     if eps is None:
         # floored at the data scale so a projection that vanishes up to
@@ -181,15 +171,14 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     explicit part carries the 1/(lambda_i - lambda) blow-up.
     """
     lam_list = np.asarray(lam_list, dtype=float)
-    fred = fredholm_diagnose(sd, op, g, h, i, eps)
+    grid = sd.grid
+    gv, v_h = _data(op, grid, g, h)
+    fred = _fredholm(sd, gv, v_h, i, eps)
     lam_i = fred.lam_i
     grp = sd.groups[i - 1]
     split_at = int(grp[-1]) + 1
     if np.any(np.abs(lam_list - lam_i) < sd.tau_mult * lam_i):
         raise ValueError("sweep grid touches the spectrum")
-    grid = sd.grid
-    gv = as_values(g, grid) if g is not None else np.zeros(grid.N)
-    v_h = martin_apply(op, grid, h).values if h is not None else np.zeros(grid.N)
     mask = grid.compact_mask(K_frac)
     maskA = np.zeros(grid.N, dtype=bool)
     maskA[fred.A_plus] = True
@@ -197,10 +186,7 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
 
     reports, supK, supKA, infO, up_norm, proj = [], [], [], [], [], []
     for lam in lam_list:
-        ctx = lambda_context(sd, lam)
-        rhs = gv + lam * v_h
-        explicit, perp = _decompose_solve(sd, ctx, rhs, split_at=split_at)
-        rep = _report(op, sd, ctx, v_h, rhs, explicit, perp, K_frac)
+        rep = _solve(op, sd, lambda_context(sd, lam), gv, v_h, split_at, K_frac)
         total = rep.v_total.values
         reports.append(rep)
         supK.append(rep.norms["sup_K"])
@@ -295,7 +281,6 @@ def check_notions(sd: SpectralData, dk: DiscreteKernel, ctx: LambdaContext,
     uv = as_values(u, grid) if u is not None else u_ref
     w = grid.w
     r1 = np.sqrt(np.sum(w * (uv - u_ref) ** 2))
-    Kw = dk.matrix * w[None, :]
-    r5 = np.sqrt(np.sum(w * (uv - ctx.lam * (Kw @ uv) - Kw @ fv) ** 2))
+    r5 = np.sqrt(np.sum(w * (uv - dk.matrix @ (w * (fv + ctx.lam * uv))) ** 2))
     r6 = np.max(np.abs((sd.lam - ctx.lam) * sd.coeffs(uv) - sd.coeffs(fv)))
     return {"r1": float(r1), "r5": float(r5), "r6": float(r6)}

@@ -43,8 +43,9 @@ class SpectralData:
         v = as_values(f, self.grid)
         return self.phi.T @ (self.grid.w * v)
 
-    def synth(self, c: np.ndarray) -> GridFunction:
-        return GridFunction(self.grid, self.phi @ c)
+    def synth(self, c: np.ndarray, modes=slice(None)) -> GridFunction:
+        """sum_j c_j phi_j over the selected modes (all by default)."""
+        return GridFunction(self.grid, self.phi[:, modes] @ c)
 
     @property
     def groups(self) -> list[np.ndarray]:
@@ -157,10 +158,8 @@ def apply_Glambda_neumann(dk: DiscreteKernel, ctx: LambdaContext, f,
 def project_perp(sd: SpectralData, ctx: LambdaContext, f) -> GridFunction:
     """Remove the eigenspace components with lambda_j below lam_bar: f - P_E f."""
     v = as_values(f, sd.grid)
-    if ctx.I == 0:
-        return GridFunction(sd.grid, v.copy())
-    c = sd.coeffs(v)[: ctx.I]
-    return GridFunction(sd.grid, v - sd.phi[:, : ctx.I] @ c)
+    E = slice(ctx.I)
+    return GridFunction(sd.grid, v - sd.synth(sd.coeffs(v)[E], E).values)
 
 
 def apply_Glambda_perp(sd: SpectralData, ctx: LambdaContext, f_perp,
@@ -172,15 +171,13 @@ def apply_Glambda_perp(sd: SpectralData, ctx: LambdaContext, f_perp,
     """
     v = as_values(f_perp, sd.grid)
     c = sd.coeffs(v)
-    if ctx.I > 0:
+    I = ctx.I
+    if I > 0:
         scale = np.sqrt(np.sum(sd.grid.w * v**2))
-        if scale > 0 and np.max(np.abs(c[: ctx.I])) > orth_tol * scale:
+        if scale > 0 and np.max(np.abs(c[:I])) > orth_tol * scale:
             raise ValueError("input is not orthogonal to the eigenspace E")
-        c = c.copy()
-        c[: ctx.I] = 0.0
-    denom = sd.lam - ctx.lam
-    denom[: ctx.I] = 1.0  # inert entries
-    return sd.synth(c / denom)
+    # divide only the modes synthesized: at a spectral value lambda_j - lambda vanishes on E
+    return sd.synth(c[I:] / (sd.lam[I:] - ctx.lam), slice(I, None))
 
 
 def spectral_norm_Hk(sd: SpectralData, u, k: float) -> float:

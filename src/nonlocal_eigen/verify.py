@@ -80,11 +80,14 @@ class VerifySuite:
             self._cache["rfl"] = (op, dk, eigendecompose(dk))
         return self._cache["rfl"]
 
+    def _sfl_at(self, grid):
+        op = make_operator("sfl", 0.75, self.dom, sfl_truncation=grid.N)
+        dk = assemble_green_matrix(op, grid)
+        return op, dk, eigendecompose(dk)
+
     def sfl_sd(self):
         if "sfl" not in self._cache:
-            op = make_operator("sfl", 0.75, self.dom, sfl_truncation=self.N)
-            dk = assemble_green_matrix(op, self.grid)
-            self._cache["sfl"] = (op, dk, eigendecompose(dk))
+            self._cache["sfl"] = self._sfl_at(self.grid)
         return self._cache["sfl"]
 
     # -- criterion 1: kernel exactness ----------------------------------
@@ -117,8 +120,7 @@ class VerifySuite:
 
     # -- criterion 3: SFL spectrum --------------------------------------
     def check_sfl_spectrum(self):
-        op = make_operator("sfl", 0.75, self.dom, sfl_truncation=self.N)
-        sd = eigendecompose(assemble_green_matrix(op, self.grid_u))
+        op, _, sd = self._sfl_at(self.grid_u)
         k = np.arange(1, 11)
         exact = sfl_eigenvalue(self.dom, k) ** op.s
         rel = np.max(np.abs(sd.lam[:10] - exact) / exact)
@@ -138,15 +140,13 @@ class VerifySuite:
         return _res("phi1_nonnegative", -np.min(phi1), 1e-8 * np.max(phi1),
                     cmp="le", detail="min phi_1 vs -1e-8 max phi_1")
 
-    def _phi1_bracket(self, N):
-        grid = build_grid(self.dom, N, grading=2.0)
-        op = make_operator("sfl", 0.75, self.dom, sfl_truncation=N)
-        sd = eigendecompose(assemble_green_matrix(op, grid))
-        q = sd.phi[:, 0] / grid.delta**op.gamma
-        return float(np.max(q) / np.min(q))
-
     def check_phi1_delta_bracket(self):
-        b1, b2 = self._phi1_bracket(self.N), self._phi1_bracket(2 * self.N)
+        brackets = []
+        for op, _, sd in (self.sfl_sd(),
+                          self._sfl_at(build_grid(self.dom, 2 * self.N, grading=2.0))):
+            q = sd.phi[:, 0] / sd.grid.delta**op.gamma
+            brackets.append(float(np.max(q) / np.min(q)))
+        b1, b2 = brackets
         change = abs(b2 - b1) / b1
         return _res("phi1_delta_bracket", change, 0.25,
                     f"max/min of phi_1/delta^gamma: {b1:.6f} (N={self.N}) "
@@ -235,12 +235,12 @@ class VerifySuite:
         f = rng.uniform(0.5, 1.5, self.grid.N)
         # orthogonal to the three lowest modes so no single near-lambda_1
         # denominator dominates the ladder (f remains orthogonal to phi_1)
-        f = f - sd.phi[:, :3] @ sd.coeffs(f)[:3]
+        f = f - sd.synth(sd.coeffs(f)[:3], slice(3)).values
         norms = []
         for frac in (0.5, 0.9, 0.99, 0.999):
             ctx = lambda_context(sd, frac * sd.lam[0])
             u = apply_Glambda(sd, ctx, f).values
-            up = u - sd.phi[:, :1] @ (sd.phi[:, :1].T @ (self.grid.w * u))
+            up = u - sd.synth(sd.coeffs(u)[:1], slice(1)).values
             norms.append(weighted_norm(up, self.grid, "L1_delta", alpha=op.gamma))
         ratio = max(norms) / min(norms)
         return _res("uniform_Eperp_estimate", ratio, 1.1, cmp="le",

@@ -70,6 +70,10 @@ def test_exit_codes(tmp_path):
     code = run_cli(["solve", "--op", "sfl", "--N", "64", "--M", "64",
                     "--lambda", f"{lam1:.17g}", "--out", out])
     assert code == 4
+    # eigenvalue group index outside 1..number of groups
+    for group in ("0", "99"):
+        assert run_cli(["sweep", "--op", "sfl", "--N", "64", "--M", "64",
+                        "--group", group, "--out", out]) == 2
 
 
 def test_g_profiles(tmp_path):

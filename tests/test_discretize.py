@@ -30,6 +30,15 @@ def test_grid_function_validation(grid):
     np.testing.assert_array_equal(np.asarray(gf), 1.0)
 
 
+def test_as_values_rejects_other_grid_of_same_size(grid):
+    other = build_grid(DOM, grid.N, grading=1.0)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        as_values(GridFunction(other, np.ones(grid.N)), grid)
+    # a rebuilt grid with the same nodes and weights is the same grid
+    twin = build_grid(DOM, grid.N, grading=2.0)
+    np.testing.assert_array_equal(as_values(GridFunction(twin, np.ones(grid.N)), grid), 1.0)
+
+
 def test_as_values_accepts_callable_and_array(grid):
     np.testing.assert_allclose(as_values(np.cos, grid), np.cos(grid.x))
     np.testing.assert_allclose(as_values(np.ones(grid.N), grid), 1.0)
