@@ -90,12 +90,7 @@ class TraceReport:
     z: float
     value: float
     error: float
-    mode: str
     nodes_delta: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"z": self.z, "value": self.value, "error": self.error,
-                "mode": self.mode, "nodes_delta": list(self.nodes_delta)}
 
 
 def _neville_at_zero(d: np.ndarray, v: np.ndarray) -> float:
@@ -118,32 +113,19 @@ def _extrapolate_to_zero(d: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 
 
 def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid,
-                   mode: str = "ratio", n_nodes: int = 5) -> TraceReport:
-    """Weighted boundary trace at z by extrapolation along the grid.
-
-    mode "ratio" extrapolates u / M(1); mode "rfl_explicit" uses the
-    closed-form normalization Gamma(1+s)^2 delta^{1-s} u.
-    """
+                   n_nodes: int = 5) -> TraceReport:
+    """Weighted boundary trace at z: u / M(1) extrapolated along the grid."""
     v = as_values(u, grid)
     order = np.argsort(np.abs(grid.x - z))[:n_nodes]
     order = order[np.argsort(grid.delta[order])]
     if len(order) < n_nodes:
         raise ValueError(f"fewer than {n_nodes} usable nodes near z={z}")
     d = grid.delta[order]
-    if mode == "ratio":
-        m1 = martin_apply(op, grid, 1.0).values
-        seq = v[order] / m1[order]
-    elif mode == "rfl_explicit":
-        if op.kind is not OperatorKind.RFL:
-            raise ValueError("explicit trace normalization is RFL-only")
-        seq = gamma_fn(1.0 + op.s) ** 2 * d ** (1.0 - op.s) * v[order]
-    else:
-        raise ValueError(f"unknown trace mode {mode!r}")
-    value, err = _extrapolate_to_zero(d, seq)
+    m1 = martin_apply(op, grid, 1.0).values
+    value, err = _extrapolate_to_zero(d, v[order] / m1[order])
     if not np.isfinite(value) or (abs(value) > 0 and err > 10 * abs(value)):
         raise ValueError("trace extrapolation did not converge")
-    return TraceReport(z=float(z), value=value, error=err, mode=mode,
-                       nodes_delta=d)
+    return TraceReport(z=float(z), value=value, error=err, nodes_delta=d)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,9 @@ Exit codes: 0 ok, 1 verification failure, 2 bad configuration,
 
 from __future__ import annotations
 
-import os
-
-# honor the thread cap before numpy loads its BLAS
-_threads = os.environ.get("NONLOCAL_EIGEN_THREADS")
-if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _threads)
-
 import argparse
 import json
+import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
@@ -33,7 +26,7 @@ from .discretize import assemble_green_matrix
 from .geometry import build_grid, make_domain
 from .kernels import make_operator
 from .limits import large_solution_limit_s, make_family, resolvent_convergence_s
-from .spectral import eigendecompose, lambda_context
+from .spectral import SpectralHit, eigendecompose, lambda_context
 from .verify import run_verification
 
 EXIT_OK, EXIT_VERIFY, EXIT_CONFIG, EXIT_NUMERIC, EXIT_SINGULAR = 0, 1, 2, 3, 4
@@ -139,16 +132,6 @@ def _setup(cfg: RunConfig):
     return domain, op, grid
 
 
-def _context_or_exit(sd, lam: float):
-    try:
-        return lambda_context(sd, lam)
-    except ValueError:
-        j = int(np.argmin(np.abs(sd.lam - lam)))
-        print(f"lambda = {lam} is within tau_mult of the spectrum; nearest "
-              f"eigenvalue lambda_{j + 1} = {_fmt(sd.lam[j])}", file=sys.stderr)
-        raise SystemExit(EXIT_SINGULAR)
-
-
 def cmd_eigen(cfg: RunConfig) -> int:
     _, op, grid = _setup(cfg)
     sd = eigendecompose(assemble_green_matrix(op, grid))
@@ -173,7 +156,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     _, op, grid = _setup(cfg)
     sd = eigendecompose(assemble_green_matrix(op, grid))
     lam = cfg.lam if cfg.lam is not None else 0.0
-    ctx = _context_or_exit(sd, lam)
+    ctx = lambda_context(sd, lam)
     g = resolve_g(cfg.g, grid, sd, op)
     rep = solver_mod.solve_large(op, sd, ctx, g, cfg.h, cfg.K_frac)
     path = os.path.join(cfg.out, "profile.csv")
@@ -197,11 +180,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         grp = sd.groups[cfg.group - 1]
         lams = sd.lam[grp[0]] * (1.0 - np.array([1e-2, 1e-3, 1e-4, 1e-5, 2e-6]))
     g = resolve_g(cfg.g, grid, sd, op)
-    try:
-        sw = solver_mod.sweep_lambda(op, sd, g, cfg.h, cfg.group, lams, cfg.K_frac)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_SINGULAR
+    sw = solver_mod.sweep_lambda(op, sd, g, cfg.h, cfg.group, lams, cfg.K_frac)
     path = os.path.join(cfg.out, "sweep.csv")
     write_csv(path,
               ["lambda", "sup_K", "sup_K_Aplus", "inf_Omega",
@@ -299,9 +278,10 @@ def main(argv=None) -> int:
     np.random.seed(cfg.seed)
     try:
         return _COMMANDS[command](cfg)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (ConfigError, ValueError) as exc:
+    except SpectralHit as exc:
+        print(f"spectral hit: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, AssertionError, RuntimeError, np.linalg.LinAlgError) as exc:

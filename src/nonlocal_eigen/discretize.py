@@ -1,8 +1,9 @@
 """Nystrom discretization of the Green's operator and weighted norms.
 
 The integral operator u(x) = int G_0(x, y) f(y) dy becomes the matrix
-action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Off-diagonal
-entries are pointwise kernel values; the diagonal is a local cell
+action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Every quadrature
+kernel takes one path: off-diagonal entries are pointwise kernel values
+on the upper triangle, mirrored; the diagonal is a local cell
 average of the true kernel (handling the |x-y|^{2s-n} or logarithmic
 singularity), except for the spectrally-defined SFL kernel, which is
 continuous and keeps its exact pointwise diagonal so the discrete
@@ -70,38 +71,31 @@ class DiscreteKernel:
     op: OperatorSpec
     grid: QuadGrid
     matrix: np.ndarray
-    diagonal_rule: str
 
     @property
     def N(self) -> int:
         return self.grid.N
 
 
-def _rfl_offdiag_interval(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    mask = ~np.eye(len(x), dtype=bool)
-    K = np.zeros_like(X)
-    K[mask] = rfl_green_ball(op, X[mask], Y[mask])
-    return K
+def _offdiag(kernel, x: np.ndarray) -> np.ndarray:
+    """kernel(x_i, x_j) off the diagonal, evaluated once per pair and mirrored.
 
-def _rfl_diag_interval(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
+    The kernels are symmetric bit for bit, so the mirror is exact.
+    """
+    i, j = np.triu_indices(len(x), 1)
+    K = np.zeros((len(x), len(x)))
+    K[i, j] = kernel(x[i], x[j])
+    return K + K.T
+
+
+def _cell_average(integrand, grid: QuadGrid, **quad_kw) -> np.ndarray:
+    """Mean of integrand(x_i, .) over each node's cell, split at the singular node."""
     diag = np.empty(grid.N)
     for i in range(grid.N):
-        xi, lo, hi = grid.x[i], grid.cell_lo[i], grid.cell_hi[i]
-        f = lambda y: rfl_green_ball(op, xi, y)
-        left, _ = quad(f, lo, xi, epsabs=1e-12, epsrel=1e-10, limit=200)
-        right, _ = quad(f, xi, hi, epsabs=1e-12, epsrel=1e-10, limit=200)
-        diag[i] = (left + right) / grid.w[i]
-    return diag
-
-
-def _classical_diag_interval(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
-    diag = np.empty(grid.N)
-    for i in range(grid.N):
-        xi, lo, hi = grid.x[i], grid.cell_lo[i], grid.cell_hi[i]
-        f = lambda y: classical_green_interval(op.domain, xi, y)
-        left, _ = quad(f, lo, xi, epsabs=1e-13)
-        right, _ = quad(f, xi, hi, epsabs=1e-13)
+        xi = grid.x[i]
+        f = lambda y: integrand(xi, y)
+        left, _ = quad(f, grid.cell_lo[i], xi, **quad_kw)
+        right, _ = quad(f, xi, grid.cell_hi[i], **quad_kw)
         diag[i] = (left + right) / grid.w[i]
     return diag
 
@@ -130,24 +124,6 @@ def rfl_green_radial_average(op: OperatorSpec, rho_x: float, rho_y: float) -> fl
     return val * sphere_area(n - 1) / sphere_area(n)
 
 
-def _rfl_matrix_ball(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
-    N = grid.N
-    K = np.zeros((N, N))
-    for i in range(N):
-        for j in range(i + 1, N):
-            K[i, j] = rfl_green_radial_average(op, grid.x[i], grid.x[j])
-    K = K + K.T
-    # diagonal: radial cell average of the angular-averaged kernel
-    for i in range(N):
-        xi, lo, hi = grid.x[i], grid.cell_lo[i], grid.cell_hi[i]
-        vol = sphere_area(op.domain.n)
-        f = lambda r: rfl_green_radial_average(op, xi, r) * vol * r ** (op.domain.n - 1)
-        left, _ = quad(f, lo, xi, epsabs=1e-10, limit=100)
-        right, _ = quad(f, xi, hi, epsabs=1e-10, limit=100)
-        K[i, i] = (left + right) / grid.w[i]
-    return K
-
-
 def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
     """Assemble the symmetric Nystrom matrix K_ij ~ G_0(x_i, x_j)."""
     if op.domain != grid.domain:
@@ -157,33 +133,38 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         Phi = sfl_eigenfunction(op.domain, k[None, :], grid.x[:, None])
         mu = sfl_eigenvalue(op.domain, k)
         K = (Phi * mu ** (-op.s)) @ Phi.T
-        rule = "pointwise_series"
+        K = 0.5 * (K + K.T)  # the product is symmetric only up to roundoff
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
         M = op.sfl_truncation
         neg_tol = (np.pi / (2 * op.domain.r)) ** (-2 * op.s) \
             * M ** (1.0 - 2.0 * op.s) / (op.domain.r * (2.0 * op.s - 1.0))
-    elif op.kind is OperatorKind.RFL:
-        if op.domain.kind is DomainKind.INTERVAL:
-            K = _rfl_offdiag_interval(op, grid.x)
-            np.fill_diagonal(K, _rfl_diag_interval(op, grid))
+    elif op.domain.kind is DomainKind.INTERVAL:
+        if op.kind is OperatorKind.RFL:
+            kernel = lambda x, y: rfl_green_ball(op, x, y)
+            quad_kw = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
         else:
-            K = _rfl_matrix_ball(op, grid)
-        rule = "cell_average"
+            kernel = lambda x, y: classical_green_interval(op.domain, x, y)
+            quad_kw = dict(epsabs=1e-13)
+        K = _offdiag(kernel, grid.x)
+        np.fill_diagonal(K, _cell_average(kernel, grid, **quad_kw))
+    elif op.kind is OperatorKind.RFL:
+        # radial nodes: the angular average is the kernel, and a radial
+        # cell carries the measure |S^{n-1}| rho^{n-1}
+        n = op.domain.n
+        vol = sphere_area(n)
+        kernel = lambda x, y: rfl_green_radial_average(op, x, y)
+        K = _offdiag(np.vectorize(kernel, otypes=[float]), grid.x)
+        np.fill_diagonal(K, _cell_average(lambda x, y: kernel(x, y) * vol * y ** (n - 1),
+                                          grid, epsabs=1e-10, limit=100))
     else:
-        if op.domain.kind is not DomainKind.INTERVAL:
-            raise NotImplementedError("classical kernel matrices: interval only")
-        X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
-        K = classical_green_interval(op.domain, X, Y)
-        np.fill_diagonal(K, _classical_diag_interval(op, grid))
-        rule = "cell_average"
+        raise NotImplementedError("classical kernel matrices: interval only")
 
     if op.kind is not OperatorKind.SFL:
         neg_tol = 1e-12 * np.max(K)
-    K = 0.5 * (K + K.T)
     if np.min(K) < -neg_tol:
         raise AssertionError("negative kernel matrix entry beyond truncation noise")
-    return DiscreteKernel(op=op, grid=grid, matrix=K, diagonal_rule=rule)
+    return DiscreteKernel(op=op, grid=grid, matrix=K)
 
 
 def apply_G0(dk: DiscreteKernel, f) -> GridFunction:

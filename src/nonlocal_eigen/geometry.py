@@ -103,10 +103,6 @@ class QuadGrid:
     def N(self) -> int:
         return len(self.x)
 
-    def inner(self, u, v) -> float:
-        """Weighted inner product sum(w * u * v)."""
-        return float(np.sum(self.w * np.asarray(u) * np.asarray(v)))
-
     def compact_mask(self, frac: float = 0.25) -> np.ndarray:
         """Nodes with delta >= frac * r (the interior compact set K)."""
         return self.delta >= frac * self.domain.r

@@ -259,7 +259,8 @@ def polylog_unit_circle(p: float, alpha) -> np.ndarray:
 
     Uses the expansion Li_p(e^mu) = Gamma(1-p) (-mu)^{p-1}
     + sum_m zeta(p-m) mu^m / m! with mu = i alpha, which converges for
-    |alpha| < 2 pi.  Vectorized in alpha.
+    |alpha| < 2 pi, but ever more slowly as |alpha| nears 2 pi; a series
+    that has not met its tolerance by order 80 raises.  Vectorized in alpha.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     if np.any((np.abs(alpha) <= 0) | (np.abs(alpha) >= 2 * pi)):
@@ -276,7 +277,8 @@ def polylog_unit_circle(p: float, alpha) -> np.ndarray:
             out = out + _zeta(p, m) * term
             break
         if m > 80:
-            break
+            raise RuntimeError(f"polylog series Li_{p} did not converge by order 80 "
+                               f"at |alpha| = {np.max(np.abs(alpha)):.6g}")
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .boundary import martin_apply
 from .discretize import DiscreteKernel, GridFunction, as_values, weighted_norm
 from .kernels import OperatorSpec
-from .spectral import LambdaContext, SpectralData, apply_Glambda, lambda_context
+from .spectral import LambdaContext, SpectralData, SpectralHit, apply_Glambda, lambda_context
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     grp = sd.groups[i - 1]
     split_at = int(grp[-1]) + 1
     if np.any(np.abs(lam_list - lam_i) < sd.tau_mult * lam_i):
-        raise ValueError("sweep grid touches the spectrum")
+        raise SpectralHit("sweep grid touches the spectrum")
     mask = grid.compact_mask(K_frac)
     maskA = np.zeros(grid.N, dtype=bool)
     maskA[fred.A_plus] = True

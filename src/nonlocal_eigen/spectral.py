@@ -20,6 +20,10 @@ from .discretize import DiscreteKernel, GridFunction, as_values
 from .geometry import QuadGrid
 
 
+class SpectralHit(ValueError):
+    """A spectral parameter lambda lies within tau_mult of the discrete spectrum."""
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Discrete eigenpairs, weighted-orthonormal, eigenvalues ascending."""
@@ -111,8 +115,8 @@ def lambda_context(sd: SpectralData, lam: float,
     singular = d_sigma <= sd.tau_mult * scale
     if singular and not allow_singular:
         j = int(np.argmin(d))
-        raise ValueError(f"lambda={lam} is within tau_mult of eigenvalue "
-                         f"lambda_{j + 1}={sd.lam[j]}; regular context demanded")
+        raise SpectralHit(f"lambda={lam} is within tau_mult of eigenvalue "
+                          f"lambda_{j + 1}={sd.lam[j]}; regular context demanded")
     if singular:
         # include the full eigenvalue group containing lambda in E
         hit = int(np.argmin(d))

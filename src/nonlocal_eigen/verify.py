@@ -6,7 +6,6 @@ the tolerance it was held against.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from math import gamma as gamma_fn
 from math import log, pi, sqrt
@@ -391,16 +390,14 @@ class VerifySuite:
 
     def run_all(self) -> list[CheckResult]:
         results = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for name in self.CHECKS:
-                try:
-                    results.append(getattr(self, name)())
-                except Exception as exc:  # a crash is a failed check, not a crash
-                    results.append(CheckResult(name=name.removeprefix("check_"),
-                                               passed=False, measured=float("nan"),
-                                               tolerance=float("nan"),
-                                               detail=f"raised {type(exc).__name__}: {exc}"))
+        for name in self.CHECKS:
+            try:
+                results.append(getattr(self, name)())
+            except Exception as exc:  # a crash is a failed check, not a crash
+                results.append(CheckResult(name=name.removeprefix("check_"),
+                                           passed=False, measured=float("nan"),
+                                           tolerance=float("nan"),
+                                           detail=f"raised {type(exc).__name__}: {exc}"))
         return results
 
 

@@ -98,15 +98,6 @@ def test_trace_of_bounded_function_vanishes(grid):
     assert abs(tr.value) < 1e-8
 
 
-def test_trace_rfl_explicit_mode(grid):
-    # the explicit normalization differs from the ratio mode by the
-    # documented factor s in the boundary constant
-    op = make_operator("rfl", 0.75, DOM)
-    vh = martin_apply(op, grid, 1.0)
-    tr = weighted_trace(op, vh, 1.0, grid, mode="rfl_explicit")
-    assert tr.value == pytest.approx(op.s, rel=1e-6)
-
-
 def test_martin_constant_report(grid):
     op = make_operator("rfl", 0.75, DOM)
     rep = martin_constant_report(op, grid)

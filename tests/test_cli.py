@@ -70,6 +70,11 @@ def test_exit_codes(tmp_path):
     code = run_cli(["solve", "--op", "sfl", "--N", "64", "--M", "64",
                     "--lambda", f"{lam1:.17g}", "--out", out])
     assert code == 4
+    assert run_cli(["sweep", "--op", "sfl", "--N", "64", "--M", "64",
+                    "--lambda-list", f"{lam1:.17g}", "--out", out]) == 4
+    # bad boundary data is a configuration error, not a spectral hit
+    assert run_cli(["sweep", "--op", "sfl", "--N", "64", "--M", "64",
+                    "--h", "1,2,3", "--out", out]) == 2
     # eigenvalue group index outside 1..number of groups
     for group in ("0", "99"):
         assert run_cli(["sweep", "--op", "sfl", "--N", "64", "--M", "64",

@@ -11,7 +11,7 @@ from nonlocal_eigen.discretize import (
     weighted_norm,
 )
 from nonlocal_eigen.geometry import build_grid, make_domain
-from nonlocal_eigen.kernels import make_operator, sfl_eigenvalue
+from nonlocal_eigen.kernels import green_function, make_operator, sfl_eigenvalue
 
 DOM = make_domain("interval", 1, 1.0)
 
@@ -51,6 +51,11 @@ def test_matrix_symmetric(grid, kind, s):
     op = make_operator(kind, s, DOM, sfl_truncation=64)
     dk = assemble_green_matrix(op, grid)
     np.testing.assert_allclose(dk.matrix, dk.matrix.T, atol=1e-14)
+    if kind != "sfl":
+        # the mirrored upper triangle is the kernel at every pair, bit for bit
+        X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
+        off = ~np.eye(grid.N, dtype=bool)
+        np.testing.assert_array_equal(dk.matrix[off], green_function(op, X[off], Y[off]))
 
 
 def test_classical_row_action_exact(grid):

@@ -1,4 +1,4 @@
-"""Golden artifacts of five small CLI runs, compared byte for byte.
+"""Golden artifacts of seven small CLI runs, compared byte for byte.
 
 The files under ``tests/golden/<case>/`` pin every artifact of each
 case; a change that keeps the numbers must reproduce them exactly.
@@ -29,12 +29,19 @@ CASES = {
                     "--s-list", "0.7,0.9,0.99"],
     "limit_resolvent": ["limit-s", "--g", "one", "--lambda", "1",
                         "--s-list", "0.7,0.9,0.99"],
+    "eigen_rfl": ["eigen", "--op", "rfl", "--s", "0.75", "--N", "32"],
+    "solve_classical": ["solve", "--op", "classical", "--s", "1", "--N", "32",
+                        "--g", "one", "--h", "1,2", "--lambda", "3"],
 }
 
 
 def run_case(name: str) -> int:
-    """Run one case into the relative directory ``name`` (the sidecars echo --out)."""
-    return main(CASES[name] + COMMON + ["--out", name])
+    """Run one case into the relative directory ``name`` (the sidecars echo --out).
+
+    The case's own flags follow ``COMMON``, so its ``--op`` and ``--N`` win.
+    """
+    command, *rest = CASES[name]
+    return main([command] + COMMON + rest + ["--out", name])
 
 
 def write_goldens(root: Path = GOLDEN):

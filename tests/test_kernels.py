@@ -60,6 +60,12 @@ def test_polylog_unit_circle_oracle(p, a, expected):
     assert np.imag(polylog_unit_circle(p, a)) == pytest.approx(expected, rel=1e-12)
 
 
+def test_polylog_unit_circle_raises_when_unconverged():
+    # near |alpha| = 2 pi the series is still far off at order 80
+    with pytest.raises(RuntimeError, match="did not converge"):
+        polylog_unit_circle(0.5, 6.2)
+
+
 def test_operator_validation():
     with pytest.raises(ValueError):
         make_operator("rfl", 1.2, INTERVAL)
