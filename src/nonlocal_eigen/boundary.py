@@ -75,12 +75,11 @@ def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
     return GridFunction(grid, h.values[0] * kernel_radial * sphere_int)
 
 
-def gamma_normal_derivative_G0(op: OperatorSpec, grid: QuadGrid, z: float, f,
-                               cap: float = 1e8) -> float:
-    """D_gamma G_0(f)(z): quadrature of the Martin kernel against f."""
+def gamma_normal_derivative_G0(op: OperatorSpec, grid: QuadGrid, z: float, f) -> float:
+    """D_gamma G_0(f)(z): quadrature of the Martin kernel against f, for |f| <= 1e8."""
     v = as_values(f, grid)
-    if np.max(np.abs(v)) > cap:
-        raise ValueError(f"data exceeds boundedness cap {cap:g}")
+    if np.max(np.abs(v)) > 1e8:
+        raise ValueError("data exceeds boundedness cap 1e+08")
     kern = np.asarray(martin_kernel(op, z, grid.x))
     return float(np.sum(grid.w * kern * v))
 
@@ -112,14 +111,14 @@ def _extrapolate_to_zero(d: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return full, abs(full - reduced)
 
 
-def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid,
-                   n_nodes: int = 5) -> TraceReport:
-    """Weighted boundary trace at z: u / M(1) extrapolated along the grid."""
+def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid) -> TraceReport:
+    """Weighted boundary trace at z: u / M(1) at the 5 nodes nearest z,
+    extrapolated along the grid."""
     v = as_values(u, grid)
-    order = np.argsort(np.abs(grid.x - z))[:n_nodes]
+    order = np.argsort(np.abs(grid.x - z))[:5]
     order = order[np.argsort(grid.delta[order])]
-    if len(order) < n_nodes:
-        raise ValueError(f"fewer than {n_nodes} usable nodes near z={z}")
+    if len(order) < 5:
+        raise ValueError(f"fewer than 5 usable nodes near z={z}")
     d = grid.delta[order]
     m1 = martin_apply(op, grid, 1.0).values
     value, err = _extrapolate_to_zero(d, v[order] / m1[order])
@@ -130,22 +129,11 @@ def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid,
 
 @dataclass(frozen=True)
 class MartinConstantReport:
-    """Measured boundary normalization of M(1) against both closed forms.
-
-    The interval RFL kernel gives lim delta^{1-s} M(1) = 1/(s Gamma(s)^2),
-    while the explicit trace normalization suggests 1/Gamma(1+s)^2; the
-    discrepancy (a factor s) is reported, not resolved.
-    """
+    """Measured boundary normalization lim delta^{1-s} M(1) of the interval
+    RFL Martin kernel against its closed form 1/(s Gamma(s)^2 r)."""
 
     measured: float
     candidate_kernel: float
-    candidate_trace: float
-
-    @property
-    def closest(self) -> str:
-        dk = abs(self.measured - self.candidate_kernel)
-        dt = abs(self.measured - self.candidate_trace)
-        return "kernel" if dk <= dt else "trace"
 
 
 def martin_constant_report(op: OperatorSpec, grid: QuadGrid) -> MartinConstantReport:
@@ -161,5 +149,4 @@ def martin_constant_report(op: OperatorSpec, grid: QuadGrid) -> MartinConstantRe
     return MartinConstantReport(
         measured=measured,
         candidate_kernel=1.0 / (s * gamma_fn(s) ** 2 * r),
-        candidate_trace=1.0 / (gamma_fn(1.0 + s) ** 2 * r),
     )

@@ -6,7 +6,7 @@ plus JSON sidecars echoing the full configuration; files are written
 atomically (temp + rename).
 
 Exit codes: 0 ok, 1 verification failure, 2 bad configuration,
-3 numerical failure, 4 lambda within tau_mult of the spectrum.
+3 numerical failure, 4 lambda within TAU_MULT of the spectrum.
 """
 
 from __future__ import annotations
@@ -113,6 +113,8 @@ def resolve_g(spec: str, grid, sd, op):
             raise ConfigError(f"delta_pow exponent {alpha} outside the admissible range")
         return grid.delta**alpha
     if name == "eigmode":
+        if sd is None:
+            raise ConfigError("eigmode data needs a spectrum; this command computes none")
         j = int(arg)
         if not 1 <= j <= sd.m:
             raise ConfigError(f"eigmode index {j} out of range 1..{sd.m}")
@@ -232,41 +234,54 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+_COMMANDS = {"eigen": cmd_eigen, "solve": cmd_solve, "sweep": cmd_sweep,
+             "limit-s": cmd_limit_s, "verify": cmd_verify}
+
+_GRID = ("eigen", "solve", "sweep", "limit-s")
+_DATA = ("solve", "sweep", "limit-s")
+
+# one row per flag: (flag, RunConfig field, argparse keywords, subcommands that read it);
+# a field whose flag is not given keeps its RunConfig default, so sidecars echo the full config
+_FLAGS = [
+    ("--op", "op", {"choices": ["rfl", "sfl", "classical"]}, _GRID),
+    ("--s", "s", {"type": float}, ("eigen", "solve", "sweep")),
+    ("--domain", "domain", {"choices": ["interval", "ball"]}, _GRID),
+    ("--n", "n", {"type": int}, _GRID),
+    ("--r", "r", {"type": float}, _GRID),
+    ("--N", "N", {"type": int}, _GRID + ("verify",)),
+    ("--grade", "grade", {"type": float}, _GRID),
+    ("--M", "M", {"type": int}, _GRID),
+    ("--lambda", "lam", {"type": float}, ("solve", "limit-s")),
+    ("--lambda-list", "lam_list", {"type": _floats}, ("sweep",)),
+    ("--g", "g", {}, _DATA),
+    ("--h", "h", {"type": _floats}, _DATA),
+    ("--K-frac", "K_frac", {"type": float}, _DATA),
+    ("--out", "out", {}, tuple(_COMMANDS)),
+    ("--seed", "seed", {"type": int}, ("verify",)),
+    ("--group", "group", {"type": int}, ("sweep",)),
+    ("--j-max", "j_max", {"type": int}, ("eigen",)),
+    ("--s-list", "s_list", {"type": _floats}, ("limit-s",)),
+]
+
+
 def _parse_args(argv) -> tuple[str, RunConfig]:
     p = argparse.ArgumentParser(
         prog="nonlocal-eigen",
         description="Nonlocal eigenvalue laboratory: Green's operators, "
                     "Nystrom spectra, large boundary-blow-up solutions.")
     sub = p.add_subparsers(dest="command", required=True)
-    d = RunConfig()
-    for name in ("eigen", "solve", "sweep", "limit-s", "verify"):
-        q = sub.add_parser(name)
-        q.add_argument("--op", choices=["rfl", "sfl", "classical"], default=d.op)
-        q.add_argument("--s", type=float, default=d.s)
-        q.add_argument("--domain", choices=["interval", "ball"], default=d.domain)
-        q.add_argument("--n", type=int, default=d.n)
-        q.add_argument("--r", type=float, default=d.r)
-        q.add_argument("--N", type=int, default=d.N)
-        q.add_argument("--grade", type=float, default=d.grade)
-        q.add_argument("--M", type=int, default=d.M)
-        q.add_argument("--lambda", dest="lam", type=float, default=d.lam)
-        q.add_argument("--lambda-list", dest="lam_list", type=_floats, default=d.lam_list)
-        q.add_argument("--g", type=str, default=d.g)
-        q.add_argument("--h", type=_floats, default=d.h)
-        q.add_argument("--K-frac", dest="K_frac", type=float, default=d.K_frac)
-        q.add_argument("--out", type=str, default=d.out)
-        q.add_argument("--seed", type=int, default=d.seed)
-        q.add_argument("--group", type=int, default=d.group)
-        q.add_argument("--j-max", dest="j_max", type=int, default=d.j_max)
-        q.add_argument("--s-list", dest="s_list", type=_floats, default=d.s_list)
+    # no abbreviations: a prefix would turn an unread flag into a read one (sweep --lambda)
+    parsers = {name: sub.add_parser(name, allow_abbrev=False,
+                                    argument_default=argparse.SUPPRESS)
+               for name in _COMMANDS}
+    for flag, dest, kw, commands in _FLAGS:
+        for name in commands:
+            parsers[name].add_argument(flag, dest=dest, **kw)
     a = vars(p.parse_args(argv))
     command = a.pop("command")
-    a["s_list"] = a["s_list"] or d.s_list  # an empty --s-list keeps the default ladder
+    if a.get("s_list") == []:
+        del a["s_list"]  # an empty --s-list keeps the default ladder
     return command, RunConfig(**a)
-
-
-_COMMANDS = {"eigen": cmd_eigen, "solve": cmd_solve, "sweep": cmd_sweep,
-             "limit-s": cmd_limit_s, "verify": cmd_verify}
 
 
 def main(argv=None) -> int:
@@ -275,7 +290,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, which matches the contract
         return int(exc.code or 0)
-    np.random.seed(cfg.seed)
     try:
         return _COMMANDS[command](cfg)
     except SpectralHit as exc:

@@ -173,15 +173,14 @@ def apply_G0(dk: DiscreteKernel, f) -> GridFunction:
     return GridFunction(dk.grid, dk.matrix @ (dk.grid.w * v))
 
 
-_NORM_KINDS = ("L1_delta", "L2", "Linf", "Linf_over_delta", "Lp")
+_NORM_KINDS = ("L1_delta", "L2", "Linf", "Lp")
 
 
 def weighted_norm(f, grid: QuadGrid, kind: str, alpha: float = 0.0,
                   p: float = 2.0, gamma: float | None = None) -> float:
     """Quadrature norms with boundary-distance weights.
 
-    L1_delta(alpha) = sum w |f| delta^alpha, L2, Linf,
-    Linf_over_delta(alpha) = max |f| / delta^alpha, Lp.  When ``gamma``
+    L1_delta(alpha) = sum w |f| delta^alpha, L2, Linf, Lp.  When ``gamma``
     is supplied, exponents alpha <= -1-gamma are rejected as outside the
     admissible weight range.
     """
@@ -197,6 +196,4 @@ def weighted_norm(f, grid: QuadGrid, kind: str, alpha: float = 0.0,
         return float(np.sqrt(np.sum(grid.w * v**2)))
     if kind == "Linf":
         return float(np.max(v))
-    if kind == "Linf_over_delta":
-        return float(np.max(v / grid.delta**alpha))
     return float(np.sum(grid.w * v**p) ** (1.0 / p))

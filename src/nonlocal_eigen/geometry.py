@@ -120,8 +120,9 @@ def _gauss_panels(a: float, b: float, n_panels: int, counts) -> tuple[np.ndarray
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _panel_counts(N: int, target: int = 32, even: bool = False) -> list[int]:
-    n_panels = max(1, N // target)
+def _panel_counts(N: int, even: bool = False) -> list[int]:
+    """Gauss points per panel: about 32 each, spread evenly over N."""
+    n_panels = max(1, N // 32)
     if even:
         n_panels = max(2, 2 * (n_panels // 2))
     base = N // n_panels

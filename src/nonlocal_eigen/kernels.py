@@ -309,16 +309,14 @@ def sfl_martin_kernel_interval(op: OperatorSpec, z: float, y):
     return val
 
 
-def sfl_martin_series_abel(op: OperatorSpec, z: float, y, q: float,
-                           n_terms: int | None = None) -> np.ndarray:
+def sfl_martin_series_abel(op: OperatorSpec, z: float, y, q: float) -> np.ndarray:
     """Raw Abel-damped partial sum of the Martin series (oracle helper).
 
-    sum_{k<=K} d_k(z) phi_k(y) mu_k^{-s} q^k with K chosen so the
-    geometric tail is negligible.
+    sum_{k<=K} d_k(z) phi_k(y) mu_k^{-s} q^k with K = ceil(40 / (1 - q)),
+    so the geometric tail is negligible.
     """
     r, s = op.domain.r, op.s
-    if n_terms is None:
-        n_terms = int(np.ceil(40.0 / (1.0 - q)))
+    n_terms = int(np.ceil(40.0 / (1.0 - q)))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     k = np.arange(1, n_terms + 1)
     d_k = (k * pi / (2.0 * r)) / np.sqrt(r)

@@ -49,7 +49,6 @@ class SLimitReport:
     lam1: np.ndarray             # lambda_1(s)
     lam1_err: np.ndarray         # |lambda_1(s) - lambda_1(classical)|
     b: np.ndarray                # blow-up exponent 1-2s+gamma per s
-    kernel_dist: np.ndarray = None     # sup distance of G_0 on the compact set
     sol_dist: np.ndarray = None        # solution distance to the classical one
     omega: np.ndarray = None           # sup_j |mu_j(s) - mu_j(1)|
     alignment: np.ndarray = None       # (n_s, j_max) |<phi_j(s), phi_j(1)>|
@@ -63,8 +62,7 @@ class SLimitReport:
         for i, s in enumerate(self.s_list):
             row = {"s": float(s), "lam1": float(self.lam1[i]),
                    "lam1_err": float(self.lam1_err[i]), "b": float(self.b[i])}
-            for name in ("kernel_dist", "sol_dist", "omega", "boundary_fit",
-                         "sup_K", "near_boundary_amp"):
+            for name in ("sol_dist", "omega", "boundary_fit", "sup_K", "near_boundary_amp"):
                 v = getattr(self, name)
                 if v is not None:
                     row[name] = float(v[i])
@@ -72,22 +70,22 @@ class SLimitReport:
         return out
 
 
-def _monotone_decreasing(a: np.ndarray, slack: float = 0.10) -> bool:
-    """Nonincreasing along the ladder, allowing a relative slack."""
+def _monotone_decreasing(a: np.ndarray) -> bool:
+    """Nonincreasing along the ladder, allowing a relative slack of 10%."""
     a = np.asarray(a, dtype=float)
-    return bool(np.all(a[1:] <= (1.0 + slack) * a[:-1]))
+    return bool(np.all(a[1:] <= 1.10 * a[:-1]))
 
 
-def boundary_exponent_fit(v, grid: QuadGrid, n_nodes: int = 5) -> float:
-    """Least-squares slope of log|v| against log delta near the boundary."""
+def boundary_exponent_fit(v, grid: QuadGrid) -> float:
+    """Least-squares slope of log|v| against log delta at the 5 nodes nearest the boundary."""
     vals = np.abs(as_values(v, grid))
-    order = np.argsort(grid.delta)[:n_nodes]
+    order = np.argsort(grid.delta)[:5]
     ld, lv = np.log(grid.delta[order]), np.log(vals[order])
     slope, _ = np.polyfit(ld, lv, 1)
     return float(slope)
 
 
-def _ladder(family: OperatorFamily, s_list, grid: QuadGrid, tau_mult: float):
+def _ladder(family: OperatorFamily, s_list, grid: QuadGrid):
     """Validate the s ladder, then yield (op, sd): the classical endpoint
     first, then one rung per s."""
     s_list = np.asarray(s_list, dtype=float)
@@ -98,7 +96,7 @@ def _ladder(family: OperatorFamily, s_list, grid: QuadGrid, tau_mult: float):
     if np.any((s_list <= 0.5) | (s_list >= 1.0)):
         raise ValueError("s ladder must lie in (1/2, 1)")
     for op in [family.classical()] + [family.at(s) for s in s_list]:
-        yield op, eigendecompose(assemble_green_matrix(op, grid), tau_mult)
+        yield op, eigendecompose(assemble_green_matrix(op, grid))
 
 
 def _report(sd1: SpectralData, rungs: list, **monotone) -> SLimitReport:
@@ -115,9 +113,9 @@ def _report(sd1: SpectralData, rungs: list, **monotone) -> SLimitReport:
 
 
 def spectral_convergence_s(family: OperatorFamily, s_list, j_max: int,
-                           grid: QuadGrid, tau_mult: float = 1e-6) -> SLimitReport:
+                           grid: QuadGrid) -> SLimitReport:
     """Eigenvalue/eigenfunction convergence toward the classical spectrum."""
-    ladder = _ladder(family, s_list, grid, tau_mult)
+    ladder = _ladder(family, s_list, grid)
     _, sd1 = next(ladder)
     mu1, phi1 = 1.0 / sd1.lam[:j_max], sd1.phi[:, :j_max]
     rungs = [(op, sd.lam[0], {
@@ -128,9 +126,9 @@ def spectral_convergence_s(family: OperatorFamily, s_list, j_max: int,
 
 
 def resolvent_convergence_s(family: OperatorFamily, s_list, lam: float, f,
-                            grid: QuadGrid, tau_mult: float = 1e-6) -> SLimitReport:
+                            grid: QuadGrid) -> SLimitReport:
     """L2 convergence of the shifted solution operator to the classical one."""
-    ladder = _ladder(family, s_list, grid, tau_mult)
+    ladder = _ladder(family, s_list, grid)
     _, sd1 = next(ladder)
     u1 = apply_Glambda(sd1, lambda_context(sd1, lam), f).values
     rungs = []
@@ -141,8 +139,7 @@ def resolvent_convergence_s(family: OperatorFamily, s_list, lam: float, f,
 
 
 def large_solution_limit_s(family: OperatorFamily, s_list, lam: float, g, h,
-                           grid: QuadGrid, K_frac: float = 0.25,
-                           tau_mult: float = 1e-6) -> SLimitReport:
+                           grid: QuadGrid, K_frac: float = 0.25) -> SLimitReport:
     """Convergence of large solutions to the classical Dirichlet solution.
 
     The classical endpoint v_1 = M_1(h) + G_{lambda}(g + lambda M_1(h))
@@ -153,7 +150,7 @@ def large_solution_limit_s(family: OperatorFamily, s_list, lam: float, g, h,
     def solve(op, sd):
         return solve_large(op, sd, lambda_context(sd, lam), g, h, K_frac).v_total.values
 
-    ladder = _ladder(family, s_list, grid, tau_mult)
+    ladder = _ladder(family, s_list, grid)
     op1, sd1 = next(ladder)
     v1 = solve(op1, sd1)
     mask = grid.compact_mask(K_frac)

@@ -16,7 +16,8 @@ import numpy as np
 from .boundary import martin_apply
 from .discretize import DiscreteKernel, GridFunction, as_values, weighted_norm
 from .kernels import OperatorSpec
-from .spectral import LambdaContext, SpectralData, SpectralHit, apply_Glambda, lambda_context
+from .spectral import (TAU_MULT, LambdaContext, SpectralData, SpectralHit, apply_Glambda,
+                       lambda_context)
 
 
 @dataclass(frozen=True)
@@ -111,18 +112,17 @@ class FredholmReport:
         return len(self.A_plus) == 0 and len(self.A_minus) == 0
 
 
-def fredholm_diagnose(sd: SpectralData, op: OperatorSpec, g, h, i: int,
-                      eps: float | None = None) -> FredholmReport:
+def fredholm_diagnose(sd: SpectralData, op: OperatorSpec, g, h, i: int) -> FredholmReport:
     """Evaluate the blow-up dichotomy data at the i-th eigenvalue group.
 
-    i is 1-based.  When eps is omitted it defaults to 1e-3 times the sup
-    of the projection, keeping the sign sets nonempty in the blow-up case.
+    i is 1-based.  The sign sets A+ and A- hold the nodes where the
+    projection lies above eps or below -eps, with eps = 1e-3 times its
+    sup, which keeps them nonempty in the blow-up case.
     """
-    return _fredholm(sd, *_data(op, sd.grid, g, h), i, eps)
+    return _fredholm(sd, *_data(op, sd.grid, g, h), i)
 
 
-def _fredholm(sd: SpectralData, gv: np.ndarray, v_h: np.ndarray, i: int,
-              eps: float | None) -> FredholmReport:
+def _fredholm(sd: SpectralData, gv: np.ndarray, v_h: np.ndarray, i: int) -> FredholmReport:
     groups = sd.groups
     if not 1 <= i <= len(groups):
         raise ValueError(f"eigenvalue group index {i} out of range")
@@ -132,15 +132,14 @@ def _fredholm(sd: SpectralData, gv: np.ndarray, v_h: np.ndarray, i: int,
     rhs = gv + lam_i * v_h
     proj = sd.synth(sd.coeffs(rhs)[grp], grp).values
     sup = float(np.max(np.abs(proj)))
-    if eps is None:
-        # floored at the data scale so a projection that vanishes up to
-        # roundoff yields empty sign sets (the degenerate case)
-        scale = max(float(np.max(np.abs(rhs))), 1e-300)
-        eps = max(1e-3 * sup, 1e-10 * scale)
+    # floored at the data scale so a projection that vanishes up to
+    # roundoff yields empty sign sets (the degenerate case)
+    scale = max(float(np.max(np.abs(rhs))), 1e-300)
+    eps = max(1e-3 * sup, 1e-10 * scale)
     return FredholmReport(group_index=i, lam_i=lam_i,
                           projection=GridFunction(grid, proj),
                           norm_L2=float(np.sqrt(np.sum(grid.w * proj**2))),
-                          eps=float(eps),
+                          eps=eps,
                           A_plus=np.nonzero(proj > eps)[0],
                           A_minus=np.nonzero(proj < -eps)[0])
 
@@ -162,8 +161,7 @@ class SweepReport:
 
 
 def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
-                 lam_list, K_frac: float = 0.25,
-                 eps: float | None = None) -> SweepReport:
+                 lam_list, K_frac: float = 0.25) -> SweepReport:
     """Sweep lambda toward the i-th eigenvalue, recording blow-up data.
 
     The E/E-perp split is taken relative to the eigenvalue groups up to
@@ -173,11 +171,11 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     lam_list = np.asarray(lam_list, dtype=float)
     grid = sd.grid
     gv, v_h = _data(op, grid, g, h)
-    fred = _fredholm(sd, gv, v_h, i, eps)
+    fred = _fredholm(sd, gv, v_h, i)
     lam_i = fred.lam_i
     grp = sd.groups[i - 1]
     split_at = int(grp[-1]) + 1
-    if np.any(np.abs(lam_list - lam_i) < sd.tau_mult * lam_i):
+    if np.any(np.abs(lam_list - lam_i) < TAU_MULT * lam_i):
         raise SpectralHit("sweep grid touches the spectrum")
     mask = grid.compact_mask(K_frac)
     maskA = np.zeros(grid.N, dtype=bool)
@@ -222,7 +220,7 @@ class TrialReport:
 
 
 def check_max_principle(sd: SpectralData, ctx: LambdaContext, trials: int = 100,
-                        seed: int = 0, include_singular_data: bool = True) -> TrialReport:
+                        seed: int = 0) -> TrialReport:
     """Solutions with f >= 0 and lambda < lambda_1 must be nonnegative.
 
     Random nonnegative data, including delta-weighted unbounded samples;
@@ -236,7 +234,7 @@ def check_max_principle(sd: SpectralData, ctx: LambdaContext, trials: int = 100,
     worst = np.inf
     for t in range(trials):
         f = rng.uniform(0.0, 1.0, grid.N)
-        if include_singular_data and t % 3 == 2:
+        if t % 3 == 2:
             f = f * grid.delta ** (-0.5)
         u = apply_Glambda(sd, ctx, f).values
         margin = np.min(u) / max(np.max(u), 1e-300)

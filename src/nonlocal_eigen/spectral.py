@@ -19,9 +19,12 @@ import scipy.linalg
 from .discretize import DiscreteKernel, GridFunction, as_values
 from .geometry import QuadGrid
 
+# relative distance that puts lambda on the spectrum and joins eigenvalues into a group
+TAU_MULT = 1e-6
+
 
 class SpectralHit(ValueError):
-    """A spectral parameter lambda lies within tau_mult of the discrete spectrum."""
+    """A spectral parameter lambda lies within TAU_MULT of the discrete spectrum."""
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,6 @@ class SpectralData:
     dk: DiscreteKernel
     lam: np.ndarray          # lambda_j = 1/mu_j, ascending
     phi: np.ndarray          # (N, m); column j holds phi_j at the nodes
-    tau_mult: float
     n_discarded: int
 
     @property
@@ -53,8 +55,8 @@ class SpectralData:
 
     @property
     def groups(self) -> list[np.ndarray]:
-        """Indices grouped by eigenvalue multiplicity (relative gap tau_mult)."""
-        breaks = np.where(np.diff(self.lam) > self.tau_mult * self.lam[1:])[0]
+        """Indices grouped by eigenvalue multiplicity (relative gap TAU_MULT)."""
+        breaks = np.where(np.diff(self.lam) > TAU_MULT * self.lam[1:])[0]
         return np.split(np.arange(self.m), breaks + 1)
 
 
@@ -70,11 +72,10 @@ class LambdaContext:
     singular: bool          # lambda coincides with an eigenvalue group
 
 
-def eigendecompose(dk: DiscreteKernel, tau_mult: float = 1e-6,
-                   mu_floor_rel: float = 1e-14) -> SpectralData:
+def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     """Dense symmetric eigendecomposition of the Nystrom operator.
 
-    Eigenvalues of A below mu_floor_rel * mu_max are quadrature noise and
+    Eigenvalues of A below 1e-14 * mu_max are quadrature noise and
     are discarded.  phi_1 is sign-fixed nonnegative; every other phi_j
     has its first significantly-nonzero component positive.
     """
@@ -86,7 +87,7 @@ def eigendecompose(dk: DiscreteKernel, tau_mult: float = 1e-6,
         raise ValueError(f"symmetrized kernel is not symmetric (relative residual {asym:.2e})")
     mu, psi = scipy.linalg.eigh(A)
     mu, psi = mu[::-1], psi[:, ::-1]
-    keep = mu > mu_floor_rel * mu[0]
+    keep = mu > 1e-14 * mu[0]
     n_discarded = int(np.sum(~keep))
     mu, psi = mu[keep], psi[:, keep]
     lam = 1.0 / mu
@@ -101,8 +102,7 @@ def eigendecompose(dk: DiscreteKernel, tau_mult: float = 1e-6,
             nz = np.nonzero(np.abs(col) > 1e-10 * np.max(np.abs(col)))[0]
             if len(nz) and col[nz[0]] < 0:
                 phi[:, j] = -col
-    return SpectralData(dk=dk, lam=lam, phi=phi, tau_mult=tau_mult,
-                        n_discarded=n_discarded)
+    return SpectralData(dk=dk, lam=lam, phi=phi, n_discarded=n_discarded)
 
 
 def lambda_context(sd: SpectralData, lam: float,
@@ -112,10 +112,10 @@ def lambda_context(sd: SpectralData, lam: float,
     scale = max(abs(lam), sd.lam[0])
     d = np.abs(sd.lam - lam)
     d_sigma = float(np.min(d))
-    singular = d_sigma <= sd.tau_mult * scale
+    singular = d_sigma <= TAU_MULT * scale
     if singular and not allow_singular:
         j = int(np.argmin(d))
-        raise SpectralHit(f"lambda={lam} is within tau_mult of eigenvalue "
+        raise SpectralHit(f"lambda={lam} is within TAU_MULT of eigenvalue "
                           f"lambda_{j + 1}={sd.lam[j]}; regular context demanded")
     if singular:
         # include the full eigenvalue group containing lambda in E
@@ -139,9 +139,11 @@ def apply_Glambda(sd: SpectralData, ctx: LambdaContext, f) -> GridFunction:
     return sd.synth(c / (sd.lam - ctx.lam))
 
 
-def apply_Glambda_neumann(dk: DiscreteKernel, ctx: LambdaContext, f,
-                          tol: float = 1e-12, max_iter: int = 10_000) -> GridFunction:
-    """Fixed-point route u <- lambda G_0 u + G_0 f; contracts for |lambda| < lambda_1."""
+def apply_Glambda_neumann(dk: DiscreteKernel, ctx: LambdaContext, f) -> GridFunction:
+    """Fixed-point route u <- lambda G_0 u + G_0 f; contracts for |lambda| < lambda_1.
+
+    Stops at a weighted residual of 1e-12, within 10000 steps.
+    """
     sd = ctx.sd
     lam = ctx.lam
     if abs(lam) >= sd.lam[0]:
@@ -149,13 +151,13 @@ def apply_Glambda_neumann(dk: DiscreteKernel, ctx: LambdaContext, f,
     w = dk.grid.w
     G0f = dk.matrix @ (w * as_values(f, dk.grid))
     u = G0f.copy()
-    for _ in range(max_iter):
+    for _ in range(10_000):
         unew = lam * (dk.matrix @ (w * u)) + G0f
         res = np.sqrt(np.sum(w * (unew - lam * (dk.matrix @ (w * unew)) - G0f) ** 2))
         u = unew
-        if res <= tol:
+        if res <= 1e-12:
             return GridFunction(dk.grid, u)
-    raise RuntimeError(f"Neumann iteration did not reach tol={tol} in {max_iter} "
+    raise RuntimeError(f"Neumann iteration did not reach tol=1e-12 in 10000 "
                        f"iterations (residual {res:.3e})")
 
 
@@ -166,19 +168,19 @@ def project_perp(sd: SpectralData, ctx: LambdaContext, f) -> GridFunction:
     return GridFunction(sd.grid, v - sd.synth(sd.coeffs(v)[E], E).values)
 
 
-def apply_Glambda_perp(sd: SpectralData, ctx: LambdaContext, f_perp,
-                       orth_tol: float = 1e-8) -> GridFunction:
+def apply_Glambda_perp(sd: SpectralData, ctx: LambdaContext, f_perp) -> GridFunction:
     """Solution operator restricted to the orthogonal complement of E.
 
     Well-defined and uniformly bounded even as lambda approaches the top
-    of E, since only modes with lambda_j >= lam_bar act.
+    of E, since only modes with lambda_j >= lam_bar act.  The input must
+    be orthogonal to E up to 1e-8 of its weighted L2 norm.
     """
     v = as_values(f_perp, sd.grid)
     c = sd.coeffs(v)
     I = ctx.I
     if I > 0:
         scale = np.sqrt(np.sum(sd.grid.w * v**2))
-        if scale > 0 and np.max(np.abs(c[:I])) > orth_tol * scale:
+        if scale > 0 and np.max(np.abs(c[:I])) > 1e-8 * scale:
             raise ValueError("input is not orthogonal to the eigenspace E")
     # divide only the modes synthesized: at a spectral value lambda_j - lambda vanishes on E
     return sd.synth(c[I:] / (sd.lam[I:] - ctx.lam), slice(I, None))

@@ -7,7 +7,7 @@ the tolerance it was held against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma as gamma_fn
+from functools import cached_property
 from math import log, pi, sqrt
 
 import numpy as np
@@ -63,31 +63,28 @@ def _res(name, measured, tol, detail="", cmp="lt"):
 class VerifySuite:
     """Builds the shared discretizations once and runs every named check."""
 
-    def __init__(self, N: int = 256, seed: int = 0, r: float = 1.0):
+    def __init__(self, N: int = 256, seed: int = 0):
         self.N = N
         self.seed = seed
-        self.dom = make_domain("interval", 1, r)
+        self.dom = make_domain("interval", 1, 1.0)
         self.grid = build_grid(self.dom, N, grading=2.0)
         self.grid_u = build_grid(self.dom, N, grading=1.0)  # for the spectrum check
-        self._cache = {}
 
     # -- lazily shared heavy objects ------------------------------------
+    @cached_property
     def rfl_sd(self):
-        if "rfl" not in self._cache:
-            op = make_operator("rfl", 0.5, self.dom)
-            dk = assemble_green_matrix(op, self.grid)
-            self._cache["rfl"] = (op, dk, eigendecompose(dk))
-        return self._cache["rfl"]
+        op = make_operator("rfl", 0.5, self.dom)
+        dk = assemble_green_matrix(op, self.grid)
+        return op, dk, eigendecompose(dk)
 
     def _sfl_at(self, grid):
         op = make_operator("sfl", 0.75, self.dom, sfl_truncation=grid.N)
         dk = assemble_green_matrix(op, grid)
         return op, dk, eigendecompose(dk)
 
+    @cached_property
     def sfl_sd(self):
-        if "sfl" not in self._cache:
-            self._cache["sfl"] = self._sfl_at(self.grid)
-        return self._cache["sfl"]
+        return self._sfl_at(self.grid)
 
     # -- criterion 1: kernel exactness ----------------------------------
     def check_kernel_exactness(self):
@@ -128,20 +125,20 @@ class VerifySuite:
 
     # -- criterion 4: orthonormality and positivity ---------------------
     def check_gram_residual(self):
-        _, _, sd = self.rfl_sd()
+        _, _, sd = self.rfl_sd
         G = sd.phi.T @ (self.grid.w[:, None] * sd.phi)
         res = np.max(np.abs(G - np.eye(sd.m)))
         return _res("gram_residual", res, 1e-8, f"{sd.m} retained modes")
 
     def check_phi1_nonneg(self):
-        _, _, sd = self.rfl_sd()
+        _, _, sd = self.rfl_sd
         phi1 = sd.phi[:, 0]
         return _res("phi1_nonnegative", -np.min(phi1), 1e-8 * np.max(phi1),
                     cmp="le", detail="min phi_1 vs -1e-8 max phi_1")
 
     def check_phi1_delta_bracket(self):
         brackets = []
-        for op, _, sd in (self.sfl_sd(),
+        for op, _, sd in (self.sfl_sd,
                           self._sfl_at(build_grid(self.dom, 2 * self.N, grading=2.0))):
             q = sd.phi[:, 0] / sd.grid.delta**op.gamma
             brackets.append(float(np.max(q) / np.min(q)))
@@ -153,7 +150,7 @@ class VerifySuite:
 
     # -- criterion 5: operator identities -------------------------------
     def check_by_parts(self):
-        _, dk, sd = self.rfl_sd()
+        _, dk, sd = self.rfl_sd
         ctx = lambda_context(sd, 0.5 * sd.lam[0])
         rng = np.random.default_rng(self.seed)
         w = self.grid.w
@@ -169,7 +166,7 @@ class VerifySuite:
         return _res("integration_by_parts", worst, 1e-9, "100 random pairs")
 
     def check_route_agreement(self):
-        _, dk, sd = self.rfl_sd()
+        _, dk, sd = self.rfl_sd
         ctx = lambda_context(sd, 0.5 * sd.lam[0])
         rng = np.random.default_rng(self.seed)
         f = rng.standard_normal(self.grid.N)
@@ -179,7 +176,7 @@ class VerifySuite:
         return _res("neumann_vs_spectral", res, 1e-8, "lambda = 0.5 lambda_1")
 
     def check_notions(self):
-        _, dk, sd = self.rfl_sd()
+        _, dk, sd = self.rfl_sd
         ctx = lambda_context(sd, 0.5 * sd.lam[0])
         rng = np.random.default_rng(self.seed)
         f = rng.standard_normal(self.grid.N)
@@ -190,7 +187,7 @@ class VerifySuite:
 
     # -- criterion 6: maximum principle ---------------------------------
     def check_max_principle(self):
-        _, _, sd = self.rfl_sd()
+        _, _, sd = self.rfl_sd
         lam1 = sd.lam[0]
         worst = np.inf
         fails = 0
@@ -204,7 +201,7 @@ class VerifySuite:
                            "measured = worst min u / max u")
 
     def check_max_principle_negative_control(self):
-        _, _, sd = self.rfl_sd()
+        _, _, sd = self.rfl_sd
         lam = 0.5 * (sd.lam[0] + sd.lam[1])
         ctx = lambda_context(sd, lam)
         u = apply_Glambda(sd, ctx, sd.phi[:, 0]).values
@@ -214,13 +211,13 @@ class VerifySuite:
 
     # -- criterion 7: Poincare ------------------------------------------
     def check_poincare(self):
-        _, dk, sd = self.rfl_sd()
+        _, dk, sd = self.rfl_sd
         rep = solver_mod.check_poincare(sd, dk, trials=100, seed=self.seed)
         return _res("poincare", rep.worst_margin, 1.0 + 1e-8,
                     "worst lambda_1 <phi, G0 phi> / <phi, phi> over 100 random phi")
 
     def check_poincare_equality(self):
-        _, dk, sd = self.rfl_sd()
+        _, dk, sd = self.rfl_sd
         w = self.grid.w
         phi1 = sd.phi[:, 0]
         lhs = sd.lam[0] * np.sum(w * phi1 * (dk.matrix @ (w * phi1)))
@@ -229,7 +226,7 @@ class VerifySuite:
 
     # -- criterion 8: uniform E-perp estimate ---------------------------
     def check_uniform_Eperp(self):
-        op, _, sd = self.sfl_sd()
+        op, _, sd = self.sfl_sd
         rng = np.random.default_rng(self.seed)
         f = rng.uniform(0.5, 1.5, self.grid.N)
         # orthogonal to the three lowest modes so no single near-lambda_1
@@ -246,17 +243,14 @@ class VerifySuite:
                     detail="||u_perp delta^gamma||_L1 max/min over the lambda ladder")
 
     # -- criterion 9: Fredholm blow-up rate and global blow-up ----------
+    @cached_property
     def _sweep(self):
-        if "sweep" not in self._cache:
-            op, _, sd = self.sfl_sd()
-            lam1 = sd.lam[0]
-            lams = lam1 * (1.0 - np.array([1e-2, 1e-3, 1e-4, 1e-5, 2e-6]))
-            self._cache["sweep"] = (op, sd, solver_mod.sweep_lambda(
-                op, sd, None, (1.0, 1.0), 1, lams))
-        return self._cache["sweep"]
+        op, _, sd = self.sfl_sd
+        lams = sd.lam[0] * (1.0 - np.array([1e-2, 1e-3, 1e-4, 1e-5, 2e-6]))
+        return op, sd, solver_mod.sweep_lambda(op, sd, None, (1.0, 1.0), 1, lams)
 
     def check_fredholm_rate(self):
-        op, sd, sw = self._sweep()
+        op, sd, sw = self._sweep
         lam1 = sd.lam[0]
         lam = 0.999 * lam1
         ctx = lambda_context(sd, lam)
@@ -270,13 +264,13 @@ class VerifySuite:
                     "at lambda = 0.999 lambda_1")
 
     def check_blowup_monotone(self):
-        _, _, sw = self._sweep()
+        _, _, sw = self._sweep
         ok = bool(np.all(np.diff(sw.sup_K_Aplus) > 0))
         return CheckResult("blowup_sup_monotone", ok, float(sw.sup_K_Aplus[-1]),
                            0.0, "sup over K cap A+ strictly increasing along the sweep")
 
     def check_global_blowup(self):
-        _, _, sw = self._sweep()
+        _, _, sw = self._sweep
         inf_seq = sw.inf_Omega
         i10 = np.argmax(inf_seq > 10.0) if np.any(inf_seq > 10.0) else -1
         ok = (np.any(inf_seq > 10.0) and np.any(inf_seq > 100.0)
@@ -286,7 +280,7 @@ class VerifySuite:
 
     # -- criterion 10: Fredholm convergence, degenerate case ------------
     def check_fredholm_case_a(self):
-        op, _, sd = self.sfl_sd()
+        op, _, sd = self.sfl_sd
         rng = np.random.default_rng(self.seed)
         g = rng.uniform(0.5, 1.5, self.grid.N)
         ctx_s = lambda_context(sd, sd.lam[0], allow_singular=True)
@@ -325,15 +319,13 @@ class VerifySuite:
         return CheckResult("sfl_lambda1_monotone", ok, float(errs[-1]), 0.0,
                            "|lambda_1(s) - pi^2/4r^2| strictly decreasing along the ladder")
 
+    @cached_property
     def _large_ladder(self):
-        if "ladder" not in self._cache:
-            fam = make_family("rfl", self.dom)
-            self._cache["ladder"] = large_solution_limit_s(
-                fam, [0.7, 0.9, 0.99], 0.0, None, (1.0, 1.0), self.grid)
-        return self._cache["ladder"]
+        return large_solution_limit_s(make_family("rfl", self.dom), [0.7, 0.9, 0.99],
+                                      0.0, None, (1.0, 1.0), self.grid)
 
     def check_boundary_exponent(self):
-        rep = self._large_ladder()
+        rep = self._large_ladder
         ok = (bool(rep.monotone["fit_to_zero"])
               and abs(rep.boundary_fit[-1]) < 0.02)
         return CheckResult("boundary_exponent_vanishes", ok,
@@ -342,7 +334,7 @@ class VerifySuite:
                            f"{np.array2string(rep.boundary_fit, precision=4)}")
 
     def check_large_solution_limit(self):
-        rep = self._large_ladder()
+        rep = self._large_ladder
         return CheckResult("large_solution_classical_limit",
                            bool(rep.monotone["sol_dist_decreasing"]),
                            float(rep.sol_dist[-1]), 0.0,
@@ -365,28 +357,14 @@ class VerifySuite:
     def check_martin_constant(self):
         op = make_operator("rfl", 0.75, self.dom)
         rep = martin_constant_report(op, self.grid)
-        return CheckResult("martin_constant_logged", True, rep.measured,
-                           float("nan"),
-                           f"measured {rep.measured!r}; kernel candidate "
-                           f"{rep.candidate_kernel!r}, trace candidate "
-                           f"{rep.candidate_trace!r}; closest: {rep.closest} "
-                           "(logged, not asserted)")
+        rel = abs(rep.measured - rep.candidate_kernel) / rep.candidate_kernel
+        return _res("martin_constant", rel, 1e-8,
+                    f"lim delta^(1-s) M(1) = {rep.measured!r} vs kernel candidate "
+                    f"1/(s Gamma(s)^2 r) = {rep.candidate_kernel!r}")
 
     # -- driver ---------------------------------------------------------
-    CHECKS = [
-        "check_kernel_exactness", "check_kernel_symmetry",
-        "check_martin_harmonic", "check_sfl_spectrum",
-        "check_gram_residual", "check_phi1_nonneg", "check_phi1_delta_bracket",
-        "check_by_parts", "check_route_agreement", "check_notions",
-        "check_max_principle", "check_max_principle_negative_control",
-        "check_poincare", "check_poincare_equality",
-        "check_uniform_Eperp",
-        "check_fredholm_rate", "check_blowup_monotone", "check_global_blowup",
-        "check_fredholm_case_a",
-        "check_ball_martin_poisson", "check_sfl_lambda1_monotone",
-        "check_boundary_exponent", "check_large_solution_limit",
-        "check_trace_reproduces_h", "check_martin_constant",
-    ]
+    # every check_* method, in definition order
+    CHECKS = [name for name in list(locals()) if name.startswith("check_")]
 
     def run_all(self) -> list[CheckResult]:
         results = []

@@ -129,4 +129,4 @@ def test_trace_reproduces_h(suite):
 def test_martin_constant_logged(suite):
     rep = suite.check_martin_constant()
     _assert(rep)
-    assert "kernel candidate" in rep.detail  # both candidates reported
+    assert "kernel candidate" in rep.detail  # the closed form is reported

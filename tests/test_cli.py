@@ -30,7 +30,7 @@ def test_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert run_cli(["eigen", "--op", "sfl", "--N", "64", "--M", "64",
-                        "--seed", "7", "--out", str(out)]) == 0
+                        "--out", str(out)]) == 0
     assert (a / "eigen.csv").read_bytes() == (b / "eigen.csv").read_bytes()
 
 
@@ -79,6 +79,12 @@ def test_exit_codes(tmp_path):
     for group in ("0", "99"):
         assert run_cli(["sweep", "--op", "sfl", "--N", "64", "--M", "64",
                         "--group", group, "--out", out]) == 2
+    # a flag the subcommand does not read, also as the prefix of one it does;
+    # eigmode data needs a spectrum, which limit-s does not compute
+    for argv in (["verify", "--op", "sfl", "--N", "16"], ["eigen", "--lambda", "3"],
+                 ["eigen", "--g", "one"], ["sweep", "--lambda", "3"],
+                 ["limit-s", "--s", "0.8"], ["limit-s", "--g", "eigmode:1"]):
+        assert run_cli(argv + ["--out", out]) == 2, argv
 
 
 def test_g_profiles(tmp_path):
