@@ -281,7 +281,11 @@ def _parse_args(argv) -> tuple[str, RunConfig]:
     command = a.pop("command")
     if a.get("s_list") == []:
         del a["s_list"]  # an empty --s-list keeps the default ladder
-    return command, RunConfig(**a)
+    cfg = RunConfig(**a)
+    if command == "limit-s" and cfg.g != "zero" and {"h", "K_frac"} & a.keys():
+        parsers[command].error("--h and --K-frac are read only by the large-solution "
+                               "ladder (--g zero)")
+    return command, cfg
 
 
 def main(argv=None) -> int:

@@ -3,11 +3,15 @@
 The integral operator u(x) = int G_0(x, y) f(y) dy becomes the matrix
 action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Every quadrature
 kernel takes one path: off-diagonal entries are pointwise kernel values
-on the upper triangle, mirrored; the diagonal is a local cell
-average of the true kernel (handling the |x-y|^{2s-n} or logarithmic
-singularity), except for the spectrally-defined SFL kernel, which is
-continuous and keeps its exact pointwise diagonal so the discrete
-eigendecomposition reproduces the analytic spectrum.
+on the upper triangle, mirrored; the diagonal is the mean of the true
+kernel G_0(x_i, .) over node i's cell.  On the interval that mean is
+exact for the classical kernel (linear on each half-cell) and a product
+integration rule for Boggio's kernel: its |x-y|^{2s-1} or logarithmic
+singular part is integrated in closed form and the bounded remainder by
+a fixed Gauss-Legendre rule, all nodes in one vectorized kernel call.
+The ball still takes an adaptive ``quad`` cell mean.  The spectrally
+defined SFL kernel is continuous and keeps its exact pointwise diagonal,
+so the discrete eigendecomposition reproduces the analytic spectrum.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .kernels import (
     OperatorSpec,
     classical_green_interval,
     rfl_green_ball,
+    rfl_green_singular,
+    rfl_green_singular_integral,
     sfl_eigenfunction,
     sfl_eigenvalue,
 )
@@ -88,8 +94,52 @@ def _offdiag(kernel, x: np.ndarray) -> np.ndarray:
     return K + K.T
 
 
+# product integration on the interval: Gauss-Legendre points per half-cell,
+# and the power of the map t = 1 - (1-u)^p on the two half-cells that end at
+# +-r, which smooths the delta(y)^s endpoint behaviour of the remainder
+PRODUCT_NODES = 16
+BOUNDARY_MAP_POWER = 3
+_u, _wu = np.polynomial.legendre.leggauss(PRODUCT_NODES)
+_u, _wu = 0.5 * (_u + 1.0), 0.5 * _wu
+_t_end = 1.0 - (1.0 - _u) ** BOUNDARY_MAP_POWER
+_wt_end = BOUNDARY_MAP_POWER * (1.0 - _u) ** (BOUNDARY_MAP_POWER - 1) * _wu
+
+
+def _interval_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
+    """(1/w_i) int_{cell_i} G_0(x_i, y) dy on the interval, all nodes at once.
+
+    Node i splits its cell into the half-cells [x_i - h, x_i] and
+    [x_i, x_i + h].  The classical kernel (r - max)(r + min) / 2r is
+    linear on each, so the half-cell integral is h G(x_i, x_i -+ h/2),
+    formed from r + x_i and r - x_i so that the end cells keep full
+    precision.  Boggio's kernel is rfl_green_singular(d) plus a bounded
+    remainder: the singular part is integrated in closed form over
+    [0, h], the remainder by the PRODUCT_NODES-point Gauss-Legendre rule
+    in d = h t.
+    """
+    x = grid.x
+    h = np.stack([x - grid.cell_lo, grid.cell_hi - x])   # (side, node)
+    if op.kind is OperatorKind.CLASSICAL:
+        r = op.domain.r
+        left = h[0] * (r - x) * (r + x - h[0] / 2)
+        right = h[1] * (r + x) * (r - x - h[1] / 2)
+        return (left + right) / (2 * r) / grid.w
+    side = np.array([[-1.0], [1.0]])
+    t = np.tile(_u, (2, grid.N, 1))
+    wt = np.tile(_wu, (2, grid.N, 1))
+    t[0, 0], wt[0, 0] = _t_end, _wt_end      # [-r, x_0]
+    t[1, -1], wt[1, -1] = _t_end, _wt_end    # [x_{N-1}, r]
+    d = h[..., None] * t
+    y = x[:, None] + side[..., None] * d
+    remainder = rfl_green_ball(op, np.broadcast_to(x[:, None], y.shape), y) \
+        - rfl_green_singular(op, d)
+    half = rfl_green_singular_integral(op, h) + h * np.sum(wt * remainder, axis=-1)
+    return (half[0] + half[1]) / grid.w
+
+
 def _cell_average(integrand, grid: QuadGrid, **quad_kw) -> np.ndarray:
-    """Mean of integrand(x_i, .) over each node's cell, split at the singular node."""
+    """Mean of integrand(x_i, .) over each node's cell by adaptive ``quad``,
+    split at the singular node; the ball's diagonal rule."""
     diag = np.empty(grid.N)
     for i in range(grid.N):
         xi = grid.x[i]
@@ -142,12 +192,10 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
     elif op.domain.kind is DomainKind.INTERVAL:
         if op.kind is OperatorKind.RFL:
             kernel = lambda x, y: rfl_green_ball(op, x, y)
-            quad_kw = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
         else:
             kernel = lambda x, y: classical_green_interval(op.domain, x, y)
-            quad_kw = dict(epsabs=1e-13)
         K = _offdiag(kernel, grid.x)
-        np.fill_diagonal(K, _cell_average(kernel, grid, **quad_kw))
+        np.fill_diagonal(K, _interval_diag(op, grid))
     elif op.kind is OperatorKind.RFL:
         # radial nodes: the angular average is the kernel, and a radial
         # cell carries the measure |S^{n-1}| rho^{n-1}

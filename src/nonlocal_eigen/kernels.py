@@ -89,27 +89,43 @@ def boggio_integral(rho, s: float, n: int):
     """int_0^rho t^{s-1} (1+t)^{-n/2} dt, vectorized in rho.
 
     Uses 2F1 through the Pfaff transform (argument in [0,1)), which is
-    stable for the huge rho arising near the kernel diagonal; for
-    s = 1/2, n = 1 the closed form 2*arcsinh(sqrt(rho)) is used.
+    stable for the huge rho arising near the kernel diagonal, where
+    rho > 1e6 takes the tail expansion instead; for s = 1/2, n = 1 the
+    closed form 2*arcsinh(sqrt(rho)) is used.
     """
     rho = np.asarray(rho, dtype=float)
+    big = rho > 1e6
     if s == 0.5 and n == 1:
         out = 2.0 * np.arcsinh(np.sqrt(rho))
+    elif not np.any(big):
+        out = _boggio_integral_hyp(rho, s, n)
+    elif np.all(big):
+        out = _boggio_integral_large(rho, s, n)
     else:
-        w = rho / (1.0 + rho)
-        out = (rho ** s / s) * (1.0 + rho) ** (-n / 2.0) * hyp2f1(n / 2.0, 1.0, s + 1.0, w)
-        big = rho > 1e6
-        if np.any(big):
-            out = np.where(big, _boggio_integral_large(np.maximum(rho, 2.0), s, n), out)
+        out = np.empty(rho.shape)
+        out[~big] = _boggio_integral_hyp(rho[~big], s, n)
+        out[big] = _boggio_integral_large(rho[big], s, n)
     if out.ndim == 0:
         return float(out)
     return out
 
 
+def _boggio_integral_hyp(rho, s: float, n: int):
+    """The 2F1 evaluation; its cost grows as rho / (1 + rho) -> 1."""
+    return (rho ** s / s) * (1.0 + rho) ** (-n / 2.0) \
+        * hyp2f1(n / 2.0, 1.0, s + 1.0, rho / (1.0 + rho))
+
+
+def _boggio_integral_limit(s: float, n: int) -> float:
+    """Gamma(s) Gamma(n/2 - s) / Gamma(n/2): boggio_integral at rho = inf,
+    analytically continued to s > n/2."""
+    return gamma_fn(s) * gamma_fn(n / 2.0 - s) / gamma_fn(n / 2.0)
+
+
 def _boggio_integral_large(rho, s: float, n: int):
     """Large-rho evaluation: analytic-continuation constant minus the
     convergent tail expansion of int_rho^inf t^{s-1}(1+t)^{-n/2} dt."""
-    const = gamma_fn(s) * gamma_fn(n / 2.0 - s) / gamma_fn(n / 2.0)
+    const = _boggio_integral_limit(s, n)
     tail = np.zeros_like(rho)
     coeff = 1.0
     for k in range(12):
@@ -150,6 +166,39 @@ def rfl_green_ball(op: OperatorSpec, x, y):
     if np.ndim(val) == 0:
         return float(val)
     return val
+
+
+def _rfl_singular_coefficient(op: OperatorSpec) -> float:
+    """a in G = a d^{2s-1} + O(1) on the interval: C_{1,s} times the
+    rho -> inf limit of boggio_integral; C_{1,1/2} at s = 1/2."""
+    s = op.s
+    if op.domain.n != 1:
+        raise ValueError("the singular split is implemented on the interval only")
+    if s == 0.5:
+        return _boggio_constant(1, s)
+    return _boggio_constant(1, s) * _boggio_integral_limit(s, 1)
+
+
+def rfl_green_singular(op: OperatorSpec, d):
+    """Singular part of Boggio's interval kernel at distance d = |x-y|.
+
+    It is a d^{2s-1}, or -2C log d at s = 1/2, where 2 arcsinh(sqrt(rho))
+    ~ log(4 rho); G(x, y) minus this part stays bounded as y -> x.
+    """
+    a = _rfl_singular_coefficient(op)
+    if op.s == 0.5:
+        return -2.0 * a * np.log(d)
+    return a * np.asarray(d, dtype=float) ** (2.0 * op.s - 1.0)
+
+
+def rfl_green_singular_integral(op: OperatorSpec, h):
+    """int_0^h rfl_green_singular(op, d) dd in closed form:
+    a h^{2s} / (2s), or -2C h (log h - 1) at s = 1/2."""
+    a = _rfl_singular_coefficient(op)
+    h = np.asarray(h, dtype=float)
+    if op.s == 0.5:
+        return -2.0 * a * h * (np.log(h) - 1.0)
+    return a * h ** (2.0 * op.s) / (2.0 * op.s)
 
 
 def rfl_martin_kernel_ball(op: OperatorSpec, z, y):

@@ -80,10 +80,13 @@ def test_exit_codes(tmp_path):
         assert run_cli(["sweep", "--op", "sfl", "--N", "64", "--M", "64",
                         "--group", group, "--out", out]) == 2
     # a flag the subcommand does not read, also as the prefix of one it does;
-    # eigmode data needs a spectrum, which limit-s does not compute
+    # eigmode data needs a spectrum, which limit-s does not compute; only the
+    # large-solution ladder (--g zero) of limit-s reads --h and --K-frac
     for argv in (["verify", "--op", "sfl", "--N", "16"], ["eigen", "--lambda", "3"],
                  ["eigen", "--g", "one"], ["sweep", "--lambda", "3"],
-                 ["limit-s", "--s", "0.8"], ["limit-s", "--g", "eigmode:1"]):
+                 ["limit-s", "--s", "0.8"], ["limit-s", "--g", "eigmode:1"],
+                 ["limit-s", "--g", "one", "--h", "1"],
+                 ["limit-s", "--g", "one", "--K-frac", "0.3"]):
         assert run_cli(argv + ["--out", out]) == 2, argv
 
 

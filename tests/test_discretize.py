@@ -1,7 +1,11 @@
-from math import pi
+import warnings
+from math import gamma, pi
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from nonlocal_eigen.discretize import (
     GridFunction,
@@ -11,7 +15,12 @@ from nonlocal_eigen.discretize import (
     weighted_norm,
 )
 from nonlocal_eigen.geometry import build_grid, make_domain
-from nonlocal_eigen.kernels import green_function, make_operator, sfl_eigenvalue
+from nonlocal_eigen.kernels import (
+    green_function,
+    make_operator,
+    rfl_green_ball,
+    sfl_eigenvalue,
+)
 
 DOM = make_domain("interval", 1, 1.0)
 
@@ -70,7 +79,6 @@ def test_rfl_row_action_explicit_solution():
     # (-d^2)^s u = 1 with u = (1-x^2)^s / (Gamma(1+2s) * something)?  Use
     # the known value at the origin instead: u(0) = Gamma(1/2) /
     # (2^{2s} Gamma(s+1/2) Gamma(1+s)) for the torsion function on (-1,1).
-    from math import gamma
     s = 0.75
     grid = build_grid(DOM, 128, grading=2.0)
     op = make_operator("rfl", s, DOM)
@@ -81,6 +89,66 @@ def test_rfl_row_action_explicit_solution():
     assert u0 == pytest.approx(expected, rel=1e-4)
     # and the full profile matches (1 - x^2)^s times that constant
     np.testing.assert_allclose(u, expected * (1 - grid.x**2) ** s, atol=1e-3)
+
+
+def _torsion(s, x):
+    """Solution of (-d^2)^s u = 1 on (-1, 1) with zero exterior data."""
+    return gamma(0.5) * (1 - x**2) ** s / (2.0 ** (2 * s) * gamma(s + 0.5) * gamma(1.0 + s))
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.4])
+def test_rfl_small_s_assembles_without_warning(s):
+    # an adaptive diagonal once sampled y == x_i here (s = 0.25) or warned (s = 0.1)
+    grid = build_grid(DOM, 128, grading=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dk = assemble_green_matrix(make_operator("rfl", s, DOM), grid)
+    u = apply_G0(dk, np.ones(grid.N)).values
+    exact = _torsion(s, grid.x)
+    assert np.max(np.abs(u - exact)) / np.max(exact) < 1e-2
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75, 0.99])
+def test_rfl_diagonal_matches_adaptive_reference(s):
+    grid = build_grid(DOM, 32, grading=2.0)
+    op = make_operator("rfl", s, DOM)
+    diag = np.diag(assemble_green_matrix(op, grid).matrix)
+    ref = np.empty(grid.N)
+    with warnings.catch_warnings():
+        # the reference asks quad for more than roundoff allows at some cells
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for i, xi in enumerate(grid.x):
+            f = lambda y: rfl_green_ball(op, xi, y)
+            ref[i] = sum(quad(f, a, b, epsabs=0, epsrel=1e-13, limit=400)[0]
+                         for a, b in ((grid.cell_lo[i], xi), (xi, grid.cell_hi[i])))
+    np.testing.assert_allclose(diag, ref / grid.w, rtol=1e-8, atol=0)
+
+
+def test_classical_diagonal_is_the_exact_cell_mean():
+    grid = build_grid(DOM, 32, grading=2.0)
+    diag = np.diag(assemble_green_matrix(make_operator("classical", 1.0, DOM), grid).matrix)
+    x, r = grid.x, DOM.r
+    hl, hr = x - grid.cell_lo, grid.cell_hi - x
+    # int of (r - max)(r + min) / 2r over [x - hl, x] and [x, x + hr]
+    left = (r - x) * ((r + x) * hl - hl**2 / 2) / (2 * r)
+    right = (r + x) * ((r - x) * hr - hr**2 / 2) / (2 * r)
+    np.testing.assert_allclose(diag, (left + right) / grid.w, rtol=1e-14, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(s=st.floats(0.02, 0.99), N=st.integers(16, 96),
+       grading=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_rfl_matrix_properties(s, N, grading):
+    # symmetric, positive and finite, with a positive torsion row sum; not
+    # asserted definite: the smallest eigenvalue of W^{1/2} K W^{1/2} falls
+    # to roundoff size on strongly graded grids near s = 1
+    grid = build_grid(DOM, N, grading=grading)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix
+    assert np.array_equal(K, K.T)
+    assert np.all(np.isfinite(K)) and np.all(K > 0)
+    assert np.all(K @ grid.w > 0)
 
 
 def test_sfl_matrix_diagonalizes():
@@ -122,7 +190,6 @@ def test_ball_matrix_small():
     u = apply_G0(dk, np.ones(grid.N)).values
     # torsion function of the RFL on the unit ball:
     # u(x) = Gamma(n/2) (1-|x|^2)^s / (2^{2s} Gamma(s+n/2) Gamma(1+s))
-    from math import gamma
     s, n = 0.75, 2
     expected = gamma(n / 2) * (1 - grid.x**2) ** s / (
         2.0 ** (2 * s) * gamma(s + n / 2) * gamma(1 + s))
