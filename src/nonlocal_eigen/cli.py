@@ -46,7 +46,7 @@ class RunConfig:
     N: int = 256
     grade: float = 2.0
     M: int = 4096
-    lam: float | None = None
+    lam: float = 0.0
     lam_list: list = field(default_factory=list)
     g: str = "zero"
     h: list = field(default_factory=lambda: [1.0])
@@ -157,8 +157,7 @@ def cmd_eigen(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     _, op, grid = _setup(cfg)
     sd = eigendecompose(assemble_green_matrix(op, grid))
-    lam = cfg.lam if cfg.lam is not None else 0.0
-    ctx = lambda_context(sd, lam)
+    ctx = lambda_context(sd, cfg.lam)
     g = resolve_g(cfg.g, grid, sd, op)
     rep = solver_mod.solve_large(op, sd, ctx, g, cfg.h, cfg.K_frac)
     path = os.path.join(cfg.out, "profile.csv")
@@ -200,13 +199,12 @@ def cmd_limit_s(cfg: RunConfig) -> int:
     domain = make_domain(cfg.domain, cfg.n, cfg.r)
     grid = build_grid(domain, cfg.N, cfg.grade)
     fam = make_family(cfg.op, domain, cfg.M)
-    lam = cfg.lam if cfg.lam is not None else 0.0
     if cfg.g == "zero":
-        rep = large_solution_limit_s(fam, cfg.s_list, lam, None, cfg.h, grid, cfg.K_frac)
+        rep = large_solution_limit_s(fam, cfg.s_list, cfg.lam, None, cfg.h, grid, cfg.K_frac)
     else:
         opc = fam.classical()
         g = resolve_g(cfg.g, grid, None, opc)
-        rep = resolvent_convergence_s(fam, cfg.s_list, lam, g, grid)
+        rep = resolvent_convergence_s(fam, cfg.s_list, cfg.lam, g, grid)
     rows = rep.rows()
     header = list(rows[0].keys())
     path = os.path.join(cfg.out, "ladder.csv")

@@ -28,6 +28,7 @@ from .kernels import (
     OperatorSpec,
     classical_green_interval,
     rfl_green_ball,
+    rfl_green_from_gaps,
     rfl_green_singular,
     rfl_green_singular_integral,
     sfl_eigenfunction,
@@ -111,28 +112,31 @@ def _interval_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
     Node i splits its cell into the half-cells [x_i - h, x_i] and
     [x_i, x_i + h].  The classical kernel (r - max)(r + min) / 2r is
     linear on each, so the half-cell integral is h G(x_i, x_i -+ h/2),
-    formed from r + x_i and r - x_i so that the end cells keep full
-    precision.  Boggio's kernel is rfl_green_singular(d) plus a bounded
-    remainder: the singular part is integrated in closed form over
-    [0, h], the remainder by the PRODUCT_NODES-point Gauss-Legendre rule
-    in d = h t.
+    formed from r + x_i and r - x_i.  Boggio's kernel is
+    rfl_green_singular(d), integrated in closed form over [0, h], plus a
+    bounded remainder, summed by the PRODUCT_NODES-point Gauss-Legendre
+    rule in d = h t.  The remainder takes r -+ y from delta_i and d, never
+    from y, which would round onto a node at roundoff from the boundary.
     """
-    x = grid.x
+    x, r = grid.x, op.domain.r
     h = np.stack([x - grid.cell_lo, grid.cell_hi - x])   # (side, node)
     if op.kind is OperatorKind.CLASSICAL:
-        r = op.domain.r
         left = h[0] * (r - x) * (r + x - h[0] / 2)
         right = h[1] * (r + x) * (r - x - h[1] / 2)
         return (left + right) / (2 * r) / grid.w
-    side = np.array([[-1.0], [1.0]])
+    # the end half-cells reach the boundary: their length is delta itself
+    h[0, 0], h[1, -1] = grid.delta[0], grid.delta[-1]
+    far = 2 * r - grid.delta
+    plus = np.where(x < 0, grid.delta, far)[:, None]    # r + x_i
+    minus = np.where(x < 0, far, grid.delta)[:, None]   # r - x_i
+    side = np.array([-1.0, 1.0])[:, None, None]
     t = np.tile(_u, (2, grid.N, 1))
     wt = np.tile(_wu, (2, grid.N, 1))
     t[0, 0], wt[0, 0] = _t_end, _wt_end      # [-r, x_0]
     t[1, -1], wt[1, -1] = _t_end, _wt_end    # [x_{N-1}, r]
     d = h[..., None] * t
-    y = x[:, None] + side[..., None] * d
-    remainder = rfl_green_ball(op, np.broadcast_to(x[:, None], y.shape), y) \
-        - rfl_green_singular(op, d)
+    green = rfl_green_from_gaps(op, plus * minus, (plus + side * d) * (minus - side * d), d)
+    remainder = green - rfl_green_singular(op, d)
     half = rfl_green_singular_integral(op, h) + h * np.sum(wt * remainder, axis=-1)
     return (half[0] + half[1]) / grid.w
 

@@ -147,12 +147,13 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
         # even panel count keeps t=0 (the kink of the map) on a panel edge
         counts = _panel_counts(N, even=True)
         t, wt = _gauss_panels(-1.0, 1.0, len(counts), counts)
-        x = r * np.sign(t) * (1.0 - (1.0 - np.abs(t)) ** beta)
+        # delta from the map keeps full precision where r - |x| would cancel
+        d = r * (1.0 - np.abs(t)) ** beta
+        x = np.sign(t) * (r - d)
         jac = r * beta * (1.0 - np.abs(t)) ** (beta - 1.0)
         w = wt * jac
         order = np.argsort(x)
-        x, w = x[order], w[order]
-        d = r - np.abs(x)
+        x, w, d = x[order], w[order], d[order]
         # cells partition (-r, r) by cumulated weights, so |cell_i| = w_i;
         # this keeps the Nystrom diagonal rule consistent to second order
         edges = -r + np.concatenate([[0.0], np.cumsum(w)])
@@ -161,19 +162,19 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
     else:
         counts = _panel_counts(N)
         t, wt = _gauss_panels(0.0, 1.0, len(counts), counts)
-        rho = r * (1.0 - (1.0 - t) ** beta)
+        d = r * (1.0 - t) ** beta
+        rho = r - d
         jac = r * beta * (1.0 - t) ** (beta - 1.0)
         w = wt * jac * sphere_area(domain.n) * rho ** (domain.n - 1)
         order = np.argsort(rho)
-        x, w = rho[order], w[order]
-        d = r - x
+        x, w, d = rho[order], w[order], d[order]
         # radial cell edges from the cumulated volume partition
         vol_edges = np.concatenate([[0.0], np.cumsum(w)])
         vol_edges[-1] = domain.volume
         redges = (domain.n * vol_edges / sphere_area(domain.n)) ** (1.0 / domain.n)
         lo, hi = redges[:-1], redges[1:]
 
-    if np.any(w <= 0) or np.any(d <= 0):
+    if np.any(w <= 0) or np.any(d <= 0) or np.any(np.abs(x) >= r):
         raise AssertionError("grid construction produced nonpositive weights or boundary nodes")
     if np.any(x < lo) or np.any(x > hi):
         raise AssertionError("node escaped its quadrature cell")

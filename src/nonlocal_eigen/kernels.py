@@ -3,8 +3,8 @@
 Three operators are implemented on the interval/ball:
 
 * RFL: the restricted fractional Laplacian, via the explicit ball
-  Green's function (incomplete-Beta / hypergeometric evaluation) and its
-  boundary-normalized limit (the Martin kernel).
+  Green's function (one incomplete-Beta series, summed from whichever end
+  of [0, inf] is nearer) and its boundary-normalized limit (the Martin kernel).
 * SFL: the spectral fractional Laplacian on the interval, via the sine
   eigenbasis; its Martin kernel is the Abel limit of a conditionally
   convergent series, evaluated through a polylogarithm expansion.
@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import gamma as gamma_fn
-from math import pi, factorial
+from math import pi
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .geometry import DomainKind, DomainSpec, sphere_area
 
@@ -85,58 +85,71 @@ def _boggio_constant(n: int, s: float) -> float:
     return gamma_fn(n / 2.0) / (2.0 ** (2 * s) * gamma_fn(s) ** 2 * pi ** (n / 2.0))
 
 
+# incomplete-Beta terms: the series variable is at most 1/2, where 56 reach roundoff
+BETA_TERMS = 56
+
+
+def _expm1_ratio(e: float, L):
+    """expm1(e L) / e, with its limit L at e = 0."""
+    return np.expm1(e * L) / e if e else L
+
+
+def _beta_sum(x, p: float, coeffs):
+    """x^p times the polynomial with coefficients ``coeffs`` (highest first)."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return x ** p * acc
+
+
+def _beta_tail(w, a: float, high):
+    """B(w; a, s) - 1/a from the Horner coefficients of its k >= 1 terms."""
+    return _expm1_ratio(a, np.log(w)) + _beta_sum(w, a + 1.0, high)
+
+
+@lru_cache(maxsize=None)
+def _boggio_series(s: float, n: int):
+    """Horner coefficients of B(x; p, q) = sum_k (1-q)_k/k! x^{p+k}/(p+k) at
+    both ends of boggio_integral, a = n/2 - s and K, cached per (s, n).
+
+    boggio_integral is B(z; s, a) at z = rho/(1+rho), and K - _beta_tail(w)
+    at w = 1/(1+rho).  Matching the two at rho = 1 gives K, which is
+    Gamma(s)Gamma(a)/Gamma(n/2) - 1/a and stays finite at a = 0.
+    """
+    a = n / 2.0 - s
+    k = np.arange(BETA_TERMS)
+    low = np.cumprod(np.r_[1.0, (k[:-1] + 1.0 - a) / (k[:-1] + 1.0)]) / (s + k)
+    high = np.cumprod((k + 1.0 - s) / (k + 1.0)) / (a + k + 1.0)
+    low, high = low[::-1].tolist(), high[::-1].tolist()
+    return low, high, a, _beta_sum(0.5, s, low) + _beta_tail(0.5, a, high)
+
+
 def boggio_integral(rho, s: float, n: int):
     """int_0^rho t^{s-1} (1+t)^{-n/2} dt, vectorized in rho.
 
-    Uses 2F1 through the Pfaff transform (argument in [0,1)), which is
-    stable for the huge rho arising near the kernel diagonal, where
-    rho > 1e6 takes the tail expansion instead; for s = 1/2, n = 1 the
-    closed form 2*arcsinh(sqrt(rho)) is used.
+    One incomplete-Beta series, summed from the end of [0, inf] nearer
+    rho (see _boggio_series), so its variable never exceeds 1/2.
     """
+    low, high, a, K = _boggio_series(s, n)
     rho = np.asarray(rho, dtype=float)
-    big = rho > 1e6
-    if s == 0.5 and n == 1:
-        out = 2.0 * np.arcsinh(np.sqrt(rho))
-    elif not np.any(big):
-        out = _boggio_integral_hyp(rho, s, n)
-    elif np.all(big):
-        out = _boggio_integral_large(rho, s, n)
-    else:
-        out = np.empty(rho.shape)
-        out[~big] = _boggio_integral_hyp(rho[~big], s, n)
-        out[big] = _boggio_integral_large(rho[big], s, n)
-    if out.ndim == 0:
-        return float(out)
+    if rho.ndim == 0:  # Python floats keep the scalar Horner loop cheap
+        rho = float(rho)
+        return float(_beta_sum(rho / (1.0 + rho), s, low) if rho <= 1.0
+                     else K - _beta_tail(1.0 / (1.0 + rho), a, high))
+    out = np.empty(rho.shape)
+    near = rho <= 1.0
+    out[near] = _beta_sum(rho[near] / (1.0 + rho[near]), s, low)
+    out[~near] = K - _beta_tail(1.0 / (1.0 + rho[~near]), a, high)
     return out
 
 
-def _boggio_integral_hyp(rho, s: float, n: int):
-    """The 2F1 evaluation; its cost grows as rho / (1 + rho) -> 1."""
-    return (rho ** s / s) * (1.0 + rho) ** (-n / 2.0) \
-        * hyp2f1(n / 2.0, 1.0, s + 1.0, rho / (1.0 + rho))
-
-
-def _boggio_integral_limit(s: float, n: int) -> float:
-    """Gamma(s) Gamma(n/2 - s) / Gamma(n/2): boggio_integral at rho = inf,
-    analytically continued to s > n/2."""
-    return gamma_fn(s) * gamma_fn(n / 2.0 - s) / gamma_fn(n / 2.0)
-
-
-def _boggio_integral_large(rho, s: float, n: int):
-    """Large-rho evaluation: analytic-continuation constant minus the
-    convergent tail expansion of int_rho^inf t^{s-1}(1+t)^{-n/2} dt."""
-    const = _boggio_integral_limit(s, n)
-    tail = np.zeros_like(rho)
-    coeff = 1.0
-    for k in range(12):
-        tail = tail + coeff * rho ** (s - n / 2.0 - k) / (n / 2.0 - s + k)
-        coeff *= (-n / 2.0 - k) / (k + 1.0)
-    return const - tail
+def _scalar(val):
+    """A 0-d result as a Python float, any other unchanged."""
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def _radii_and_distance(domain: DomainSpec, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if domain.n == 1 or x.ndim == 0:
         ax, ay, dist = np.abs(x), np.abs(y), np.abs(x - y)
     else:
@@ -155,50 +168,51 @@ def rfl_green_ball(op: OperatorSpec, x, y):
     """
     if op.kind is not OperatorKind.RFL:
         raise ValueError("rfl_green_ball requires an RFL operator")
-    r, s, n = op.domain.r, op.s, op.domain.n
+    r = op.domain.r
     ax, ay, dist = _radii_and_distance(op.domain, x, y)
     if np.any(ax > r) or np.any(ay > r):
         raise ValueError("point outside the domain")
     if np.any(dist == 0):
-        raise ValueError("Green's function requested on the diagonal x = y")
-    rho = (r * r - ax * ax) * (r * r - ay * ay) / (r * r * dist * dist)
-    val = _boggio_constant(n, s) * dist ** (2 * s - n) * boggio_integral(rho, s, n)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+        raise ZeroDivisionError("Green's function requested on the diagonal x = y")
+    return rfl_green_from_gaps(op, r * r - ax * ax, r * r - ay * ay, dist)
 
 
-def _rfl_singular_coefficient(op: OperatorSpec) -> float:
-    """a in G = a d^{2s-1} + O(1) on the interval: C_{1,s} times the
-    rho -> inf limit of boggio_integral; C_{1,1/2} at s = 1/2."""
-    s = op.s
+def rfl_green_from_gaps(op: OperatorSpec, gap_x, gap_y, dist):
+    """Boggio's kernel from gap = r^2 - |.|^2 at both points and dist = |x-y|.
+
+    Callers that know the boundary distance delta pass delta (2r - delta),
+    which keeps full relative precision where r^2 - |x|^2 would cancel.
+    """
+    r, s, n = op.domain.r, op.s, op.domain.n
+    rho = gap_x * gap_y / (r * r * dist * dist)
+    return _scalar(_boggio_constant(n, s) * dist ** (2 * s - n) * boggio_integral(rho, s, n))
+
+
+def _interval_split(op: OperatorSpec) -> tuple[float, float]:
+    """C_{1,s} and K of the interval's singular part (rfl_green_singular)."""
     if op.domain.n != 1:
         raise ValueError("the singular split is implemented on the interval only")
-    if s == 0.5:
-        return _boggio_constant(1, s)
-    return _boggio_constant(1, s) * _boggio_integral_limit(s, 1)
+    return _boggio_constant(1, op.s), _boggio_series(op.s, 1)[3]
 
 
 def rfl_green_singular(op: OperatorSpec, d):
     """Singular part of Boggio's interval kernel at distance d = |x-y|.
 
-    It is a d^{2s-1}, or -2C log d at s = 1/2, where 2 arcsinh(sqrt(rho))
-    ~ log(4 rho); G(x, y) minus this part stays bounded as y -> x.
+    C (K d^{2s-1} - 2 expm1((2s-1) log d)/(2s-1)) with K from
+    _boggio_series; at s = 1/2 it is C (2 log 2 - 2 log d).  G(x, y)
+    minus this part stays bounded as y -> x, continuously in s.
     """
-    a = _rfl_singular_coefficient(op)
-    if op.s == 0.5:
-        return -2.0 * a * np.log(d)
-    return a * np.asarray(d, dtype=float) ** (2.0 * op.s - 1.0)
+    C, K = _interval_split(op)
+    e, L = 2.0 * op.s - 1.0, np.log(d)
+    return C * (K * np.exp(e * L) - 2.0 * _expm1_ratio(e, L))
 
 
 def rfl_green_singular_integral(op: OperatorSpec, h):
     """int_0^h rfl_green_singular(op, d) dd in closed form:
-    a h^{2s} / (2s), or -2C h (log h - 1) at s = 1/2."""
-    a = _rfl_singular_coefficient(op)
-    h = np.asarray(h, dtype=float)
-    if op.s == 0.5:
-        return -2.0 * a * h * (np.log(h) - 1.0)
-    return a * h ** (2.0 * op.s) / (2.0 * op.s)
+    C (K h^{2s} / (2s) - 2h (expm1((2s-1) log h)/(2s-1) - 1) / (2s))."""
+    C, K = _interval_split(op)
+    s2, L = 2.0 * op.s, np.log(h)
+    return C * (K * np.exp(s2 * L) - 2.0 * h * (_expm1_ratio(s2 - 1.0, L) - 1.0)) / s2
 
 
 def rfl_martin_kernel_ball(op: OperatorSpec, z, y):
@@ -213,10 +227,7 @@ def rfl_martin_kernel_ball(op: OperatorSpec, z, y):
     if np.any(dist == 0):
         raise ValueError("Martin kernel requested at y = z")
     c = gamma_fn(n / 2.0) / (2.0 ** s * s * gamma_fn(s) ** 2 * pi ** (n / 2.0))
-    val = c * (r * r - ay * ay) ** s / (r ** s * dist ** n)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return _scalar(c * (r * r - ay * ay) ** s / (r ** s * dist ** n))
 
 
 def poisson_kernel_classical(domain: DomainSpec, z, y):
@@ -229,10 +240,7 @@ def poisson_kernel_classical(domain: DomainSpec, z, y):
     _, ay, dist = _radii_and_distance(domain, z, y)
     if np.any(dist == 0):
         raise ValueError("Poisson kernel requested at y = z")
-    val = (r * r - ay * ay) / (sphere_area(n) * r * dist ** n)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+    return _scalar((r * r - ay * ay) / (sphere_area(n) * r * dist ** n))
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +250,10 @@ def poisson_kernel_classical(domain: DomainSpec, z, y):
 def classical_green_interval(domain: DomainSpec, x, y):
     """Green's function of -d^2/dx^2 on (-r, r): (r - max)(r + min) / 2r."""
     r = domain.r
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     hi = np.maximum(x, y)
     lo = np.minimum(x, y)
-    val = (r - hi) * (r + lo) / (2.0 * r)
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return _scalar((r - hi) * (r + lo) / (2.0 * r))
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +282,12 @@ def sfl_green_interval(op: OperatorSpec, x, y):
     """
     if op.kind is not OperatorKind.SFL:
         raise ValueError("sfl_green_interval requires an SFL operator")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     k = np.arange(1, op.sfl_truncation + 1)
     weights = sfl_eigenvalue(op.domain, k) ** (-op.s)
     px = sfl_eigenfunction(op.domain, k, x[..., None])
     py = sfl_eigenfunction(op.domain, k, y[..., None])
-    val = np.sum(weights * px * py, axis=-1)
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return _scalar(np.sum(weights * px * py, axis=-1))
 
 
 _ZETA_CACHE: dict[tuple[float, int], complex] = {}
@@ -352,10 +352,7 @@ def sfl_martin_kernel_interval(op: OperatorSpec, z: float, y):
     else:
         # d_k(+r) = (-1)^{k+1} k pi / 2r: shift the angle by -pi
         val = scale * (-np.imag(polylog_unit_circle(p, alpha - pi)))
-    val = np.reshape(val, np.shape(y))
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return _scalar(np.reshape(val, np.shape(y)))
 
 
 def sfl_martin_series_abel(op: OperatorSpec, z: float, y, q: float) -> np.ndarray:
@@ -416,8 +413,7 @@ def check_K1_bounds(op: OperatorSpec, x, y) -> KernelBoundReport:
     modification log(1 + delta^g delta^g / |x-y|^{2g}) instead of the
     minimum, and the report is flagged.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.size == 0:
         raise ValueError("empty sample")
     s, g, n, r = op.s, op.gamma, op.domain.n, op.domain.r

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from nonlocal_eigen import cli
 from nonlocal_eigen.cli import main
 
 
@@ -88,6 +90,36 @@ def test_exit_codes(tmp_path):
                  ["limit-s", "--g", "one", "--h", "1"],
                  ["limit-s", "--g", "one", "--K-frac", "0.3"]):
         assert run_cli(argv + ["--out", out]) == 2, argv
+
+
+def test_boundary_node_at_roundoff_assembles(tmp_path):
+    # grading 4 puts node 0 at delta = 8.6e-16; the diagonal rule once
+    # evaluated the kernel at y == x_0 there and exited 2
+    assert run_cli(["eigen", "--op", "rfl", "--N", "512", "--grade", "4",
+                    "--out", str(tmp_path)]) == 0
+    lam1 = json.loads((tmp_path / "eigen.json").read_text())["lambda_1"]
+    assert np.isfinite(lam1) and lam1 > 0
+
+
+def test_numerical_fault_in_assembly_exits_3(tmp_path, monkeypatch):
+    # two nodes that coincide put the kernel on its diagonal: a numerical
+    # fault (exit 3), not a configuration error (exit 2)
+    build = cli.build_grid
+
+    def merged(domain, N, grading):
+        grid = build(domain, N, grading)
+        x = grid.x.copy()
+        x[1] = x[0]
+        return dataclasses.replace(grid, x=x)
+
+    monkeypatch.setattr(cli, "build_grid", merged)
+    assert run_cli(["eigen", "--op", "rfl", "--N", "16", "--out", str(tmp_path)]) == 3
+
+
+def test_lambda_defaults_to_zero(tmp_path):
+    assert run_cli(["solve", "--op", "sfl", "--N", "64", "--M", "64",
+                    "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "solution.json").read_text())["config"]["lam"] == 0.0
 
 
 def test_g_profiles(tmp_path):

@@ -9,6 +9,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from nonlocal_eigen.discretize import (
     GridFunction,
+    _interval_diag,
     apply_G0,
     as_values,
     assemble_green_matrix,
@@ -21,6 +22,8 @@ from nonlocal_eigen.kernels import (
     rfl_green_ball,
     sfl_eigenvalue,
 )
+from nonlocal_eigen.solver import check_max_principle, check_poincare
+from nonlocal_eigen.spectral import eigendecompose, lambda_context
 
 DOM = make_domain("interval", 1, 1.0)
 
@@ -124,6 +127,26 @@ def test_rfl_diagonal_matches_adaptive_reference(s):
     np.testing.assert_allclose(diag, ref / grid.w, rtol=1e-8, atol=0)
 
 
+def test_rfl_diagonal_continuous_across_log_case():
+    # the singular split has no s = 1/2 branch: at s = 1/2 +- 1e-12 the
+    # diagonal moves by the genuine s-dependence only (about 2.5e-11 here)
+    grid = build_grid(DOM, 64, grading=2.0)
+    half = _interval_diag(make_operator("rfl", 0.5, DOM), grid)
+    for s in (0.5 - 1e-12, 0.5 + 1e-12):
+        np.testing.assert_allclose(_interval_diag(make_operator("rfl", s, DOM), grid), half,
+                                   rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.75, 0.99])
+def test_rfl_matrix_with_a_node_at_roundoff_from_the_boundary(s):
+    # grading 4, N = 512 puts node 0 at delta = 8.6e-16, where x_0 - d
+    # rounds onto x_0; the diagonal rule works from delta and d instead
+    grid = build_grid(DOM, 512, grading=4.0)
+    assert grid.delta[0] < 1e-15
+    K = assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix
+    assert np.all(np.isfinite(K)) and np.all(K > 0)
+
+
 def test_classical_diagonal_is_the_exact_cell_mean():
     grid = build_grid(DOM, 32, grading=2.0)
     diag = np.diag(assemble_green_matrix(make_operator("classical", 1.0, DOM), grid).matrix)
@@ -141,14 +164,23 @@ def test_classical_diagonal_is_the_exact_cell_mean():
 def test_rfl_matrix_properties(s, N, grading):
     # symmetric, positive and finite, with a positive torsion row sum; not
     # asserted definite: the smallest eigenvalue of W^{1/2} K W^{1/2} falls
-    # to roundoff size on strongly graded grids near s = 1
+    # to roundoff size on strongly graded grids near s = 1.  The maximum
+    # principle below lambda_1 and the Poincare inequality hold on the
+    # same draws.
     grid = build_grid(DOM, N, grading=grading)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        K = assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix
+        dk = assemble_green_matrix(make_operator("rfl", s, DOM), grid)
+    K = dk.matrix
     assert np.array_equal(K, K.T)
     assert np.all(np.isfinite(K)) and np.all(K > 0)
     assert np.all(K @ grid.w > 0)
+    sd = eigendecompose(dk)
+    for lam in (0.0, 0.9 * sd.lam[0]):
+        rep = check_max_principle(sd, lambda_context(sd, lam))
+        assert rep.n_failures == 0, (lam, rep.worst_margin)
+    rep = check_poincare(sd, dk)
+    assert rep.n_failures == 0, rep.worst_margin
 
 
 def test_sfl_matrix_diagonalizes():

@@ -1,5 +1,6 @@
 from math import gamma, log, pi, sqrt
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,22 @@ POLYLOG_ORACLE = [
 @pytest.mark.parametrize("n,s,rho,expected", BOGGIO_ORACLE)
 def test_boggio_integral_oracle(n, s, rho, expected):
     assert boggio_integral(rho, s, n) == pytest.approx(expected, rel=1e-8)
+
+
+def test_boggio_integral_matches_mpmath_betainc():
+    # int_0^rho t^{s-1}(1+t)^{-n/2} dt = B(rho/(1+rho); s, n/2 - s), the
+    # incomplete Beta function (not regularized), at 30 digits; s = 1/2 +- eps
+    # straddles the logarithmic case n = 2s = 1
+    rho = np.logspace(-3, 12, 46)
+    with mpmath.workdps(30):
+        for n in (1, 2, 3):
+            for s in (0.02, 0.1, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-12, 0.75, 0.99):
+                ref = np.array([float(mpmath.betainc(s, mpmath.mpf(n) / 2 - s, 0,
+                                                     mpmath.mpf(r) / (1 + mpmath.mpf(r))))
+                                for r in rho])
+                np.testing.assert_allclose(boggio_integral(rho, s, n), ref, rtol=1e-13, atol=0)
+                scalar = [boggio_integral(float(r), s, n) for r in rho[::9]]
+                np.testing.assert_allclose(scalar, ref[::9], rtol=1e-13, atol=0)
 
 
 def test_boggio_integral_vectorized_and_monotone():
@@ -106,6 +123,15 @@ def test_rfl_green_symmetric_positive(x, y, s):
     gyx = float(rfl_green_ball(op, y, x))
     assert gxy == gyx
     assert gxy > 0
+
+
+def test_rfl_green_on_the_diagonal_is_a_numerical_fault():
+    # an ArithmeticError, which the CLI reports as exit 3, not a ValueError (exit 2)
+    op = make_operator("rfl", 0.75, INTERVAL)
+    with pytest.raises(ArithmeticError, match="diagonal"):
+        rfl_green_ball(op, 0.3, np.array([0.1, 0.3]))
+    with pytest.raises(ValueError, match="outside"):
+        rfl_green_ball(op, 0.3, 1.5)
 
 
 def test_rfl_green_vanishes_at_boundary():
