@@ -1,33 +1,29 @@
 """Nystrom discretization of the Green's operator and weighted norms.
 
 The integral operator u(x) = int G_0(x, y) f(y) dy becomes the matrix
-action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Every quadrature
-kernel takes one path: off-diagonal entries are pointwise kernel values
-on the upper triangle, mirrored; the diagonal is the mean of the true
-kernel G_0(x_i, .) over node i's cell.  On the interval that mean is
-exact for the classical kernel (linear on each half-cell) and a product
-integration rule for Boggio's kernel: its |x-y|^{2s-1} or logarithmic
-singular part is integrated in closed form and the bounded remainder by
-a fixed Gauss-Legendre rule, all nodes in one vectorized kernel call.
-The ball still takes an adaptive ``quad`` cell mean.  The spectrally
-defined SFL kernel is continuous and keeps its exact pointwise diagonal,
-so the discrete eigendecomposition reproduces the analytic spectrum.
+action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Off the diagonal
+K holds one kernel value per pair, mirrored; the diagonal is the mean
+of G_0(x_i, .) over node i's cell, by fixed Gauss-Legendre rules only.
+On the interval that mean is exact for the classical kernel and, for
+Boggio's kernel, integrates the singular part in closed form and the
+bounded remainder by one rule.  On the ball the kernel on radial data
+is Boggio's angular mean, itself a fixed theta-rule, and the cell mean
+takes panels graded geometrically toward the node.  Boggio's kernel is
+always formed from boundary distances.  The SFL kernel is continuous
+and keeps its exact pointwise diagonal.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .geometry import DomainKind, QuadGrid, sphere_area
 from .kernels import (
     OperatorKind,
     OperatorSpec,
     classical_green_interval,
-    rfl_green_ball,
     rfl_green_from_gaps,
     rfl_green_singular,
     rfl_green_singular_integral,
@@ -84,20 +80,9 @@ class DiscreteKernel:
         return self.grid.N
 
 
-def _offdiag(kernel, x: np.ndarray) -> np.ndarray:
-    """kernel(x_i, x_j) off the diagonal, evaluated once per pair and mirrored.
-
-    The kernels are symmetric bit for bit, so the mirror is exact.
-    """
-    i, j = np.triu_indices(len(x), 1)
-    K = np.zeros((len(x), len(x)))
-    K[i, j] = kernel(x[i], x[j])
-    return K + K.T
-
-
-# product integration on the interval: Gauss-Legendre points per half-cell,
-# and the power of the map t = 1 - (1-u)^p on the two half-cells that end at
-# +-r, which smooths the delta(y)^s endpoint behaviour of the remainder
+# Gauss-Legendre points on [0, 1] for every fixed rule, and the power of the
+# map t = 1 - (1-u)^p on the two interval half-cells that end at +-r, which
+# smooths the delta(y)^s endpoint behaviour of the remainder
 PRODUCT_NODES = 16
 BOUNDARY_MAP_POWER = 3
 _u, _wu = np.polynomial.legendre.leggauss(PRODUCT_NODES)
@@ -141,41 +126,59 @@ def _interval_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
     return (half[0] + half[1]) / grid.w
 
 
-def _cell_average(integrand, grid: QuadGrid, **quad_kw) -> np.ndarray:
-    """Mean of integrand(x_i, .) over each node's cell by adaptive ``quad``,
-    split at the singular node; the ball's diagonal rule."""
-    diag = np.empty(grid.N)
-    for i in range(grid.N):
-        xi = grid.x[i]
-        f = lambda y: integrand(xi, y)
-        left, _ = quad(f, grid.cell_lo[i], xi, **quad_kw)
-        right, _ = quad(f, xi, grid.cell_hi[i], **quad_kw)
-        diag[i] = (left + right) / grid.w[i]
-    return diag
+# geometric panels of the ball's angular rule: 24 keep their ratio below
+# about 3.3 down to a peak width of 1e-12, where 16 points reach roundoff
+ANGLE_PANELS = 24
 
 
-def rfl_green_radial_average(op: OperatorSpec, rho_x: float, rho_y: float) -> float:
-    """Spherical average of the ball Green's function over the y-sphere.
+def rfl_green_radial(op: OperatorSpec, delta_x, delta_y, d) -> np.ndarray:
+    """Mean of Boggio's kernel G(rho_x e_1, rho_y omega) over omega in S^{n-1},
+    the kernel on radial functions, from boundary distances and d = |rho_x - rho_y|.
 
-    (1/|S^{n-1}|) int_{S^{n-1}} G(rho_x e_1, rho_y omega) d omega, which
-    is the kernel acting on radial functions.  n >= 2 only.
+    With t^2 = d^2 + 4 rho_x rho_y sin^2(theta/2) it is a theta-integral
+    against sin^{n-2}, peaked at 0 with width w ~ d / sqrt(rho_x rho_y):
+    Gauss-Legendre on [0, w] and on ANGLE_PANELS geometric panels to pi.
     """
-    n = op.domain.n
+    r, n = op.domain.r, op.domain.n
+    delta_x, delta_y, d = (np.asarray(v, dtype=float)[..., None] for v in (delta_x, delta_y, d))
+    gap_x, gap_y = delta_x * (2 * r - delta_x), delta_y * (2 * r - delta_y)
+    rr = (r - delta_x) * (r - delta_y)
+    w = d / (d / np.pi + np.sqrt(rr))      # at most pi
+    ends = np.concatenate([0 * w, w * (np.pi / w) ** np.linspace(0, 1, ANGLE_PANELS + 1)], axis=-1)
+    lo, hi = ends[..., :-1], ends[..., 1:]
+    total = 0.0
+    for u, wu in zip(_u, _wu):
+        theta = lo + (hi - lo) * u
+        t = np.sqrt(d * d + 4.0 * rr * np.sin(theta / 2) ** 2)
+        g = rfl_green_from_gaps(op, gap_x, gap_y, t) * np.sin(theta) ** (n - 2)
+        total += wu * np.sum((hi - lo) * g, axis=-1)
+    return total * sphere_area(n - 1) / sphere_area(n)
 
-    def integrand(theta):
-        x = np.zeros(n)
-        y = np.zeros(n)
-        x[0] = rho_x
-        y[0] = rho_y * np.cos(theta)
-        y[1] = rho_y * np.sin(theta)
-        return rfl_green_ball(op, x, y) * np.sin(theta) ** (n - 2)
 
-    with warnings.catch_warnings():
-        # the integrable |x-y|^{2s-n} singularity at theta ~ 0 trips the
-        # slow-convergence heuristic without hurting the tolerance
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(integrand, 0.0, np.pi, epsabs=1e-12, epsrel=1e-9, limit=200)
-    return val * sphere_area(n - 1) / sphere_area(n)
+def _ball_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
+    """(1/w_i) int_{cell_i} rfl_green_radial(x_i, rho) |S^{n-1}| rho^{n-1} drho.
+
+    Each half-cell is cut into Gauss-Legendre panels halved toward x_i,
+    where the kernel goes like |rho - x_i|^{2s-1}; the far half of the
+    last is halved toward r, where it goes like delta^s.  The innermost
+    panel holds about 2^{-2s levels} of the integral: 53/(2s) levels reach
+    roundoff, capped where d^{2s-n} would near overflow.  d and delta come
+    from the rule, never from subtracted radii.
+    """
+    r, n, N, dl = op.domain.r, op.domain.n, grid.N, grid.delta
+    # half-cells: toward the centre, outward (the last node's near half), the last far half
+    node = np.r_[np.arange(N), np.arange(N), N - 1]
+    h = np.r_[grid.x - grid.cell_lo, grid.cell_hi[:-1] - grid.x[:-1], dl[-1] / 2, dl[-1] / 2]
+    levels = int(min(np.ceil(53 / (2 * op.s)), np.log2(np.min(h) * _u[0]) + 300 * np.log2(10) / n))
+    top = 0.5 ** np.arange(levels + 1)[:, None]
+    panel = top - np.r_[top[1:], [[0.0]]]
+    d = h[:, None] * (top - panel * (1 - _u)).ravel()
+    delta_y = dl[node, None] + np.r_[np.ones(N), -np.ones(N + 1)][:, None] * d
+    delta_y[-1] = d[-1]
+    d[-1] = dl[-1] - delta_y[-1]
+    mean = np.array([rfl_green_radial(op, dl[i], *args) for i, *args in zip(node, delta_y, d)])
+    vol = sphere_area(n) * (r - delta_y) ** (n - 1)
+    return np.bincount(node, h * ((mean * vol) @ (panel * _wu).ravel()), N) / grid.w
 
 
 def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
@@ -193,24 +196,25 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         M = op.sfl_truncation
         neg_tol = (np.pi / (2 * op.domain.r)) ** (-2 * op.s) \
             * M ** (1.0 - 2.0 * op.s) / (op.domain.r * (2.0 * op.s - 1.0))
-    elif op.domain.kind is DomainKind.INTERVAL:
-        if op.kind is OperatorKind.RFL:
-            kernel = lambda x, y: rfl_green_ball(op, x, y)
+    elif op.domain.kind is DomainKind.INTERVAL or op.kind is OperatorKind.RFL:
+        # one kernel value per pair i < j, mirrored; Boggio's kernel is formed
+        # from boundary distances, and on the ball its angular mean is the
+        # kernel on radial functions
+        i, j = np.triu_indices(grid.N, 1)
+        dl, d, ball = grid.delta, np.abs(grid.x[i] - grid.x[j]), op.domain.kind is DomainKind.BALL
+        if op.kind is OperatorKind.CLASSICAL:
+            upper = classical_green_interval(op.domain, grid.x[i], grid.x[j])
+        elif ball:
+            upper = rfl_green_radial(op, dl[i], dl[j], d)
         else:
-            kernel = lambda x, y: classical_green_interval(op.domain, x, y)
-        K = _offdiag(kernel, grid.x)
-        np.fill_diagonal(K, _interval_diag(op, grid))
-    elif op.kind is OperatorKind.RFL:
-        # radial nodes: the angular average is the kernel, and a radial
-        # cell carries the measure |S^{n-1}| rho^{n-1}
-        n = op.domain.n
-        vol = sphere_area(n)
-        kernel = lambda x, y: rfl_green_radial_average(op, x, y)
-        K = _offdiag(np.vectorize(kernel, otypes=[float]), grid.x)
-        np.fill_diagonal(K, _cell_average(lambda x, y: kernel(x, y) * vol * y ** (n - 1),
-                                          grid, epsabs=1e-10, limit=100))
+            gap = dl * (2 * op.domain.r - dl)
+            upper = rfl_green_from_gaps(op, gap[i], gap[j], d)
+        K = np.zeros((grid.N, grid.N))
+        K[i, j] = upper
+        K = K + K.T
+        np.fill_diagonal(K, (_ball_diag if ball else _interval_diag)(op, grid))
     else:
-        raise NotImplementedError("classical kernel matrices: interval only")
+        raise ValueError("classical kernel matrices: interval only")
 
     if op.kind is not OperatorKind.SFL:
         neg_tol = 1e-12 * np.max(K)

@@ -33,8 +33,8 @@ class DomainSpec:
             raise ValueError(f"radius must be positive, got {self.r}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.kind is DomainKind.INTERVAL and self.n != 1:
-            raise ValueError("interval domain forces n = 1")
+        if (self.kind is DomainKind.INTERVAL) != (self.n == 1):
+            raise ValueError("the interval has n = 1 and the ball n >= 2")
 
     @property
     def volume(self) -> float:

@@ -95,10 +95,13 @@ def _expm1_ratio(e: float, L):
 
 
 def _beta_sum(x, p: float, coeffs):
-    """x^p times the polynomial with coefficients ``coeffs`` (highest first)."""
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
+    """x^p times the polynomial with coefficients ``coeffs`` (highest first),
+    cut to the m lowest terms, where x^m <= 2^-BETA_TERMS at the largest x."""
+    m = int(np.ceil(BETA_TERMS / -np.log2(max(np.max(x), 2.0 ** -BETA_TERMS))))
+    acc = np.zeros(np.shape(x))
+    for c in coeffs[-m:]:
+        acc *= x
+        acc += c
     return x ** p * acc
 
 
@@ -121,7 +124,7 @@ def _boggio_series(s: float, n: int):
     low = np.cumprod(np.r_[1.0, (k[:-1] + 1.0 - a) / (k[:-1] + 1.0)]) / (s + k)
     high = np.cumprod((k + 1.0 - s) / (k + 1.0)) / (a + k + 1.0)
     low, high = low[::-1].tolist(), high[::-1].tolist()
-    return low, high, a, _beta_sum(0.5, s, low) + _beta_tail(0.5, a, high)
+    return low, high, a, float(_beta_sum(0.5, s, low) + _beta_tail(0.5, a, high))
 
 
 def boggio_integral(rho, s: float, n: int):
@@ -132,15 +135,8 @@ def boggio_integral(rho, s: float, n: int):
     """
     low, high, a, K = _boggio_series(s, n)
     rho = np.asarray(rho, dtype=float)
-    if rho.ndim == 0:  # Python floats keep the scalar Horner loop cheap
-        rho = float(rho)
-        return float(_beta_sum(rho / (1.0 + rho), s, low) if rho <= 1.0
-                     else K - _beta_tail(1.0 / (1.0 + rho), a, high))
-    out = np.empty(rho.shape)
-    near = rho <= 1.0
-    out[near] = _beta_sum(rho[near] / (1.0 + rho[near]), s, low)
-    out[~near] = K - _beta_tail(1.0 / (1.0 + rho[~near]), a, high)
-    return out
+    return np.piecewise(rho, [rho <= 1.0], [lambda v: _beta_sum(v / (1.0 + v), s, low),
+                                           lambda v: K - _beta_tail(1.0 / (1.0 + v), a, high)])
 
 
 def _scalar(val):
@@ -172,8 +168,6 @@ def rfl_green_ball(op: OperatorSpec, x, y):
     ax, ay, dist = _radii_and_distance(op.domain, x, y)
     if np.any(ax > r) or np.any(ay > r):
         raise ValueError("point outside the domain")
-    if np.any(dist == 0):
-        raise ZeroDivisionError("Green's function requested on the diagonal x = y")
     return rfl_green_from_gaps(op, r * r - ax * ax, r * r - ay * ay, dist)
 
 
@@ -184,6 +178,8 @@ def rfl_green_from_gaps(op: OperatorSpec, gap_x, gap_y, dist):
     which keeps full relative precision where r^2 - |x|^2 would cancel.
     """
     r, s, n = op.domain.r, op.s, op.domain.n
+    if np.any(dist == 0):
+        raise ZeroDivisionError("Green's function requested on the diagonal x = y")
     rho = gap_x * gap_y / (r * r * dist * dist)
     return _scalar(_boggio_constant(n, s) * dist ** (2 * s - n) * boggio_integral(rho, s, n))
 

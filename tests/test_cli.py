@@ -65,6 +65,10 @@ def test_exit_codes(tmp_path):
     assert run_cli(["eigen", "--N", "4", "--out", out]) == 2
     assert run_cli(["solve", "--op", "sfl", "--s", "0.3", "--out", out]) == 2
     assert run_cli(["solve", "--g", "nonsense", "--N", "64", "--out", out]) == 2
+    # a one-dimensional ball, and the classical kernel matrix on the ball
+    assert run_cli(["eigen", "--domain", "ball", "--n", "1", "--out", out]) == 2
+    assert run_cli(["eigen", "--op", "classical", "--s", "1", "--domain", "ball",
+                    "--n", "2", "--N", "8", "--out", out]) == 2
     # lambda on the (discrete) spectrum
     assert run_cli(["eigen", "--op", "sfl", "--N", "64", "--M", "64",
                     "--out", out]) == 0

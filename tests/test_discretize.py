@@ -1,11 +1,14 @@
 import warnings
 from math import gamma, pi
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import IntegrationWarning, quad, quad_vec
+from scipy.special import beta as beta_fn
+from scipy.special import betainc
 
 from nonlocal_eigen.discretize import (
     GridFunction,
@@ -13,13 +16,15 @@ from nonlocal_eigen.discretize import (
     apply_G0,
     as_values,
     assemble_green_matrix,
+    rfl_green_radial,
     weighted_norm,
 )
-from nonlocal_eigen.geometry import build_grid, make_domain
+from nonlocal_eigen.geometry import build_grid, make_domain, sphere_area
 from nonlocal_eigen.kernels import (
     green_function,
     make_operator,
     rfl_green_ball,
+    rfl_green_from_gaps,
     sfl_eigenvalue,
 )
 from nonlocal_eigen.solver import check_max_principle, check_poincare
@@ -63,11 +68,23 @@ def test_matrix_symmetric(grid, kind, s):
     op = make_operator(kind, s, DOM, sfl_truncation=64)
     dk = assemble_green_matrix(op, grid)
     np.testing.assert_allclose(dk.matrix, dk.matrix.T, atol=1e-14)
-    if kind != "sfl":
-        # the mirrored upper triangle is the kernel at every pair, bit for bit
-        X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
-        off = ~np.eye(grid.N, dtype=bool)
+    if kind == "sfl":
+        return
+    # the mirrored upper triangle is the kernel at every pair, bit for bit;
+    # Boggio's kernel is formed from the boundary distances delta (2r - delta)
+    X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
+    off = ~np.eye(grid.N, dtype=bool)
+    if kind == "classical":
         np.testing.assert_array_equal(dk.matrix[off], green_function(op, X[off], Y[off]))
+        return
+    gap = grid.delta * (2 - grid.delta)
+    GX, GY = np.meshgrid(gap, gap, indexing="ij")
+    np.testing.assert_array_equal(dk.matrix[off],
+                                  rfl_green_from_gaps(op, GX[off], GY[off], np.abs(X - Y)[off]))
+    # away from the boundary r^2 - x^2 does not cancel: the coordinate form agrees
+    far = off & (grid.delta[:, None] >= 0.1) & (grid.delta[None, :] >= 0.1)
+    np.testing.assert_allclose(dk.matrix[far], green_function(op, X[far], Y[far]),
+                               rtol=1e-13, atol=0)
 
 
 def test_classical_row_action_exact(grid):
@@ -213,8 +230,9 @@ def test_weighted_norms(grid):
         weighted_norm(f, grid, "L1_delta", alpha=-2.0, gamma=0.75)
 
 
-def test_ball_matrix_small():
-    dom = make_domain("ball", 2, 1.0)
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_matrix_small(n):
+    dom = make_domain("ball", n, 1.0)
     grid = build_grid(dom, 24, grading=2.0)
     op = make_operator("rfl", 0.75, dom)
     dk = assemble_green_matrix(op, grid)
@@ -222,7 +240,98 @@ def test_ball_matrix_small():
     u = apply_G0(dk, np.ones(grid.N)).values
     # torsion function of the RFL on the unit ball:
     # u(x) = Gamma(n/2) (1-|x|^2)^s / (2^{2s} Gamma(s+n/2) Gamma(1+s))
-    s, n = 0.75, 2
+    s = 0.75
     expected = gamma(n / 2) * (1 - grid.x**2) ** s / (
         2.0 ** (2 * s) * gamma(s + n / 2) * gamma(1 + s))
+    # measured 1.07e-3 (n = 2) and 1.08e-3 (n = 3)
     np.testing.assert_allclose(u, expected, atol=5e-3)
+
+
+def _theta_reference(op, delta_x, delta_y, d):
+    """The angular mean by quad on dyadic theta-panels [pi 2^{-k-1}, pi 2^{-k}],
+    down to a few halvings below the peak width d / sqrt(rho_x rho_y)."""
+    r, n = op.domain.r, op.domain.n
+    rr = (r - delta_x) * (r - delta_y)
+    gaps = delta_x * (2 * r - delta_x), delta_y * (2 * r - delta_y)
+
+    def f(theta):
+        t = np.sqrt(d * d + 4.0 * rr * np.sin(theta / 2) ** 2)
+        return float(rfl_green_from_gaps(op, *gaps, t)) * np.sin(theta) ** (n - 2)
+
+    levels = max(0, int(np.log2(np.pi * np.sqrt(rr) / d))) + 4
+    edges = np.r_[0.0, np.pi * 2.0 ** -np.arange(levels, -1, -1)]
+    total = sum(quad(f, a, b, epsabs=0, epsrel=1e-13, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    return total * sphere_area(n - 1) / sphere_area(n)
+
+
+@pytest.mark.parametrize("n,s", [(2, 0.75), (3, 0.25)])
+def test_ball_radial_kernel_matches_split_quad(n, s):
+    # (delta_x, delta_y, d) on the unit ball: |rho_x - rho_y| of 1e-9 and
+    # 1e-12 mid-radius and at the boundary, radii near 0 and near r
+    pairs = np.array([(0.5, 0.5 - 1e-9, 1e-9), (0.5, 0.5 - 1e-12, 1e-12),
+                      (1e-9, 1e-9 - 1e-12, 1e-12), (1e-6, 0.6, 0.6 - 1e-6),
+                      (1 - 1e-6, 1 - 3e-6, 2e-6), (1 - 1e-6, 1e-9, 1 - 1e-6 - 1e-9),
+                      (0.3, 0.7, 0.4)])
+    op = make_operator("rfl", s, make_domain("ball", n, 1.0))
+    got = rfl_green_radial(op, *pairs.T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        ref = [_theta_reference(op, *p) for p in pairs]
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.99])
+def test_ball_diagonal_matches_adaptive_reference(n, s):
+    # the cell mean of the radial kernel by adaptive quad_vec over every
+    # half-cell at once, in d = h I_tau(m, m): the regularized incomplete
+    # Beta function smooths d^{2s-1} at the node and delta^s at r
+    dom = make_domain("ball", n, 1.0)
+    grid = build_grid(dom, 8, grading=2.0)
+    op = make_operator("rfl", s, dom)
+    N, dl = grid.N, grid.delta
+    node = np.r_[np.arange(N), np.arange(N)]
+    h = np.r_[grid.x - grid.cell_lo, grid.cell_hi - grid.x]
+    h[-1] = dl[-1]
+    far = np.r_[dl + h[:N], dl - h[N:]]     # delta at the far end of each half-cell
+    far[-1] = 0.0
+    side = np.r_[-np.ones(N), np.ones(N)]
+    m = int(np.ceil(1 / s)) + 1
+
+    def mean(tau):
+        d, b = h * betainc(m, m, tau), h * betainc(m, m, 1 - tau)
+        delta_y = far + side * b
+        jac = (tau * (1 - tau)) ** (m - 1) / beta_fn(m, m)
+        return rfl_green_radial(op, dl[node], delta_y, d) * sphere_area(n) \
+            * (1 - delta_y) ** (n - 1) * jac
+
+    val, _ = quad_vec(mean, 0.0, 1.0, epsabs=0, epsrel=1e-10, norm="max")
+    ref = np.bincount(node, h * val, N) / grid.w
+    diag = np.diag(assemble_green_matrix(op, grid).matrix)
+    np.testing.assert_allclose(diag, ref, rtol=1e-7 if s < 0.25 else 1e-8, atol=0)
+
+
+def test_ball_matrix_at_small_s_stays_finite():
+    # 53/(2s) levels toward the node would take d below where d^{2s-n} overflows
+    dom = make_domain("ball", 3, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = assemble_green_matrix(make_operator("rfl", 0.02, dom), build_grid(dom, 8)).matrix
+    assert np.all(np.isfinite(K)) and np.all(K > 0)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_rfl_offdiagonal_near_the_boundary_matches_mpmath(s):
+    # grading 4, N = 512: node 0 sits at delta = 8.6e-16, where r^2 - x^2
+    # formed from coordinates loses every digit; the entry is Boggio's
+    # kernel at the gaps delta (2r - delta), summed here at 30 digits
+    grid = build_grid(DOM, 512, grading=4.0)
+    K = assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix
+    with mpmath.workdps(30):
+        gap = [mpmath.mpf(d) * (2 - mpmath.mpf(d)) for d in grid.delta[:2]]
+        dist = mpmath.mpf(grid.x[1]) - mpmath.mpf(grid.x[0])
+        rho = gap[0] * gap[1] / dist**2
+        C = 1 / (4 ** mpmath.mpf(s) * mpmath.gamma(s) ** 2)    # Gamma(1/2) = sqrt(pi)
+        ref = C * dist ** (2 * s - 1) * mpmath.betainc(s, 0.5 - mpmath.mpf(s), 0, rho / (1 + rho))
+    assert K[0, 1] == pytest.approx(float(ref), rel=1e-12, abs=0)
