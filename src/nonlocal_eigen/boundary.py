@@ -20,8 +20,8 @@ from math import gamma as gamma_fn
 import numpy as np
 
 from .discretize import GridFunction, as_values
-from .geometry import DomainKind, DomainSpec, QuadGrid, sphere_area
-from .kernels import OperatorKind, OperatorSpec, martin_kernel
+from .geometry import BOUNDARY_NODES, DomainKind, DomainSpec, QuadGrid, sphere_area
+from .kernels import OperatorKind, OperatorSpec, martin_from_gaps
 
 
 @dataclass(frozen=True)
@@ -56,23 +56,15 @@ def make_boundary_data(domain: DomainSpec, h) -> BoundaryData:
 def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
     """Large harmonic function v_h = integral of the Martin kernel against h."""
     h = make_boundary_data(op.domain, h)
+    plus, minus = grid.sides
+    gap = plus * minus
     if op.domain.kind is DomainKind.INTERVAL:
-        r = op.domain.r
-        vals = (h.values[0] * np.asarray(martin_kernel(op, -r, grid.x))
-                + h.values[1] * np.asarray(martin_kernel(op, r, grid.x)))
+        vals = (h.values[0] * np.asarray(martin_from_gaps(op, gap, plus))
+                + h.values[1] * np.asarray(martin_from_gaps(op, gap, minus)))
         return GridFunction(grid, vals)
-    # ball, constant data: angular integral in closed form
-    if op.kind is OperatorKind.SFL:
-        raise NotImplementedError("Martin operator on the ball: RFL and classical only")
-    r, n, rho = op.domain.r, op.domain.n, grid.x
-    sphere_int = sphere_area(n) * r / (r * r - rho * rho)
-    if op.kind is OperatorKind.RFL:
-        s = op.s
-        c = gamma_fn(n / 2.0) / (2.0**s * s * gamma_fn(s) ** 2 * np.pi ** (n / 2.0))
-        kernel_radial = c * (r * r - rho * rho) ** s / r**s
-    else:
-        kernel_radial = (r * r - rho * rho) / (sphere_area(n) * r)
-    return GridFunction(grid, h.values[0] * kernel_radial * sphere_int)
+    # ball, constant data: the kernel times |z - y|^n, against the sphere integral
+    sphere_int = sphere_area(op.domain.n) * op.domain.r / gap
+    return GridFunction(grid, h.values[0] * martin_from_gaps(op, gap, 1.0) * sphere_int)
 
 
 def gamma_normal_derivative_G0(op: OperatorSpec, grid: QuadGrid, z: float, f) -> float:
@@ -80,7 +72,11 @@ def gamma_normal_derivative_G0(op: OperatorSpec, grid: QuadGrid, z: float, f) ->
     v = as_values(f, grid)
     if np.max(np.abs(v)) > 1e8:
         raise ValueError("data exceeds boundedness cap 1e+08")
-    kern = np.asarray(martin_kernel(op, z, grid.x))
+    r = grid.domain.r
+    if abs(abs(z) - r) > 1e-12 * r:
+        raise ValueError("z must be a boundary point of the domain")
+    plus, minus = grid.sides
+    kern = np.asarray(martin_from_gaps(op, plus * minus, plus if z < 0 else minus))
     return float(np.sum(grid.w * kern * v))
 
 
@@ -112,13 +108,12 @@ def _extrapolate_to_zero(d: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 
 
 def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid) -> TraceReport:
-    """Weighted boundary trace at z: u / M(1) at the 5 nodes nearest z,
-    extrapolated along the grid."""
+    """Weighted boundary trace at z: u / M(1) at the BOUNDARY_NODES nodes
+    nearest z, extrapolated along the grid."""
     v = as_values(u, grid)
-    order = np.argsort(np.abs(grid.x - z))[:5]
-    order = order[np.argsort(grid.delta[order])]
-    if len(order) < 5:
-        raise ValueError(f"fewer than 5 usable nodes near z={z}")
+    order = grid.boundary_nodes(z)
+    if len(order) < BOUNDARY_NODES:
+        raise ValueError(f"fewer than {BOUNDARY_NODES} usable nodes near z={z}")
     d = grid.delta[order]
     m1 = martin_apply(op, grid, 1.0).values
     value, err = _extrapolate_to_zero(d, v[order] / m1[order])
@@ -142,9 +137,7 @@ def martin_constant_report(op: OperatorSpec, grid: QuadGrid) -> MartinConstantRe
         raise ValueError("constant comparison is defined for the RFL interval")
     s, r = op.s, op.domain.r
     m1 = martin_apply(op, grid, 1.0).values
-    order = np.argsort(grid.delta)[:8]
-    sel = order[grid.x[order] > 0]
-    sel = sel[np.argsort(grid.delta[sel])][:5]
+    sel = grid.boundary_nodes(r)
     measured, _ = _extrapolate_to_zero(grid.delta[sel], grid.delta[sel] ** (1 - s) * m1[sel])
     return MartinConstantReport(
         measured=measured,

@@ -97,11 +97,9 @@ def write_sidecar(csv_path: str, cfg: RunConfig):
 
 
 def resolve_g(spec: str, grid, sd, op):
-    """Named data profiles: zero, one, delta_pow(alpha), eigmode(j), table:file."""
+    """Named data profiles: zero, one, delta_pow:alpha, eigmode:j, table:file."""
     spec = spec.strip()
     name, _, arg = spec.partition(":")
-    if "(" in name and spec.endswith(")"):
-        name, _, arg = spec[:-1].partition("(")
     name = name.strip().lower()
     if name == "zero":
         return np.zeros(grid.N)

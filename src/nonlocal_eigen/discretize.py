@@ -95,25 +95,22 @@ def _interval_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
     """(1/w_i) int_{cell_i} G_0(x_i, y) dy on the interval, all nodes at once.
 
     Node i splits its cell into the half-cells [x_i - h, x_i] and
-    [x_i, x_i + h].  The classical kernel (r - max)(r + min) / 2r is
-    linear on each, so the half-cell integral is h G(x_i, x_i -+ h/2),
-    formed from r + x_i and r - x_i.  Boggio's kernel is
+    [x_i, x_i + h] of grid.half.  The classical kernel
+    (r - max)(r + min) / 2r is linear on each, so the half-cell integral
+    is h G(x_i, x_i -+ h/2), formed from grid.sides.  Boggio's kernel is
     rfl_green_singular(d), integrated in closed form over [0, h], plus a
     bounded remainder, summed by the PRODUCT_NODES-point Gauss-Legendre
-    rule in d = h t.  The remainder takes r -+ y from delta_i and d, never
-    from y, which would round onto a node at roundoff from the boundary.
+    rule in d = h t.  The remainder takes r -+ y from grid.sides and d,
+    never from y, which would round onto a node at roundoff from the
+    boundary.
     """
-    x, r = grid.x, op.domain.r
-    h = np.stack([x - grid.cell_lo, grid.cell_hi - x])   # (side, node)
+    h = grid.half                        # (side, node)
+    plus, minus = grid.sides             # r + x_i, r - x_i
     if op.kind is OperatorKind.CLASSICAL:
-        left = h[0] * (r - x) * (r + x - h[0] / 2)
-        right = h[1] * (r + x) * (r - x - h[1] / 2)
-        return (left + right) / (2 * r) / grid.w
-    # the end half-cells reach the boundary: their length is delta itself
-    h[0, 0], h[1, -1] = grid.delta[0], grid.delta[-1]
-    far = 2 * r - grid.delta
-    plus = np.where(x < 0, grid.delta, far)[:, None]    # r + x_i
-    minus = np.where(x < 0, far, grid.delta)[:, None]   # r - x_i
+        left = h[0] * minus * (plus - h[0] / 2)
+        right = h[1] * plus * (minus - h[1] / 2)
+        return (left + right) / (2 * op.domain.r) / grid.w
+    plus, minus = plus[:, None], minus[:, None]
     side = np.array([-1.0, 1.0])[:, None, None]
     t = np.tile(_u, (2, grid.N, 1))
     wt = np.tile(_wu, (2, grid.N, 1))
@@ -168,7 +165,7 @@ def _ball_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
     r, n, N, dl = op.domain.r, op.domain.n, grid.N, grid.delta
     # half-cells: toward the centre, outward (the last node's near half), the last far half
     node = np.r_[np.arange(N), np.arange(N), N - 1]
-    h = np.r_[grid.x - grid.cell_lo, grid.cell_hi[:-1] - grid.x[:-1], dl[-1] / 2, dl[-1] / 2]
+    h = np.r_[grid.half[0], grid.half[1, :-1], dl[-1] / 2, dl[-1] / 2]
     levels = int(min(np.ceil(53 / (2 * op.s)), np.log2(np.min(h) * _u[0]) + 300 * np.log2(10) / n))
     top = 0.5 ** np.arange(levels + 1)[:, None]
     panel = top - np.r_[top[1:], [[0.0]]]
@@ -187,10 +184,9 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         raise ValueError("operator and grid live on different domains")
     if op.kind is OperatorKind.SFL:
         k = np.arange(1, op.sfl_truncation + 1)
-        Phi = sfl_eigenfunction(op.domain, k[None, :], grid.x[:, None])
-        mu = sfl_eigenvalue(op.domain, k)
-        K = (Phi * mu ** (-op.s)) @ Phi.T
-        K = 0.5 * (K + K.T)  # the product is symmetric only up to roundoff
+        B = sfl_eigenfunction(op.domain, k[None, :], grid.x[:, None]) \
+            * sfl_eigenvalue(op.domain, k) ** (-op.s / 2)
+        K = B @ B.T
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
         M = op.sfl_truncation
@@ -207,7 +203,7 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         elif ball:
             upper = rfl_green_radial(op, dl[i], dl[j], d)
         else:
-            gap = dl * (2 * op.domain.r - dl)
+            gap = np.multiply(*grid.sides)
             upper = rfl_green_from_gaps(op, gap[i], gap[j], d)
         K = np.zeros((grid.N, grid.N))
         K[i, j] = upper

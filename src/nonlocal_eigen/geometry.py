@@ -81,14 +81,19 @@ def delta(domain: DomainSpec, x) -> np.ndarray | float:
     return d
 
 
+# nodes that a boundary limit or exponent is extrapolated or fitted from
+BOUNDARY_NODES = 5
+
+
 @dataclass(frozen=True)
 class QuadGrid:
     """Quadrature nodes, weights and boundary distances on a domain.
 
     ``x`` holds interval coordinates, or radii for the ball.  Weights
     include the full volume element (spherical factor for the ball).
-    ``cell_lo``/``cell_hi`` delimit the per-node cells used by the
-    Nystrom diagonal rule.
+    ``half`` holds, per node, the lengths of its cell below and above x
+    (shape (2, N)), used by the Nystrom diagonal rule; it is formed from
+    boundary distances, so a half-cell that ends on the boundary is delta.
     """
 
     domain: DomainSpec
@@ -96,12 +101,23 @@ class QuadGrid:
     w: np.ndarray
     delta: np.ndarray
     grading: float
-    cell_lo: np.ndarray = field(repr=False, default=None)
-    cell_hi: np.ndarray = field(repr=False, default=None)
+    half: np.ndarray = field(repr=False, default=None)
 
     @property
     def N(self) -> int:
         return len(self.x)
+
+    @property
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """(r + x, r - x) from delta, never from x, which would cancel near +-r."""
+        far = 2 * self.domain.r - self.delta
+        left = self.x < 0
+        return np.where(left, self.delta, far), np.where(left, far, self.delta)
+
+    def boundary_nodes(self, z: float) -> np.ndarray:
+        """The BOUNDARY_NODES nodes nearest the boundary point z, by increasing delta."""
+        near = np.flatnonzero(np.sign(self.x) == np.sign(z))
+        return near[np.argsort(self.delta[near])[:BOUNDARY_NODES]]
 
     def compact_mask(self, frac: float = 0.25) -> np.ndarray:
         """Nodes with delta >= frac * r (the interior compact set K)."""
@@ -154,11 +170,13 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
         w = wt * jac
         order = np.argsort(x)
         x, w, d = x[order], w[order], d[order]
-        # cells partition (-r, r) by cumulated weights, so |cell_i| = w_i;
-        # this keeps the Nystrom diagonal rule consistent to second order
-        edges = -r + np.concatenate([[0.0], np.cumsum(w)])
-        edges[-1] = r
-        lo, hi = edges[:-1], edges[1:]
+        # cells by weights cumulated from the nearer end, so |cell_i| = w_i,
+        # which keeps the Nystrom diagonal rule consistent to second order;
+        # as boundary distances the two end half-cells are delta exactly
+        left = x < 0
+        inner = np.where(left, np.cumsum(w), np.cumsum(w[::-1])[::-1])
+        toward, away = d - (inner - w), inner - d
+        half = np.where(left, [toward, away], [away, toward])
     else:
         counts = _panel_counts(N)
         t, wt = _gauss_panels(0.0, 1.0, len(counts), counts)
@@ -168,15 +186,14 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
         w = wt * jac * sphere_area(domain.n) * rho ** (domain.n - 1)
         order = np.argsort(rho)
         x, w, d = rho[order], w[order], d[order]
-        # radial cell edges from the cumulated volume partition
-        vol_edges = np.concatenate([[0.0], np.cumsum(w)])
-        vol_edges[-1] = domain.volume
-        redges = (domain.n * vol_edges / sphere_area(domain.n)) ** (1.0 / domain.n)
-        lo, hi = redges[:-1], redges[1:]
+        # radial cell edges from the cumulated volume partition, as boundary
+        # distances of the volume outside each edge; the centre edge is r
+        outside = np.r_[np.cumsum(w[::-1])[-2::-1], 0.0]
+        edges = np.r_[r, -r * np.expm1(np.log1p(-outside / domain.volume) / domain.n)]
+        half = np.stack([edges[:-1] - d, d - edges[1:]])
 
     if np.any(w <= 0) or np.any(d <= 0) or np.any(np.abs(x) >= r):
         raise AssertionError("grid construction produced nonpositive weights or boundary nodes")
-    if np.any(x < lo) or np.any(x > hi):
+    if np.any(half < 0):
         raise AssertionError("node escaped its quadrature cell")
-    return QuadGrid(domain=domain, x=x, w=w, delta=d, grading=grading,
-                    cell_lo=lo, cell_hi=hi)
+    return QuadGrid(domain=domain, x=x, w=w, delta=d, grading=grading, half=half)

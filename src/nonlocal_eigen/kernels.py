@@ -211,34 +211,6 @@ def rfl_green_singular_integral(op: OperatorSpec, h):
     return C * (K * np.exp(s2 * L) - 2.0 * h * (_expm1_ratio(s2 - 1.0, L) - 1.0)) / s2
 
 
-def rfl_martin_kernel_ball(op: OperatorSpec, z, y):
-    """gamma-normal derivative of the RFL Green's function on the ball.
-
-    D_s G(z, y) for z on the boundary sphere, y interior.
-    """
-    if op.kind is not OperatorKind.RFL:
-        raise ValueError("rfl_martin_kernel_ball requires an RFL operator")
-    r, s, n = op.domain.r, op.s, op.domain.n
-    _, ay, dist = _radii_and_distance(op.domain, z, y)
-    if np.any(dist == 0):
-        raise ValueError("Martin kernel requested at y = z")
-    c = gamma_fn(n / 2.0) / (2.0 ** s * s * gamma_fn(s) ** 2 * pi ** (n / 2.0))
-    return _scalar(c * (r * r - ay * ay) ** s / (r ** s * dist ** n))
-
-
-def poisson_kernel_classical(domain: DomainSpec, z, y):
-    """Classical Poisson kernel of the ball/interval.
-
-    D_1(z, y) = (r^2 - |y|^2) / (|S^{n-1}| r |z-y|^n); the interval uses
-    |S^0| = 2 (counting measure on the two endpoints).
-    """
-    r, n = domain.r, domain.n
-    _, ay, dist = _radii_and_distance(domain, z, y)
-    if np.any(dist == 0):
-        raise ValueError("Poisson kernel requested at y = z")
-    return _scalar((r * r - ay * ay) / (sphere_area(n) * r * dist ** n))
-
-
 # ---------------------------------------------------------------------------
 # Classical Laplacian on the interval
 # ---------------------------------------------------------------------------
@@ -327,30 +299,6 @@ def polylog_unit_circle(p: float, alpha) -> np.ndarray:
     return out
 
 
-def sfl_martin_kernel_interval(op: OperatorSpec, z: float, y):
-    """Martin kernel of the SFL on the interval (gamma = 1).
-
-    Abel limit of sum_k d_k(z) phi_k(y) mu_k^{-s} where d_k is the inner
-    normal derivative of the k-th sine mode; the limit is evaluated in
-    closed form through Li_{2s-1} on the unit circle.
-    """
-    if op.kind is not OperatorKind.SFL:
-        raise ValueError("sfl_martin_kernel_interval requires an SFL operator")
-    r, s = op.domain.r, op.s
-    if abs(abs(z) - r) > 1e-12 * r:
-        raise ValueError("z must be a boundary point of the interval")
-    y = np.asarray(y, dtype=float)
-    alpha = pi * (y + r) / (2.0 * r)
-    p = 2.0 * s - 1.0
-    scale = (pi / (2.0 * r)) ** (1.0 - 2.0 * s) / r
-    if z < 0:
-        val = scale * np.imag(polylog_unit_circle(p, alpha))
-    else:
-        # d_k(+r) = (-1)^{k+1} k pi / 2r: shift the angle by -pi
-        val = scale * (-np.imag(polylog_unit_circle(p, alpha - pi)))
-    return _scalar(np.reshape(val, np.shape(y)))
-
-
 def sfl_martin_series_abel(op: OperatorSpec, z: float, y, q: float) -> np.ndarray:
     """Raw Abel-damped partial sum of the Martin series (oracle helper).
 
@@ -383,13 +331,38 @@ def green_function(op: OperatorSpec, x, y):
     return classical_green_interval(op.domain, x, y)
 
 
-def martin_kernel(op: OperatorSpec, z, y):
-    """Evaluate the Martin kernel D_gamma G_0(z, y) of the chosen operator."""
-    if op.kind is OperatorKind.RFL:
-        return rfl_martin_kernel_ball(op, z, y)
+def martin_from_gaps(op: OperatorSpec, gap, dist):
+    """Martin kernel D_gamma G_0(z, y) from gap = r^2 - |y|^2 and dist = |z - y|.
+
+    RFL: Gamma(n/2) gap^s / (2^s s Gamma(s)^2 pi^{n/2} r^s dist^n).
+    Classical: the Poisson kernel gap / (|S^{n-1}| r dist^n), |S^0| = 2.
+    SFL (interval): the Abel limit of sum_k d_k(z) phi_k(y) mu_k^{-s},
+    d_k the inner normal derivative of the k-th sine mode, in closed form
+    (pi/2r)^{1-2s} Im Li_{2s-1}(e^{i pi dist/2r}) / r at either end, since
+    Li_p of the conjugate is the conjugate; it does not read gap.
+    Callers that know the boundary distances pass them from grid.sides.
+    """
+    r, s, n = op.domain.r, op.s, op.domain.n
     if op.kind is OperatorKind.SFL:
-        return sfl_martin_kernel_interval(op, float(z), y)
-    return poisson_kernel_classical(op.domain, z, y)
+        alpha = pi * np.asarray(dist, dtype=float) / (2.0 * r)
+        scale = (pi / (2.0 * r)) ** (1.0 - 2.0 * s) / r
+        val = scale * np.imag(polylog_unit_circle(2.0 * s - 1.0, alpha))
+        return _scalar(np.reshape(val, np.shape(alpha)))
+    if op.kind is OperatorKind.RFL:
+        c = gamma_fn(n / 2.0) / (2.0 ** s * s * gamma_fn(s) ** 2 * pi ** (n / 2.0))
+        return _scalar(c * gap ** s / (r ** s * dist ** n))
+    return _scalar(gap / (sphere_area(n) * r * dist ** n))
+
+
+def martin_kernel(op: OperatorSpec, z, y):
+    """Martin kernel D_gamma G_0(z, y) at a boundary point z, from coordinates."""
+    r = op.domain.r
+    az, ay, dist = _radii_and_distance(op.domain, z, y)
+    if np.any(np.abs(az - r) > 1e-12 * r):
+        raise ValueError("z must be a boundary point of the domain")
+    if np.any(dist == 0):
+        raise ValueError("Martin kernel requested at y = z")
+    return martin_from_gaps(op, r * r - ay * ay, dist)
 
 
 @dataclass(frozen=True)

@@ -77,9 +77,10 @@ def _monotone_decreasing(a: np.ndarray) -> bool:
 
 
 def boundary_exponent_fit(v, grid: QuadGrid) -> float:
-    """Least-squares slope of log|v| against log delta at the 5 nodes nearest the boundary."""
+    """Least-squares slope of log|v| against log delta at the BOUNDARY_NODES
+    nodes nearest the boundary point r."""
     vals = np.abs(as_values(v, grid))
-    order = np.argsort(grid.delta)[:5]
+    order = grid.boundary_nodes(grid.domain.r)
     ld, lv = np.log(grid.delta[order]), np.log(vals[order])
     slope, _ = np.polyfit(ld, lv, 1)
     return float(slope)

@@ -65,6 +65,8 @@ def test_exit_codes(tmp_path):
     assert run_cli(["eigen", "--N", "4", "--out", out]) == 2
     assert run_cli(["solve", "--op", "sfl", "--s", "0.3", "--out", out]) == 2
     assert run_cli(["solve", "--g", "nonsense", "--N", "64", "--out", out]) == 2
+    # profiles take their argument after a colon only
+    assert run_cli(["solve", "--g", "delta_pow(0.5)", "--N", "64", "--out", out]) == 2
     # a one-dimensional ball, and the classical kernel matrix on the ball
     assert run_cli(["eigen", "--domain", "ball", "--n", "1", "--out", out]) == 2
     assert run_cli(["eigen", "--op", "classical", "--s", "1", "--domain", "ball",

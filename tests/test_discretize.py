@@ -140,7 +140,7 @@ def test_rfl_diagonal_matches_adaptive_reference(s):
         for i, xi in enumerate(grid.x):
             f = lambda y: rfl_green_ball(op, xi, y)
             ref[i] = sum(quad(f, a, b, epsabs=0, epsrel=1e-13, limit=400)[0]
-                         for a, b in ((grid.cell_lo[i], xi), (xi, grid.cell_hi[i])))
+                         for a, b in ((xi - grid.half[0, i], xi), (xi, xi + grid.half[1, i])))
     np.testing.assert_allclose(diag, ref / grid.w, rtol=1e-8, atol=0)
 
 
@@ -167,11 +167,11 @@ def test_rfl_matrix_with_a_node_at_roundoff_from_the_boundary(s):
 def test_classical_diagonal_is_the_exact_cell_mean():
     grid = build_grid(DOM, 32, grading=2.0)
     diag = np.diag(assemble_green_matrix(make_operator("classical", 1.0, DOM), grid).matrix)
-    x, r = grid.x, DOM.r
-    hl, hr = x - grid.cell_lo, grid.cell_hi - x
-    # int of (r - max)(r + min) / 2r over [x - hl, x] and [x, x + hr]
-    left = (r - x) * ((r + x) * hl - hl**2 / 2) / (2 * r)
-    right = (r + x) * ((r - x) * hr - hr**2 / 2) / (2 * r)
+    (plus, minus), (hl, hr), r = grid.sides, grid.half, DOM.r
+    # int of (r - max)(r + min) / 2r over [x - hl, x] and [x, x + hr],
+    # with r + x and r - x from delta
+    left = minus * (plus * hl - hl**2 / 2) / (2 * r)
+    right = plus * (minus * hr - hr**2 / 2) / (2 * r)
     np.testing.assert_allclose(diag, (left + right) / grid.w, rtol=1e-14, atol=0)
 
 
@@ -292,8 +292,7 @@ def test_ball_diagonal_matches_adaptive_reference(n, s):
     op = make_operator("rfl", s, dom)
     N, dl = grid.N, grid.delta
     node = np.r_[np.arange(N), np.arange(N)]
-    h = np.r_[grid.x - grid.cell_lo, grid.cell_hi - grid.x]
-    h[-1] = dl[-1]
+    h = np.r_[grid.half[0], grid.half[1]]
     far = np.r_[dl + h[:N], dl - h[N:]]     # delta at the far end of each half-cell
     far[-1] = 0.0
     side = np.r_[-np.ones(N), np.ones(N)]
@@ -335,3 +334,13 @@ def test_rfl_offdiagonal_near_the_boundary_matches_mpmath(s):
         C = 1 / (4 ** mpmath.mpf(s) * mpmath.gamma(s) ** 2)    # Gamma(1/2) = sqrt(pi)
         ref = C * dist ** (2 * s - 1) * mpmath.betainc(s, 0.5 - mpmath.mpf(s), 0, rho / (1 + rho))
     assert K[0, 1] == pytest.approx(float(ref), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75])
+@pytest.mark.parametrize("N,grading,tol", [(256, 2.0, 1e-12), (512, 4.0, 1e-8)])
+def test_interval_diagonal_is_mirror_symmetric(s, N, grading, tol):
+    # the grid is symmetric about 0, so the cell means must be too; with
+    # half-cells cut from coordinates they were up to 6.2e-10 and 7.0e-2 apart
+    grid = build_grid(DOM, N, grading=grading)
+    diag = _interval_diag(make_operator("rfl", s, DOM), grid)
+    np.testing.assert_allclose(diag, diag[::-1], rtol=tol, atol=0)

@@ -64,9 +64,14 @@ def test_grid_integrates_boundary_singular_weight():
 def test_cells_partition_weights():
     dom = make_domain("interval", 1, 1.0)
     grid = build_grid(dom, 64, grading=2.0)
-    np.testing.assert_allclose(grid.cell_hi - grid.cell_lo, grid.w, atol=1e-15)
-    assert np.all(grid.cell_lo <= grid.x)
-    assert np.all(grid.x <= grid.cell_hi)
+    np.testing.assert_allclose(grid.half.sum(0), grid.w, atol=1e-15)
+    assert np.all(grid.half >= 0)
+    # the half-cells that end on the boundary are delta exactly, and on the
+    # ball the first cell starts at the centre
+    assert grid.half[0, 0] == grid.delta[0] and grid.half[1, -1] == grid.delta[-1]
+    ball = build_grid(make_domain("ball", 3, 1.0), 64, grading=2.0)
+    assert np.all(ball.half >= 0)
+    assert ball.half[1, -1] == ball.delta[-1] and ball.half[0, 0] == ball.x[0]
 
 
 def test_grid_rejects_bad_parameters():

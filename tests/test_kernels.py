@@ -14,13 +14,10 @@ from nonlocal_eigen.kernels import (
     green_function,
     make_operator,
     martin_kernel,
-    poisson_kernel_classical,
     polylog_unit_circle,
     rfl_green_ball,
-    rfl_martin_kernel_ball,
     sfl_eigenvalue,
     sfl_green_interval,
-    sfl_martin_kernel_interval,
     sfl_martin_series_abel,
 )
 
@@ -153,14 +150,13 @@ def test_rfl_martin_kernel_interval_explicit():
     s, y = 0.75, 0.3
     expected = gamma(0.5) * (1 - y * y) ** s / (
         2.0**s * s * gamma(s) ** 2 * pi**0.5 * abs(1.0 - y))
-    assert float(rfl_martin_kernel_ball(op, 1.0, y)) == pytest.approx(expected, rel=1e-13)
+    assert float(martin_kernel(op, 1.0, y)) == pytest.approx(expected, rel=1e-13)
 
 
 def test_poisson_kernel_interval_is_harmonic_extension_of_one():
-    dom = make_domain("interval", 1, 1.0)
+    op = make_operator("classical", 1.0, INTERVAL)
     y = np.linspace(-0.9, 0.9, 7)
-    total = np.asarray(poisson_kernel_classical(dom, 1.0, y)) \
-        + np.asarray(poisson_kernel_classical(dom, -1.0, y))
+    total = np.asarray(martin_kernel(op, 1.0, y)) + np.asarray(martin_kernel(op, -1.0, y))
     np.testing.assert_allclose(total, 1.0, rtol=1e-14)
 
 
@@ -180,7 +176,7 @@ def test_sfl_green_series_matches_eigen_action():
 def test_sfl_martin_kernel_matches_abel_sum():
     op = make_operator("sfl", 0.75, INTERVAL)
     y = np.array([-0.7, -0.2, 0.4, 0.85])
-    exact = np.asarray(sfl_martin_kernel_interval(op, 1.0, y))
+    exact = np.asarray(martin_kernel(op, 1.0, y))
     # Richardson extrapolation of the Abel sums in (1 - q)
     qs = [0.995, 0.9975]
     a1 = np.asarray(sfl_martin_series_abel(op, 1.0, y, qs[0]))
@@ -197,6 +193,15 @@ def test_dispatchers():
     opc = make_operator("classical", 1.0, INTERVAL)
     # (r^2 - y^2) / (|S^0| r |z - y|) = 1/2 at y = 0
     assert float(martin_kernel(opc, 1.0, 0.0)) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("kind,s,n", [("rfl", 0.75, 1), ("sfl", 0.75, 1), ("classical", 1.0, 1),
+                                      ("rfl", 0.75, 3), ("classical", 1.0, 3)])
+def test_martin_kernel_rejects_an_interior_z(kind, s, n):
+    dom = make_domain("interval" if n == 1 else "ball", n, 1.0)
+    z = 0.5 if n == 1 else np.array([0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="boundary point"):
+        martin_kernel(make_operator(kind, s, dom), z, 0.0 * z)
 
 
 def test_k1_bounds_sane():

@@ -77,3 +77,11 @@ def test_boundary_exponent_fit_on_power():
     grid = build_grid(DOM, 64, grading=2.0)
     v = grid.delta ** (-0.3)
     assert boundary_exponent_fit(v, grid) == pytest.approx(-0.3, abs=1e-10)
+
+
+def test_boundary_exponent_fit_takes_one_end():
+    # unequal boundary data: the five smallest delta of both ends gave a
+    # slope of -0.347 here, the nodes nearest r give -b = -(1 - s)
+    grid = build_grid(DOM, 64, grading=2.0)
+    rep = large_solution_limit_s(make_family("rfl", DOM), [0.7], 0.0, None, (1.0, 2.0), grid)
+    assert rep.boundary_fit[0] == pytest.approx(-rep.b[0], abs=1e-3)
