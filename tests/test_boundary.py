@@ -112,11 +112,11 @@ def _martin_mpmath(op, grid, h):
     distance delta: the RFL and classical kernels in closed form, the SFL
     one through Li_p(e^{2 pi i a}) = Gamma(1-p) (2 pi)^{p-1}
     (i^{1-p} zeta(1-p, a) + i^{p-1} zeta(1-p, 1-a)) with a = dist / 4r."""
-    r, s, two_pi = mpmath.mpf(op.domain.r), mpmath.mpf(op.s), 2 * mpmath.pi
+    r, s = mpmath.mpf(op.domain.r), mpmath.mpf(op.s)
 
     def sfl(dist):
         p, a = 2 * s - 1, dist / (4 * r)
-        li = mpmath.gamma(1 - p) * two_pi ** (p - 1) * (
+        li = mpmath.gamma(1 - p) * (2 * mpmath.pi) ** (p - 1) * (
             mpmath.j ** (1 - p) * mpmath.zeta(1 - p, a) + mpmath.j ** (p - 1) * mpmath.zeta(1 - p, 1 - a))
         return (mpmath.pi / (2 * r)) ** (1 - 2 * s) * mpmath.im(li) / r
 
