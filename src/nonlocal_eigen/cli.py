@@ -171,15 +171,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     _, op, grid = _setup(cfg)
     sd = eigendecompose(assemble_green_matrix(op, grid))
-    if not 1 <= cfg.group <= len(sd.groups):
-        raise ConfigError(f"eigenvalue group {cfg.group} out of range 1..{len(sd.groups)}")
-    if cfg.lam_list:
-        lams = np.asarray(cfg.lam_list, dtype=float)
-    else:
-        grp = sd.groups[cfg.group - 1]
-        lams = sd.lam[grp[0]] * (1.0 - np.array([1e-2, 1e-3, 1e-4, 1e-5, 2e-6]))
     g = resolve_g(cfg.g, grid, sd, op)
-    sw = solver_mod.sweep_lambda(op, sd, g, cfg.h, cfg.group, lams, cfg.K_frac)
+    sw = solver_mod.sweep_lambda(op, sd, g, cfg.h, cfg.group, cfg.lam_list or None, cfg.K_frac)
     path = os.path.join(cfg.out, "sweep.csv")
     write_csv(path,
               ["lambda", "sup_K", "sup_K_Aplus", "inf_Omega",

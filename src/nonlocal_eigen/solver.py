@@ -16,8 +16,10 @@ import numpy as np
 from .boundary import martin_apply
 from .discretize import DiscreteKernel, GridFunction, as_values, weighted_norm
 from .kernels import OperatorSpec
-from .spectral import (TAU_MULT, LambdaContext, SpectralData, SpectralHit, apply_Glambda,
-                       lambda_context)
+from .spectral import LambdaContext, SpectralData, apply_Glambda, lambda_context
+
+# relative offsets below lambda_i of the default sweep ladder
+SWEEP_OFFSETS = [1e-2, 1e-3, 1e-4, 1e-5, 2e-6]
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,6 @@ def _solve(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext, gv: np.ndarra
            v_h: np.ndarray, split_at: int, K_frac: float) -> SolveReport:
     """v = v_h + G_lambda(g + lambda v_h), split into the explicit part on
     the modes below split_at and the complement u_perp."""
-    if ctx.singular:
-        raise ValueError("solve requested at a spectral value")
     grid = sd.grid
     rhs = gv + ctx.lam * v_h
     c = sd.coeffs(rhs) / (sd.lam - ctx.lam)
@@ -123,10 +123,7 @@ def fredholm_diagnose(sd: SpectralData, op: OperatorSpec, g, h, i: int) -> Fredh
 
 
 def _fredholm(sd: SpectralData, gv: np.ndarray, v_h: np.ndarray, i: int) -> FredholmReport:
-    groups = sd.groups
-    if not 1 <= i <= len(groups):
-        raise ValueError(f"eigenvalue group index {i} out of range")
-    grp = groups[i - 1]
+    grp = sd.group(i)
     lam_i = float(sd.lam[grp[0]])
     grid = sd.grid
     rhs = gv + lam_i * v_h
@@ -161,22 +158,24 @@ class SweepReport:
 
 
 def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
-                 lam_list, K_frac: float = 0.25) -> SweepReport:
+                 lam_list=None, K_frac: float = 0.25) -> SweepReport:
     """Sweep lambda toward the i-th eigenvalue, recording blow-up data.
 
     The E/E-perp split is taken relative to the eigenvalue groups up to
     and including group i, so u_perp stays uniformly bounded while the
-    explicit part carries the 1/(lambda_i - lambda) blow-up.
+    explicit part carries the 1/(lambda_i - lambda) blow-up.  lam_list
+    None is the ladder lambda_i (1 - SWEEP_OFFSETS); a lambda on the
+    spectrum raises SpectralHit.
     """
-    lam_list = np.asarray(lam_list, dtype=float)
     grid = sd.grid
     gv, v_h = _data(op, grid, g, h)
     fred = _fredholm(sd, gv, v_h, i)
     lam_i = fred.lam_i
-    grp = sd.groups[i - 1]
+    grp = sd.group(i)
     split_at = int(grp[-1]) + 1
-    if np.any(np.abs(lam_list - lam_i) < TAU_MULT * lam_i):
-        raise SpectralHit("sweep grid touches the spectrum")
+    if lam_list is None:
+        lam_list = lam_i * (1.0 - np.array(SWEEP_OFFSETS))
+    lam_list = np.asarray(lam_list, dtype=float)
     mask = grid.compact_mask(K_frac)
     maskA = np.zeros(grid.N, dtype=bool)
     maskA[fred.A_plus] = True

@@ -12,6 +12,7 @@ exact in the discrete model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -53,23 +54,27 @@ class SpectralData:
         """sum_j c_j phi_j over the selected modes (all by default)."""
         return GridFunction(self.grid, self.phi[:, modes] @ c)
 
-    @property
+    @cached_property
     def groups(self) -> list[np.ndarray]:
         """Indices grouped by eigenvalue multiplicity (relative gap TAU_MULT)."""
         breaks = np.where(np.diff(self.lam) > TAU_MULT * self.lam[1:])[0]
         return np.split(np.arange(self.m), breaks + 1)
 
+    def group(self, i: int) -> np.ndarray:
+        """Mode indices of the i-th eigenvalue group, i 1-based."""
+        if not 1 <= i <= len(self.groups):
+            raise ValueError(f"eigenvalue group {i} out of range 1..{len(self.groups)}")
+        return self.groups[i - 1]
+
 
 @dataclass(frozen=True)
 class LambdaContext:
-    """Position of a spectral parameter lambda relative to the spectrum."""
+    """Position of a regular spectral parameter lambda relative to the spectrum."""
 
     sd: SpectralData = field(repr=False)
     lam: float
-    I: int                  # modes with lambda_j <= lambda (grouped)
-    lam_bar: float          # next eigenvalue above lambda
+    I: int                  # modes below lambda
     d_sigma: float          # distance to the spectrum
-    singular: bool          # lambda coincides with an eigenvalue group
 
 
 def eigendecompose(dk: DiscreteKernel) -> SpectralData:
@@ -105,36 +110,24 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     return SpectralData(dk=dk, lam=lam, phi=phi, n_discarded=n_discarded)
 
 
-def lambda_context(sd: SpectralData, lam: float,
-                   allow_singular: bool = False) -> LambdaContext:
-    """Locate lambda relative to the discrete spectrum (grouped)."""
+def lambda_context(sd: SpectralData, lam: float) -> LambdaContext:
+    """Locate a regular lambda relative to the discrete spectrum.
+
+    Raises SpectralHit when lambda lies within TAU_MULT max(|lambda|, lambda_1)
+    of an eigenvalue.
+    """
     lam = float(lam)
-    scale = max(abs(lam), sd.lam[0])
     d = np.abs(sd.lam - lam)
     d_sigma = float(np.min(d))
-    singular = d_sigma <= TAU_MULT * scale
-    if singular and not allow_singular:
+    if d_sigma <= TAU_MULT * max(abs(lam), sd.lam[0]):
         j = int(np.argmin(d))
         raise SpectralHit(f"lambda={lam} is within TAU_MULT of eigenvalue "
                           f"lambda_{j + 1}={sd.lam[j]}; regular context demanded")
-    if singular:
-        # include the full eigenvalue group containing lambda in E
-        hit = int(np.argmin(d))
-        for grp in sd.groups:
-            if hit in grp:
-                I = int(grp[-1]) + 1
-                break
-    else:
-        I = int(np.sum(sd.lam <= lam))
-    lam_bar = float(sd.lam[I]) if I < sd.m else np.inf
-    return LambdaContext(sd=sd, lam=lam, I=I, lam_bar=lam_bar,
-                         d_sigma=d_sigma, singular=singular)
+    return LambdaContext(sd=sd, lam=lam, I=int(np.sum(sd.lam <= lam)), d_sigma=d_sigma)
 
 
 def apply_Glambda(sd: SpectralData, ctx: LambdaContext, f) -> GridFunction:
     """Spectral solution operator of (L - lambda): all retained modes."""
-    if ctx.singular:
-        raise ValueError("solution operator undefined at a spectral value")
     c = sd.coeffs(f)
     return sd.synth(c / (sd.lam - ctx.lam))
 
@@ -161,29 +154,31 @@ def apply_Glambda_neumann(dk: DiscreteKernel, ctx: LambdaContext, f) -> GridFunc
                        f"iterations (residual {res:.3e})")
 
 
-def project_perp(sd: SpectralData, ctx: LambdaContext, f) -> GridFunction:
-    """Remove the eigenspace components with lambda_j below lam_bar: f - P_E f."""
+def project_perp(sd: SpectralData, i: int, f) -> GridFunction:
+    """f - P_E f, with E the eigenspaces of groups 1..i."""
     v = as_values(f, sd.grid)
-    E = slice(ctx.I)
+    E = slice(sd.group(i)[-1] + 1)
     return GridFunction(sd.grid, v - sd.synth(sd.coeffs(v)[E], E).values)
 
 
-def apply_Glambda_perp(sd: SpectralData, ctx: LambdaContext, f_perp) -> GridFunction:
-    """Solution operator restricted to the orthogonal complement of E.
+def apply_Glambda_perp(sd: SpectralData, i: int, lam: float, f_perp) -> GridFunction:
+    """Solution operator of (L - lambda) on the complement of E, the groups 1..i.
 
-    Well-defined and uniformly bounded even as lambda approaches the top
-    of E, since only modes with lambda_j >= lam_bar act.  The input must
-    be orthogonal to E up to 1e-8 of its weighted L2 norm.
+    Well-defined and uniformly bounded as lambda approaches the top of E,
+    up to lambda_i itself, since only the modes above E act; lambda must stay
+    TAU_MULT below the first eigenvalue above E.  The input must be
+    orthogonal to E up to 1e-8 of its weighted L2 norm.
     """
+    I = int(sd.group(i)[-1]) + 1
+    if I < sd.m and lam >= sd.lam[I] * (1.0 - TAU_MULT):
+        raise SpectralHit(f"lambda={lam} reaches lambda_{I + 1}={sd.lam[I]}, "
+                          f"the first eigenvalue above E")
     v = as_values(f_perp, sd.grid)
     c = sd.coeffs(v)
-    I = ctx.I
-    if I > 0:
-        scale = np.sqrt(np.sum(sd.grid.w * v**2))
-        if scale > 0 and np.max(np.abs(c[:I])) > 1e-8 * scale:
-            raise ValueError("input is not orthogonal to the eigenspace E")
-    # divide only the modes synthesized: at a spectral value lambda_j - lambda vanishes on E
-    return sd.synth(c[I:] / (sd.lam[I:] - ctx.lam), slice(I, None))
+    scale = np.sqrt(np.sum(sd.grid.w * v**2))
+    if scale > 0 and np.max(np.abs(c[:I])) > 1e-8 * scale:
+        raise ValueError("input is not orthogonal to the eigenspace E")
+    return sd.synth(c[I:] / (sd.lam[I:] - lam), slice(I, None))
 
 
 def spectral_norm_Hk(sd: SpectralData, u, k: float) -> float:

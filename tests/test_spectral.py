@@ -7,6 +7,7 @@ from nonlocal_eigen.discretize import assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import make_operator
 from nonlocal_eigen.spectral import (
+    SpectralHit,
     apply_Glambda,
     apply_Glambda_neumann,
     apply_Glambda_perp,
@@ -56,12 +57,12 @@ def test_coeff_synth_roundtrip(sfl):
 def test_lambda_context_regular_and_singular(sfl):
     _, _, sd = sfl
     ctx = lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1]))
-    assert ctx.I == 1 and not ctx.singular
-    assert ctx.lam_bar == pytest.approx(sd.lam[1])
-    with pytest.raises(ValueError):
+    assert ctx.I == 1
+    with pytest.raises(SpectralHit):
         lambda_context(sd, sd.lam[2])
-    ctx_s = lambda_context(sd, sd.lam[2], allow_singular=True)
-    assert ctx_s.singular and ctx_s.I == 3
+    assert sd.group(3)[-1] + 1 == 3
+    with pytest.raises(ValueError):
+        sd.group(0)
 
 
 def test_resolvent_identity(sfl):
@@ -89,23 +90,24 @@ def test_neumann_agrees_with_spectral(sfl):
 
 def test_project_perp_and_perp_solve(sfl):
     _, dk, sd = sfl
-    ctx = lambda_context(sd, 0.5 * (sd.lam[1] + sd.lam[2]))  # I = 2
+    lam = 0.5 * (sd.lam[1] + sd.lam[2])  # E = groups 1..2
     rng = np.random.default_rng(2)
     f = rng.standard_normal(dk.grid.N)
-    fp = project_perp(sd, ctx, f).values
+    fp = project_perp(sd, 2, f).values
     assert np.max(np.abs(sd.coeffs(fp)[:2])) < 1e-10
-    u = apply_Glambda_perp(sd, ctx, fp).values
+    u = apply_Glambda_perp(sd, 2, lam, fp).values
     assert np.max(np.abs(sd.coeffs(u)[:2])) < 1e-10
     with pytest.raises(ValueError):
-        apply_Glambda_perp(sd, ctx, f)  # not orthogonal
+        apply_Glambda_perp(sd, 2, lam, f)  # not orthogonal
+    with pytest.raises(SpectralHit):
+        apply_Glambda_perp(sd, 2, sd.lam[2], fp)  # the first eigenvalue above E
 
 
 def test_perp_solve_bounded_at_singular_lambda(sfl):
     _, dk, sd = sfl
-    ctx = lambda_context(sd, sd.lam[0], allow_singular=True)
     f = np.ones(dk.grid.N)
-    fp = project_perp(sd, ctx, f).values
-    u = apply_Glambda_perp(sd, ctx, fp).values
+    fp = project_perp(sd, 1, f).values
+    u = apply_Glambda_perp(sd, 1, sd.lam[0], fp).values
     assert np.all(np.isfinite(u))
     assert np.max(np.abs(u)) < 10.0
 
