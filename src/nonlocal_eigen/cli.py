@@ -140,7 +140,6 @@ def cmd_eigen(cfg: RunConfig) -> int:
     header = ["j", "lambda"] + [f"phi_x{i}" for i in range(grid.N)]
     path = os.path.join(cfg.out, "eigen.csv")
     write_csv(path, header, rows)
-    write_sidecar(path, cfg)
     q = sd.phi[:, 0] / grid.delta**op.gamma
     write_json(os.path.join(cfg.out, "eigen.json"), {
         "config": cfg.to_dict(),

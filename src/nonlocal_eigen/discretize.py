@@ -23,7 +23,6 @@ from .geometry import DomainKind, QuadGrid, sphere_area
 from .kernels import (
     OperatorKind,
     OperatorSpec,
-    classical_green_interval,
     rfl_green_from_gaps,
     rfl_green_singular,
     rfl_green_singular_integral,
@@ -193,17 +192,18 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         neg_tol = (np.pi / (2 * op.domain.r)) ** (-2 * op.s) \
             * M ** (1.0 - 2.0 * op.s) / (op.domain.r * (2.0 * op.s - 1.0))
     elif op.domain.kind is DomainKind.INTERVAL or op.kind is OperatorKind.RFL:
-        # one kernel value per pair i < j, mirrored; Boggio's kernel is formed
-        # from boundary distances, and on the ball its angular mean is the
-        # kernel on radial functions
+        # one kernel value per pair i < j (so x_i < x_j), mirrored; kernels are
+        # formed from boundary distances, and on the ball Boggio's angular mean
+        # is the kernel on radial functions
         i, j = np.triu_indices(grid.N, 1)
         dl, d, ball = grid.delta, np.abs(grid.x[i] - grid.x[j]), op.domain.kind is DomainKind.BALL
+        plus, minus = grid.sides
         if op.kind is OperatorKind.CLASSICAL:
-            upper = classical_green_interval(op.domain, grid.x[i], grid.x[j])
+            upper = plus[i] * minus[j] / (2 * op.domain.r)
         elif ball:
             upper = rfl_green_radial(op, dl[i], dl[j], d)
         else:
-            gap = np.multiply(*grid.sides)
+            gap = plus * minus
             upper = rfl_green_from_gaps(op, gap[i], gap[j], d)
         K = np.zeros((grid.N, grid.N))
         K[i, j] = upper

@@ -187,9 +187,14 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
         order = np.argsort(rho)
         x, w, d = rho[order], w[order], d[order]
         # radial cell edges from the cumulated volume partition, as boundary
-        # distances of the volume outside each edge; the centre edge is r
-        outside = np.r_[np.cumsum(w[::-1])[-2::-1], 0.0]
-        edges = np.r_[r, -r * np.expm1(np.log1p(-outside / domain.volume) / domain.n)]
+        # distances, each from the volume on its nearer side: an edge with less
+        # volume inside than outside is r - r (inside/volume)^(1/n); the centre
+        # edge is r
+        vol = domain.volume
+        inside, outside = np.cumsum(w)[:-1] / vol, np.cumsum(w[::-1])[-2::-1] / vol
+        edges = np.where(inside < outside, r - r * inside ** (1 / domain.n),
+                         -r * np.expm1(np.log1p(-outside) / domain.n))
+        edges = np.r_[r, edges, 0.0]
         half = np.stack([edges[:-1] - d, d - edges[1:]])
 
     if np.any(w <= 0) or np.any(d <= 0) or np.any(np.abs(x) >= r):

@@ -272,7 +272,7 @@ def _zeta(p: float, m: int) -> complex:
 
 
 def polylog_unit_circle(p: float, alpha) -> np.ndarray:
-    """Li_p(e^{i alpha}) for real order p < 1 and 0 < |alpha| < 2 pi.
+    """Li_p(e^{i alpha}) for real non-integer order p and 0 < |alpha| < 2 pi.
 
     Uses the expansion Li_p(e^mu) = Gamma(1-p) (-mu)^{p-1}
     + sum_m zeta(p-m) mu^m / m! with mu = i alpha, which converges for

@@ -70,18 +70,22 @@ def test_matrix_symmetric(grid, kind, s):
     np.testing.assert_allclose(dk.matrix, dk.matrix.T, atol=1e-14)
     if kind == "sfl":
         return
-    # the mirrored upper triangle is the kernel at every pair, bit for bit;
-    # Boggio's kernel is formed from the boundary distances delta (2r - delta)
+    # the mirrored upper triangle is the kernel at every pair, bit for bit,
+    # formed from boundary distances: the classical (r + x_i)(r - x_j) / 2r
+    # for x_i < x_j from grid.sides, Boggio's from the gaps delta (2r - delta)
     X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
     off = ~np.eye(grid.N, dtype=bool)
     if kind == "classical":
-        np.testing.assert_array_equal(dk.matrix[off], green_function(op, X[off], Y[off]))
-        return
-    gap = grid.delta * (2 - grid.delta)
-    GX, GY = np.meshgrid(gap, gap, indexing="ij")
-    np.testing.assert_array_equal(dk.matrix[off],
-                                  rfl_green_from_gaps(op, GX[off], GY[off], np.abs(X - Y)[off]))
-    # away from the boundary r^2 - x^2 does not cancel: the coordinate form agrees
+        plus, minus = grid.sides
+        idx = np.arange(grid.N)
+        lo, hi = np.minimum.outer(idx, idx)[off], np.maximum.outer(idx, idx)[off]
+        ref = plus[lo] * minus[hi] / 2
+    else:
+        gap = grid.delta * (2 - grid.delta)
+        GX, GY = np.meshgrid(gap, gap, indexing="ij")
+        ref = rfl_green_from_gaps(op, GX[off], GY[off], np.abs(X - Y)[off])
+    np.testing.assert_array_equal(dk.matrix[off], ref)
+    # away from the boundary r -+ x does not cancel: the coordinate form agrees
     far = off & (grid.delta[:, None] >= 0.1) & (grid.delta[None, :] >= 0.1)
     np.testing.assert_allclose(dk.matrix[far], green_function(op, X[far], Y[far]),
                                rtol=1e-13, atol=0)
@@ -334,6 +338,21 @@ def test_rfl_offdiagonal_near_the_boundary_matches_mpmath(s):
         C = 1 / (4 ** mpmath.mpf(s) * mpmath.gamma(s) ** 2)    # Gamma(1/2) = sqrt(pi)
         ref = C * dist ** (2 * s - 1) * mpmath.betainc(s, 0.5 - mpmath.mpf(s), 0, rho / (1 + rho))
     assert K[0, 1] == pytest.approx(float(ref), rel=1e-12, abs=0)
+
+
+def test_classical_offdiagonal_near_the_boundary_matches_mpmath():
+    # grading 4, N = 512: r + x_0 formed from coordinates kept no digit of
+    # delta_0 (K[0, 1] was 3.9e-2 off); every entry against (r + x_i)(r - x_j) / 2r
+    # formed from delta at 30 digits
+    grid = build_grid(DOM, 512, grading=4.0)
+    K = assemble_green_matrix(make_operator("classical", 1.0, DOM), grid).matrix
+    with mpmath.workdps(30):
+        d = [mpmath.mpf(v) for v in grid.delta]
+        plus = [dv if x < 0 else 2 - dv for dv, x in zip(d, grid.x)]
+        minus = [2 - dv if x < 0 else dv for dv, x in zip(d, grid.x)]
+        i, j = np.triu_indices(grid.N, 1)
+        ref = np.array([float(plus[a] * minus[b] / 2) for a, b in zip(i, j)])
+    np.testing.assert_allclose(K[i, j], ref, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("s", [0.5, 0.75])

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,27 @@ def test_cells_partition_weights():
     ball = build_grid(make_domain("ball", 3, 1.0), 64, grading=2.0)
     assert np.all(ball.half >= 0)
     assert ball.half[1, -1] == ball.delta[-1] and ball.half[0, 0] == ball.x[0]
+
+
+@pytest.mark.parametrize("n,N", [(3, 16), (3, 64), (3, 256), (2, 256)])
+def test_ball_half_cells_match_mpmath_partition(n, N):
+    # each edge from the volume on its nearer side, at 40 digits; an edge near
+    # the centre taken from the volume outside it put the centre half-cell
+    # up to 1.3e-6 off (n = 3, N = 256)
+    grid = build_grid(make_domain("ball", n, 1.0), N, grading=2.0)
+    with mpmath.workdps(40):
+        vol = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2) / n
+        w = [mpmath.mpf(v) for v in grid.w]
+        edges = [mpmath.mpf(1)]
+        for k in range(1, N):
+            inside, outside = mpmath.fsum(w[:k]), mpmath.fsum(w[k:])
+            frac = inside / vol if inside < outside else 1 - outside / vol
+            edges.append(1 - frac ** (mpmath.mpf(1) / n))
+        edges.append(mpmath.mpf(0))
+        d = [mpmath.mpf(v) for v in grid.delta]
+        ref = np.array([[float(edges[k] - d[k]) for k in range(N)],
+                        [float(d[k] - edges[k + 1]) for k in range(N)]])
+    np.testing.assert_allclose(grid.half, ref, rtol=1e-11, atol=0)
 
 
 def test_grid_rejects_bad_parameters():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_eigen.geometry import make_domain
+from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import (
     boggio_integral,
     check_K1_bounds,
@@ -171,6 +171,36 @@ def test_sfl_green_series_matches_eigen_action():
     mu2 = float(sfl_eigenvalue(INTERVAL, 2))
     expected = np.sin(2 * pi * (x + 1) / 2) * mu2 ** (-op.s)
     np.testing.assert_allclose(vals, expected, atol=2e-7)
+
+
+def _sfl_green_closed_form(op, x, y):
+    """(1/2r)(2r/pi)^{2s} [Re Li_2s(e^{i(a-b)}) - Re Li_2s(e^{i(a+b)})], a = pi (x+r)/2r,
+    the M -> infinity limit of the sine series; each angle is reflected into [0, pi]."""
+    r, s = op.domain.r, op.s
+
+    def re_li(theta):
+        theta = np.abs(theta)
+        return np.real(polylog_unit_circle(2 * s, np.where(theta > pi, 2 * pi - theta, theta)))
+
+    a, b = pi * (x + r) / (2 * r), pi * (y + r) / (2 * r)
+    return (2 * r / pi) ** (2 * s) / (2 * r) * (re_li(a - b) - re_li(a + b))
+
+
+@pytest.mark.parametrize("s", [0.6, 0.75, 0.9])
+def test_sfl_green_series_matches_closed_form(s):
+    # the polylog expansion holds for the non-integer order 2s > 1 as well
+    assert polylog_unit_circle(2 * s, 2.0)[0] == pytest.approx(
+        complex(mpmath.polylog(2 * s, mpmath.expj(2))), rel=1e-13)
+    grid = build_grid(INTERVAL, 32, grading=2.0)
+    X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
+    apart = np.abs(X - Y) > 1e-3
+    x, y = X[apart], Y[apart]
+    exact = _sfl_green_closed_form(make_operator("sfl", s, INTERVAL), x, y)
+    for M in (256, 1024, 4096):
+        op = make_operator("sfl", s, INTERVAL, sfl_truncation=M)
+        # the series tail, the bound assemble_green_matrix allows below zero
+        tail = (pi / 2) ** (-2 * s) * M ** (1 - 2 * s) / (2 * s - 1)
+        assert np.max(np.abs(sfl_green_interval(op, x, y) - exact)) < tail
 
 
 def test_sfl_martin_kernel_matches_abel_sum():
