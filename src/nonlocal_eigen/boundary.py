@@ -15,6 +15,7 @@ of the boundary-graded grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma as gamma_fn
 
 import numpy as np
@@ -53,31 +54,52 @@ def make_boundary_data(domain: DomainSpec, h) -> BoundaryData:
     return BoundaryData(domain=domain, values=h)
 
 
-def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
-    """Large harmonic function v_h = integral of the Martin kernel against h."""
-    h = make_boundary_data(op.domain, h)
+@lru_cache(maxsize=16)
+def _martin_columns(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The Martin kernel at the grid nodes, read-only, computed once per (op, grid).
+
+    Interval: M(-r, .) and M(r, .), the kernels of the two ends.
+    Ball: the kernel times |z - y|^n and the sphere integral |S^{n-1}| r / gap,
+    whose product is M(1).
+    """
     plus, minus = grid.sides
     gap = plus * minus
     if op.domain.kind is DomainKind.INTERVAL:
-        vals = (h.values[0] * np.asarray(martin_from_gaps(op, gap, plus))
-                + h.values[1] * np.asarray(martin_from_gaps(op, gap, minus)))
-        return GridFunction(grid, vals)
+        cols = martin_from_gaps(op, gap, plus), martin_from_gaps(op, gap, minus)
+    else:
+        cols = (martin_from_gaps(op, gap, 1.0), sphere_area(op.domain.n) * op.domain.r / gap)
+    for c in cols:
+        c.setflags(write=False)
+    return cols
+
+
+def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
+    """Large harmonic function v_h = integral of the Martin kernel against h."""
+    h = make_boundary_data(op.domain, h)
+    a, b = _martin_columns(op, grid)
+    if op.domain.kind is DomainKind.INTERVAL:
+        return GridFunction(grid, h.values[0] * a + h.values[1] * b)
     # ball, constant data: the kernel times |z - y|^n, against the sphere integral
-    sphere_int = sphere_area(op.domain.n) * op.domain.r / gap
-    return GridFunction(grid, h.values[0] * martin_from_gaps(op, gap, 1.0) * sphere_int)
+    return GridFunction(grid, h.values[0] * a * b)
 
 
 def gamma_normal_derivative_G0(op: OperatorSpec, grid: QuadGrid, z: float, f) -> float:
-    """D_gamma G_0(f)(z): quadrature of the Martin kernel against f, for |f| <= 1e8."""
+    """D_gamma G_0(f)(z): quadrature of the Martin kernel against f, for |f| <= 1e8.
+
+    On the ball f is radial, so the value is the sphere mean
+    <M(1), f>_W / |dB_r|, the same at every boundary point z.
+    """
     v = as_values(f, grid)
     if np.max(np.abs(v)) > 1e8:
         raise ValueError("data exceeds boundedness cap 1e+08")
     r = grid.domain.r
     if abs(abs(z) - r) > 1e-12 * r:
         raise ValueError("z must be a boundary point of the domain")
-    plus, minus = grid.sides
-    kern = np.asarray(martin_from_gaps(op, plus * minus, plus if z < 0 else minus))
-    return float(np.sum(grid.w * kern * v))
+    a, b = _martin_columns(op, grid)
+    if op.domain.kind is DomainKind.INTERVAL:
+        return float(np.sum(grid.w * (a if z < 0 else b) * v))
+    n = op.domain.n
+    return float(np.sum(grid.w * (a * b) * v)) / (sphere_area(n) * r ** (n - 1))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import solver as solver_mod
-from .boundary import martin_apply
 from .discretize import assemble_green_matrix
 from .geometry import build_grid, make_domain
 from .kernels import make_operator

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from math import gamma as _gamma_fn
 from math import pi
 
@@ -85,7 +86,7 @@ def delta(domain: DomainSpec, x) -> np.ndarray | float:
 BOUNDARY_NODES = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadGrid:
     """Quadrature nodes, weights and boundary distances on a domain.
 
@@ -94,6 +95,7 @@ class QuadGrid:
     ``half`` holds, per node, the lengths of its cell below and above x
     (shape (2, N)), used by the Nystrom diagonal rule; it is formed from
     boundary distances, so a half-cell that ends on the boundary is delta.
+    Grids compare and hash by identity, so they can key per-grid caches.
     """
 
     domain: DomainSpec
@@ -124,12 +126,21 @@ class QuadGrid:
         return self.delta >= frac * self.domain.r
 
 
+@lru_cache(maxsize=8)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _gauss_panels(a: float, b: float, n_panels: int, counts) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     edges = np.linspace(a, b, n_panels + 1)
     ts, ws = [], []
     for p in range(n_panels):
-        xi, wi = np.polynomial.legendre.leggauss(counts[p])
+        xi, wi = _gauss_rule(counts[p])
         lo, hi = edges[p], edges[p + 1]
         ts.append(0.5 * (hi - lo) * xi + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * wi)

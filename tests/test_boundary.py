@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nonlocal_eigen import boundary
 from nonlocal_eigen.boundary import (
     BoundaryData,
     gamma_normal_derivative_G0,
@@ -13,8 +14,8 @@ from nonlocal_eigen.boundary import (
     weighted_trace,
 )
 from nonlocal_eigen.discretize import apply_G0, assemble_green_matrix
-from nonlocal_eigen.geometry import build_grid, make_domain
-from nonlocal_eigen.kernels import OperatorKind, make_operator
+from nonlocal_eigen.geometry import build_grid, make_domain, sphere_area
+from nonlocal_eigen.kernels import OperatorKind, make_operator, martin_from_gaps
 
 DOM = make_domain("interval", 1, 1.0)
 
@@ -75,6 +76,62 @@ def test_weak_duality_with_G0(grid):
     rhs = 2.0 * gamma_normal_derivative_G0(op, grid, -1.0, f) \
         - 1.0 * gamma_normal_derivative_G0(op, grid, 1.0, f)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("s", [0.6, 0.75])
+def test_weak_duality_on_the_ball(n, s):
+    # <M(1), f>_W = |dB_r| D_gamma G_0(f)(z) for radial f; evaluated at the
+    # on-axis point instead of its sphere mean, D_gamma G_0 was off by
+    # factors of 656 to 1e10
+    dom = make_domain("ball", n, 1.0)
+    grid = build_grid(dom, 64, grading=2.0)
+    op = make_operator("rfl", s, dom)
+    f = np.random.default_rng(0).uniform(0.0, 1.0, grid.N)
+    lhs = float(np.sum(grid.w * martin_apply(op, grid, 1.0).values * f))
+    for z in (-1.0, 1.0):
+        assert sphere_area(n) * gamma_normal_derivative_G0(op, grid, z, f) == pytest.approx(lhs, rel=1e-12)
+
+
+def test_martin_columns_computed_once_per_op_and_grid(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return martin_from_gaps(*args)
+
+    monkeypatch.setattr(boundary, "martin_from_gaps", counted)
+    fresh = build_grid(DOM, 64, grading=2.0)
+    op = make_operator("sfl", 0.75, DOM)
+    for k in range(10):
+        martin_apply(op, fresh, (1.0, float(k)))
+    for z in (-1.0, 1.0):
+        gamma_normal_derivative_G0(op, fresh, z, np.ones(fresh.N))
+    weighted_trace(op, martin_apply(op, fresh, (2.0, 5.0)), 1.0, fresh)
+    assert len(calls) == 2
+    martin_apply(op, build_grid(DOM, 64, grading=2.0), 1.0)
+    assert len(calls) == 4
+    martin_apply(make_operator("sfl", 0.8, DOM), fresh, 1.0)
+    assert len(calls) == 6
+    for col in boundary._martin_columns(op, fresh):
+        with pytest.raises(ValueError):
+            col[0] = 0.0
+
+
+@pytest.mark.parametrize("kind,s,dom", [("rfl", 0.75, DOM), ("sfl", 0.75, DOM), ("classical", 1.0, DOM),
+                                        ("rfl", 0.6, make_domain("ball", 3, 1.0))])
+def test_martin_apply_equals_the_uncached_kernel(kind, s, dom):
+    grid = build_grid(dom, 64, grading=2.0)
+    op = make_operator(kind, s, dom)
+    plus, minus = grid.sides
+    gap = plus * minus
+    if dom.n == 1:
+        h = (2.0, 5.0)
+        expect = h[0] * martin_from_gaps(op, gap, plus) + h[1] * martin_from_gaps(op, gap, minus)
+    else:
+        h = 3.0
+        expect = h * martin_from_gaps(op, gap, 1.0) * (sphere_area(dom.n) * dom.r / gap)
+    assert np.array_equal(martin_apply(op, grid, h).values, expect)
 
 
 def test_gamma_normal_derivative_cap(grid):
