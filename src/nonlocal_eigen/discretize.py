@@ -2,20 +2,21 @@
 
 The integral operator u(x) = int G_0(x, y) f(y) dy becomes the matrix
 action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Off the diagonal
-K holds one kernel value per pair, mirrored; the diagonal is the mean
-of G_0(x_i, .) over node i's cell, by fixed Gauss-Legendre rules only.
-On the interval that mean is exact for the classical kernel and, for
-Boggio's kernel, integrates the singular part in closed form and the
-bounded remainder by one rule.  On the ball the kernel on radial data
-is Boggio's angular mean, itself a fixed theta-rule, and the cell mean
-takes panels graded geometrically toward the node.  Boggio's kernel is
-always formed from boundary distances.  The SFL kernel is continuous
+K holds one kernel value per pair, mirrored, by fixed Gauss-Legendre
+rules only.  On the interval the diagonal is the mean of G_0(x_i, .)
+over node i's cell: exact for the classical kernel and, for Boggio's
+kernel, the singular part in closed form and the bounded remainder by
+one rule.  On the ball the kernel on radial data is Boggio's angular
+mean, itself a fixed theta-rule, and the diagonal is calibrated so that
+each row reproduces the closed-form torsion function.  Boggio's kernel
+is always formed from boundary distances.  The SFL kernel is continuous
 and keeps its exact pointwise diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gamma
 
 import numpy as np
 
@@ -90,11 +91,28 @@ _t_end = 1.0 - (1.0 - _u) ** BOUNDARY_MAP_POWER
 _wt_end = BOUNDARY_MAP_POWER * (1.0 - _u) ** (BOUNDARY_MAP_POWER - 1) * _wu
 
 
+def _half_cells(grid: QuadGrid) -> np.ndarray:
+    """Per interval node, the lengths of its cell below and above x, shape (2, N).
+
+    Cells are cut by weights cumulated from the nearer end, so |cell_i| = w_i,
+    which keeps the diagonal rule consistent to second order; as boundary
+    distances the two end half-cells are delta exactly.
+    """
+    x, w, d = grid.x, grid.w, grid.delta
+    left = x < 0
+    inner = np.where(left, np.cumsum(w), np.cumsum(w[::-1])[::-1])
+    toward, away = d - (inner - w), inner - d
+    half = np.where(left, [toward, away], [away, toward])
+    if np.any(half < 0):
+        raise AssertionError("node escaped its quadrature cell")
+    return half
+
+
 def _interval_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
     """(1/w_i) int_{cell_i} G_0(x_i, y) dy on the interval, all nodes at once.
 
     Node i splits its cell into the half-cells [x_i - h, x_i] and
-    [x_i, x_i + h] of grid.half.  The classical kernel
+    [x_i, x_i + h] of _half_cells.  The classical kernel
     (r - max)(r + min) / 2r is linear on each, so the half-cell integral
     is h G(x_i, x_i -+ h/2), formed from grid.sides.  Boggio's kernel is
     rfl_green_singular(d), integrated in closed form over [0, h], plus a
@@ -103,7 +121,7 @@ def _interval_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
     never from y, which would round onto a node at roundoff from the
     boundary.
     """
-    h = grid.half                        # (side, node)
+    h = _half_cells(grid)                # (side, node)
     plus, minus = grid.sides             # r + x_i, r - x_i
     if op.kind is OperatorKind.CLASSICAL:
         left = h[0] * minus * (plus - h[0] / 2)
@@ -151,32 +169,6 @@ def rfl_green_radial(op: OperatorSpec, delta_x, delta_y, d) -> np.ndarray:
     return total * sphere_area(n - 1) / sphere_area(n)
 
 
-def _ball_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
-    """(1/w_i) int_{cell_i} rfl_green_radial(x_i, rho) |S^{n-1}| rho^{n-1} drho.
-
-    Each half-cell is cut into Gauss-Legendre panels halved toward x_i,
-    where the kernel goes like |rho - x_i|^{2s-1}; the far half of the
-    last is halved toward r, where it goes like delta^s.  The innermost
-    panel holds about 2^{-2s levels} of the integral: 53/(2s) levels reach
-    roundoff, capped where d^{2s-n} would near overflow.  d and delta come
-    from the rule, never from subtracted radii.
-    """
-    r, n, N, dl = op.domain.r, op.domain.n, grid.N, grid.delta
-    # half-cells: toward the centre, outward (the last node's near half), the last far half
-    node = np.r_[np.arange(N), np.arange(N), N - 1]
-    h = np.r_[grid.half[0], grid.half[1, :-1], dl[-1] / 2, dl[-1] / 2]
-    levels = int(min(np.ceil(53 / (2 * op.s)), np.log2(np.min(h) * _u[0]) + 300 * np.log2(10) / n))
-    top = 0.5 ** np.arange(levels + 1)[:, None]
-    panel = top - np.r_[top[1:], [[0.0]]]
-    d = h[:, None] * (top - panel * (1 - _u)).ravel()
-    delta_y = dl[node, None] + np.r_[np.ones(N), -np.ones(N + 1)][:, None] * d
-    delta_y[-1] = d[-1]
-    d[-1] = dl[-1] - delta_y[-1]
-    mean = np.array([rfl_green_radial(op, dl[i], *args) for i, *args in zip(node, delta_y, d)])
-    vol = sphere_area(n) * (r - delta_y) ** (n - 1)
-    return np.bincount(node, h * ((mean * vol) @ (panel * _wu).ravel()), N) / grid.w
-
-
 def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
     """Assemble the symmetric Nystrom matrix K_ij ~ G_0(x_i, x_j)."""
     if op.domain != grid.domain:
@@ -208,7 +200,15 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         K = np.zeros((grid.N, grid.N))
         K[i, j] = upper
         K = K + K.T
-        np.fill_diagonal(K, (_ball_diag if ball else _interval_diag)(op, grid))
+        if ball:
+            # each row integrates to the torsion function c (r^2 - |x|^2)^s
+            # (singularity subtraction): the diagonal takes what the rest misses
+            n, s = op.domain.n, op.s
+            c = gamma(n / 2) / (2 ** (2 * s) * gamma(1 + s) * gamma(n / 2 + s))
+            torsion = c * (dl * (2 * op.domain.r - dl)) ** s
+            np.fill_diagonal(K, (torsion - K @ grid.w) / grid.w)
+        else:
+            np.fill_diagonal(K, _interval_diag(op, grid))
     else:
         raise ValueError("classical kernel matrices: interval only")
 

@@ -9,7 +9,7 @@ solutions (~ delta^gamma) and the singular data (~ delta^-b) live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gamma as _gamma_fn
@@ -92,9 +92,6 @@ class QuadGrid:
 
     ``x`` holds interval coordinates, or radii for the ball.  Weights
     include the full volume element (spherical factor for the ball).
-    ``half`` holds, per node, the lengths of its cell below and above x
-    (shape (2, N)), used by the Nystrom diagonal rule; it is formed from
-    boundary distances, so a half-cell that ends on the boundary is delta.
     Grids compare and hash by identity, so they can key per-grid caches.
     """
 
@@ -103,7 +100,6 @@ class QuadGrid:
     w: np.ndarray
     delta: np.ndarray
     grading: float
-    half: np.ndarray = field(repr=False, default=None)
 
     @property
     def N(self) -> int:
@@ -179,37 +175,16 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
         x = np.sign(t) * (r - d)
         jac = r * beta * (1.0 - np.abs(t)) ** (beta - 1.0)
         w = wt * jac
-        order = np.argsort(x)
-        x, w, d = x[order], w[order], d[order]
-        # cells by weights cumulated from the nearer end, so |cell_i| = w_i,
-        # which keeps the Nystrom diagonal rule consistent to second order;
-        # as boundary distances the two end half-cells are delta exactly
-        left = x < 0
-        inner = np.where(left, np.cumsum(w), np.cumsum(w[::-1])[::-1])
-        toward, away = d - (inner - w), inner - d
-        half = np.where(left, [toward, away], [away, toward])
     else:
         counts = _panel_counts(N)
         t, wt = _gauss_panels(0.0, 1.0, len(counts), counts)
         d = r * (1.0 - t) ** beta
-        rho = r - d
+        x = r - d
         jac = r * beta * (1.0 - t) ** (beta - 1.0)
-        w = wt * jac * sphere_area(domain.n) * rho ** (domain.n - 1)
-        order = np.argsort(rho)
-        x, w, d = rho[order], w[order], d[order]
-        # radial cell edges from the cumulated volume partition, as boundary
-        # distances, each from the volume on its nearer side: an edge with less
-        # volume inside than outside is r - r (inside/volume)^(1/n); the centre
-        # edge is r
-        vol = domain.volume
-        inside, outside = np.cumsum(w)[:-1] / vol, np.cumsum(w[::-1])[-2::-1] / vol
-        edges = np.where(inside < outside, r - r * inside ** (1 / domain.n),
-                         -r * np.expm1(np.log1p(-outside) / domain.n))
-        edges = np.r_[r, edges, 0.0]
-        half = np.stack([edges[:-1] - d, d - edges[1:]])
+        w = wt * jac * sphere_area(domain.n) * x ** (domain.n - 1)
+    order = np.argsort(x)
+    x, w, d = x[order], w[order], d[order]
 
     if np.any(w <= 0) or np.any(d <= 0) or np.any(np.abs(x) >= r):
         raise AssertionError("grid construction produced nonpositive weights or boundary nodes")
-    if np.any(half < 0):
-        raise AssertionError("node escaped its quadrature cell")
-    return QuadGrid(domain=domain, x=x, w=w, delta=d, grading=grading, half=half)
+    return QuadGrid(domain=domain, x=x, w=w, delta=d, grading=grading)

@@ -258,17 +258,12 @@ def sfl_green_interval(op: OperatorSpec, x, y):
     return _scalar(np.sum(weights * px * py, axis=-1))
 
 
-_ZETA_CACHE: dict[tuple[float, int], complex] = {}
-
-
+@lru_cache(maxsize=None)
 def _zeta(p: float, m: int) -> complex:
     """zeta(p - m) over all real p - m != 1, via mpmath (cached)."""
-    key = (p, m)
-    if key not in _ZETA_CACHE:
-        import mpmath
+    import mpmath
 
-        _ZETA_CACHE[key] = complex(mpmath.zeta(p - m))
-    return _ZETA_CACHE[key]
+    return complex(mpmath.zeta(p - m))
 
 
 def polylog_unit_circle(p: float, alpha) -> np.ndarray:
