@@ -175,8 +175,8 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         raise ValueError("operator and grid live on different domains")
     if op.kind is OperatorKind.SFL:
         k = np.arange(1, op.sfl_truncation + 1)
-        B = sfl_eigenfunction(op.domain, k[None, :], grid.x[:, None]) \
-            * sfl_eigenvalue(op.domain, k) ** (-op.s / 2)
+        B = sfl_eigenfunction(op.domain, k[None, :], grid.x[:, None])
+        B *= sfl_eigenvalue(op.domain, k) ** (-op.s / 2)
         K = B @ B.T
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))

@@ -239,7 +239,10 @@ def sfl_eigenfunction(domain: DomainSpec, k, x) -> np.ndarray:
     r = domain.r
     k = np.asarray(k, dtype=float)
     x = np.asarray(x, dtype=float)
-    return np.sin(k * pi * (x + r) / (2.0 * r)) / np.sqrt(r)
+    t = np.asarray(k * pi * (x + r) / (2.0 * r))
+    np.sin(t, out=t)
+    t /= np.sqrt(r)
+    return t
 
 
 def sfl_green_interval(op: OperatorSpec, x, y):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import DiscreteKernel, GridFunction, as_values
 from .geometry import QuadGrid
@@ -80,34 +79,33 @@ class LambdaContext:
 def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     """Dense symmetric eigendecomposition of the Nystrom operator.
 
-    Eigenvalues of A below 1e-14 * mu_max are quadrature noise and
-    are discarded.  phi_1 is sign-fixed nonnegative; every other phi_j
-    has its first significantly-nonzero component positive.
+    One LAPACK ``dsyevd`` call (divide and conquer, ``numpy.linalg.eigh``)
+    on the lower triangle of A = W^{1/2} K W^{1/2}.  Eigenvalues of A
+    below 1e-14 * mu_max are quadrature noise and are discarded.  Signs
+    are fixed in one vectorized pass: phi_1 has sum w phi_1 >= 0, and
+    every other phi_j has its first entry above 1e-10 max|phi_j| positive.
     """
     w = dk.grid.w
     sw = np.sqrt(w)
     A = dk.matrix * sw[:, None] * sw[None, :]
+    if not np.all(np.isfinite(A)):
+        raise ValueError("symmetrized kernel has non-finite entries")
     asym = np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300)
     if asym > 1e-10:
         raise ValueError(f"symmetrized kernel is not symmetric (relative residual {asym:.2e})")
-    mu, psi = scipy.linalg.eigh(A)
+    mu, psi = np.linalg.eigh(A)
     mu, psi = mu[::-1], psi[:, ::-1]
-    keep = mu > 1e-14 * mu[0]
-    n_discarded = int(np.sum(~keep))
-    mu, psi = mu[keep], psi[:, keep]
-    lam = 1.0 / mu
-    phi = psi / sw[:, None]
-    # deterministic signs
-    for j in range(phi.shape[1]):
-        col = phi[:, j]
-        if j == 0:
-            if np.sum(w * col) < 0:
-                phi[:, j] = -col
-        else:
-            nz = np.nonzero(np.abs(col) > 1e-10 * np.max(np.abs(col)))[0]
-            if len(nz) and col[nz[0]] < 0:
-                phi[:, j] = -col
-    return SpectralData(dk=dk, lam=lam, phi=phi, n_discarded=n_discarded)
+    # mu descends, so the kept modes are a prefix
+    m = int(np.sum(mu > 1e-14 * mu[0]))
+    lam = 1.0 / mu[:m]
+    phi = psi[:, :m] / sw[:, None]
+    # deterministic signs: the first significant entry of each column, and
+    # phi_1's weighted sum
+    a = np.abs(phi)
+    lead = phi[np.argmax(a > 1e-10 * a.max(axis=0), axis=0), np.arange(m)]
+    lead[:1] = w @ phi[:, :1]
+    phi *= np.where(lead < 0, -1.0, 1.0)
+    return SpectralData(dk=dk, lam=lam, phi=phi, n_discarded=len(mu) - m)
 
 
 def lambda_context(sd: SpectralData, lam: float) -> LambdaContext:

@@ -166,3 +166,14 @@ def test_console_script_invocation(tmp_path):
          "--N", "64", "--M", "64", "--out", str(tmp_path)],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy.linalg alone costs about 300 ms at start-up; src/ imports scipy
+    # only inside the functions that need it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nonlocal_eigen.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
