@@ -7,11 +7,9 @@ alternative, maximum principle and the s -> 1 classical limit.
 """
 
 from .boundary import (
-    BoundaryData,
     MartinConstantReport,
     TraceReport,
     gamma_normal_derivative_G0,
-    make_boundary_data,
     martin_apply,
     martin_constant_report,
     weighted_trace,
@@ -22,15 +20,12 @@ from .discretize import (
     apply_G0,
     as_values,
     assemble_green_matrix,
-    weighted_norm,
 )
-from .geometry import DomainKind, DomainSpec, QuadGrid, build_grid, delta, make_domain, sphere_area
+from .geometry import DomainKind, DomainSpec, QuadGrid, build_grid, make_domain, sphere_area
 from .kernels import (
-    KernelBoundReport,
     OperatorKind,
     OperatorSpec,
     check_K1_bounds,
-    green_function,
     make_operator,
     martin_kernel,
 )
@@ -51,7 +46,6 @@ from .solver import (
     check_notions,
     check_poincare,
     fredholm_diagnose,
-    solve_dirichlet,
     solve_large,
     sweep_lambda,
 )
@@ -64,7 +58,6 @@ from .spectral import (
     eigendecompose,
     lambda_context,
     project_perp,
-    spectral_norm_Hk,
 )
 from .verify import CheckResult, VerifySuite, run_verification
 

@@ -21,37 +21,8 @@ from math import gamma as gamma_fn
 import numpy as np
 
 from .discretize import GridFunction, as_values
-from .geometry import BOUNDARY_NODES, DomainKind, DomainSpec, QuadGrid, sphere_area
+from .geometry import BOUNDARY_NODES, DomainKind, QuadGrid, sphere_area
 from .kernels import OperatorKind, OperatorSpec, martin_from_gaps
-
-
-@dataclass(frozen=True)
-class BoundaryData:
-    """Boundary values: a pair for the interval, a constant for the ball."""
-
-    domain: DomainSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        npts = len(self.domain.boundary_points)
-        if v.size == 1 and npts == 2:
-            v = np.repeat(v, 2)
-        if v.shape != (npts,):
-            raise ValueError(f"expected {npts} boundary values, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("boundary data must be finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-def make_boundary_data(domain: DomainSpec, h) -> BoundaryData:
-    if isinstance(h, BoundaryData):
-        return h
-    return BoundaryData(domain=domain, values=h)
 
 
 @lru_cache(maxsize=16)
@@ -74,13 +45,21 @@ def _martin_columns(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.nd
 
 
 def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
-    """Large harmonic function v_h = integral of the Martin kernel against h."""
-    h = make_boundary_data(op.domain, h)
+    """Large harmonic function v_h = integral of the Martin kernel against h.
+
+    h is finite: the values (h(-r), h(r)) on the interval, where one value
+    serves both ends, or one constant on the ball.
+    """
+    ends = 2 if op.domain.kind is DomainKind.INTERVAL else 1
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    if h.shape not in ((1,), (ends,)) or not np.all(np.isfinite(h)):
+        raise ValueError(f"expected one finite boundary value per end ({ends}) or one for all, got {h}")
+    h = np.broadcast_to(h, (ends,))
     a, b = _martin_columns(op, grid)
-    if op.domain.kind is DomainKind.INTERVAL:
-        return GridFunction(grid, h.values[0] * a + h.values[1] * b)
+    if ends == 2:
+        return GridFunction(grid, h[0] * a + h[1] * b)
     # ball, constant data: the kernel times |z - y|^n, against the sphere integral
-    return GridFunction(grid, h.values[0] * a * b)
+    return GridFunction(grid, h[0] * a * b)
 
 
 def gamma_normal_derivative_G0(op: OperatorSpec, grid: QuadGrid, z: float, f) -> float:
@@ -104,10 +83,8 @@ def gamma_normal_derivative_G0(op: OperatorSpec, grid: QuadGrid, z: float, f) ->
 
 @dataclass(frozen=True)
 class TraceReport:
-    z: float
     value: float
     error: float
-    nodes_delta: np.ndarray
 
 
 def _neville_at_zero(d: np.ndarray, v: np.ndarray) -> float:
@@ -141,7 +118,7 @@ def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid) -> TraceReport
     value, err = _extrapolate_to_zero(d, v[order] / m1[order])
     if not np.isfinite(value) or (abs(value) > 0 and err > 10 * abs(value)):
         raise ValueError("trace extrapolation did not converge")
-    return TraceReport(z=float(z), value=value, error=err, nodes_delta=d)
+    return TraceReport(value=value, error=err)
 
 
 @dataclass(frozen=True)

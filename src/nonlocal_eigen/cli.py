@@ -117,7 +117,10 @@ def resolve_g(spec: str, grid, sd, op):
             raise ConfigError(f"eigmode index {j} out of range 1..{sd.m}")
         return sd.phi[:, j - 1].copy()
     if name == "table":
-        data = np.loadtxt(arg, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(arg, delimiter=",", ndmin=2)
+        except OSError as exc:
+            raise ConfigError(f"cannot read g table {arg!r}: {exc}") from exc
         if data.shape[1] != 2:
             raise ConfigError("custom table must have two columns: x, value")
         return np.interp(grid.x, data[:, 0], data[:, 1])
@@ -132,6 +135,8 @@ def _setup(cfg: RunConfig):
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
+    if cfg.j_max < 1:
+        raise ConfigError(f"--j-max must be at least 1, got {cfg.j_max}")
     _, op, grid = _setup(cfg)
     sd = eigendecompose(assemble_green_matrix(op, grid))
     j_max = min(cfg.j_max, sd.m)

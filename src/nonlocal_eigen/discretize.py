@@ -1,4 +1,4 @@
-"""Nystrom discretization of the Green's operator and weighted norms.
+"""Nystrom discretization of the Green's operator and the weighted norm.
 
 The integral operator u(x) = int G_0(x, y) f(y) dy becomes the matrix
 action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Off the diagonal
@@ -46,9 +46,6 @@ class GridFunction:
         if not np.all(np.isfinite(v)):
             raise ValueError("grid function contains non-finite values")
         object.__setattr__(self, "values", v)
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.values, dtype=dtype)
 
 
 def as_values(f, grid: QuadGrid) -> np.ndarray:
@@ -225,27 +222,6 @@ def apply_G0(dk: DiscreteKernel, f) -> GridFunction:
     return GridFunction(dk.grid, dk.matrix @ (dk.grid.w * v))
 
 
-_NORM_KINDS = ("L1_delta", "L2", "Linf", "Lp")
-
-
-def weighted_norm(f, grid: QuadGrid, kind: str, alpha: float = 0.0,
-                  p: float = 2.0, gamma: float | None = None) -> float:
-    """Quadrature norms with boundary-distance weights.
-
-    L1_delta(alpha) = sum w |f| delta^alpha, L2, Linf, Lp.  When ``gamma``
-    is supplied, exponents alpha <= -1-gamma are rejected as outside the
-    admissible weight range.
-    """
-    if kind not in _NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}; expected one of {_NORM_KINDS}")
-    if gamma is not None and alpha <= -1.0 - gamma:
-        raise ValueError(f"weight exponent alpha={alpha} outside admissible range "
-                         f"(> {-1.0 - gamma})")
-    v = np.abs(as_values(f, grid))
-    if kind == "L1_delta":
-        return float(np.sum(grid.w * v * grid.delta**alpha))
-    if kind == "L2":
-        return float(np.sqrt(np.sum(grid.w * v**2)))
-    if kind == "Linf":
-        return float(np.max(v))
-    return float(np.sum(grid.w * v**p) ** (1.0 / p))
+def weighted_norm(f, grid: QuadGrid, alpha: float) -> float:
+    """The boundary-weighted L1 norm sum w |f| delta^alpha."""
+    return float(np.sum(grid.w * np.abs(as_values(f, grid)) * grid.delta**alpha))

@@ -43,18 +43,6 @@ class DomainSpec:
             return 2.0 * self.r
         return sphere_area(self.n) * self.r**self.n / self.n
 
-    @property
-    def boundary_points(self) -> np.ndarray:
-        """Boundary as points usable in kernel evaluations.
-
-        For the interval these are the two endpoints (counting measure on
-        the boundary); for the ball a single representative point at
-        radius r (constant boundary data only).
-        """
-        if self.kind is DomainKind.INTERVAL:
-            return np.array([-self.r, self.r])
-        return np.array([self.r])
-
 
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1}; equals 2 for n = 1."""
@@ -65,21 +53,6 @@ def make_domain(kind: DomainKind | str, n: int, r: float) -> DomainSpec:
     if isinstance(kind, str):
         kind = DomainKind(kind.lower())
     return DomainSpec(kind=kind, n=n, r=r)
-
-
-def delta(domain: DomainSpec, x) -> np.ndarray | float:
-    """Distance to the boundary, r - |x|.
-
-    For the ball, x is interpreted as a radius (scalar) or an array of
-    radii.  Raises for points outside the closed domain.
-    """
-    x = np.asarray(x, dtype=float)
-    d = domain.r - np.abs(x)
-    if np.any(d < -1e-14 * domain.r):
-        raise ValueError("point outside the closure of the domain")
-    if d.ndim == 0:
-        return float(d)
-    return d
 
 
 # nodes that a boundary limit or exponent is extrapolated or fitted from
@@ -99,7 +72,7 @@ class QuadGrid:
     x: np.ndarray
     w: np.ndarray
     delta: np.ndarray
-    grading: float
+    grading: float  # the map exponent; benchmark/tracing.py keys assemblies by it
 
     @property
     def N(self) -> int:
@@ -118,8 +91,11 @@ class QuadGrid:
         return near[np.argsort(self.delta[near])[:BOUNDARY_NODES]]
 
     def compact_mask(self, frac: float = 0.25) -> np.ndarray:
-        """Nodes with delta >= frac * r (the interior compact set K)."""
-        return self.delta >= frac * self.domain.r
+        """Nodes with delta >= frac * r (the interior compact set K), for frac in (0, 1)."""
+        mask = self.delta >= frac * self.domain.r
+        if not 0.0 < frac < 1.0 or not np.any(mask):
+            raise ValueError(f"K fraction {frac} must lie in (0, 1) and leave a node in K")
+        return mask
 
 
 @lru_cache(maxsize=8)

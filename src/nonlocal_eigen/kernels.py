@@ -1,4 +1,4 @@
-"""Closed-form Green's functions, Martin kernels and kernel-bound checks.
+"""Closed-form Green's functions, Martin kernels and the (K1) kernel-bound check.
 
 Three operators are implemented on the interval/ball:
 
@@ -8,8 +8,8 @@ Three operators are implemented on the interval/ball:
 * SFL: the spectral fractional Laplacian on the interval, via the sine
   eigenbasis; its Martin kernel is the Abel limit of a conditionally
   convergent series, evaluated through a polylogarithm expansion.
-* Classical Laplacian (s = 1): closed-form Green's function and Poisson
-  kernel, used as the endpoint of the s -> 1 limit.
+* Classical Laplacian (s = 1): the Poisson kernel, used as the endpoint of
+  the s -> 1 limit (its Green's matrix is filled from boundary distances).
 """
 
 from __future__ import annotations
@@ -212,19 +212,6 @@ def rfl_green_singular_integral(op: OperatorSpec, h):
 
 
 # ---------------------------------------------------------------------------
-# Classical Laplacian on the interval
-# ---------------------------------------------------------------------------
-
-def classical_green_interval(domain: DomainSpec, x, y):
-    """Green's function of -d^2/dx^2 on (-r, r): (r - max)(r + min) / 2r."""
-    r = domain.r
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    hi = np.maximum(x, y)
-    lo = np.minimum(x, y)
-    return _scalar((r - hi) * (r + lo) / (2.0 * r))
-
-
-# ---------------------------------------------------------------------------
 # Spectral fractional Laplacian on the interval
 # ---------------------------------------------------------------------------
 
@@ -243,22 +230,6 @@ def sfl_eigenfunction(domain: DomainSpec, k, x) -> np.ndarray:
     np.sin(t, out=t)
     t /= np.sqrt(r)
     return t
-
-
-def sfl_green_interval(op: OperatorSpec, x, y):
-    """Truncated spectral series for the SFL Green's function.
-
-    sum_{k<=M} phi_k(x) phi_k(y) mu_k^{-s}; absolutely convergent for
-    s > 1/2 (terms ~ k^{-2s}).
-    """
-    if op.kind is not OperatorKind.SFL:
-        raise ValueError("sfl_green_interval requires an SFL operator")
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    k = np.arange(1, op.sfl_truncation + 1)
-    weights = sfl_eigenvalue(op.domain, k) ** (-op.s)
-    px = sfl_eigenfunction(op.domain, k, x[..., None])
-    py = sfl_eigenfunction(op.domain, k, y[..., None])
-    return _scalar(np.sum(weights * px * py, axis=-1))
 
 
 @lru_cache(maxsize=None)
@@ -297,38 +268,6 @@ def polylog_unit_circle(p: float, alpha) -> np.ndarray:
     return out
 
 
-def sfl_martin_series_abel(op: OperatorSpec, z: float, y, q: float) -> np.ndarray:
-    """Raw Abel-damped partial sum of the Martin series (oracle helper).
-
-    sum_{k<=K} d_k(z) phi_k(y) mu_k^{-s} q^k with K = ceil(40 / (1 - q)),
-    so the geometric tail is negligible.
-    """
-    r, s = op.domain.r, op.s
-    n_terms = int(np.ceil(40.0 / (1.0 - q)))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    k = np.arange(1, n_terms + 1)
-    d_k = (k * pi / (2.0 * r)) / np.sqrt(r)
-    if z > 0:
-        d_k = d_k * (-1.0) ** (k + 1)
-    weights = d_k * sfl_eigenvalue(op.domain, k) ** (-s) * q ** k
-    return np.sum(weights * sfl_eigenfunction(op.domain, k, y[:, None]), axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch and (K1) bound checking
-# ---------------------------------------------------------------------------
-
-def green_function(op: OperatorSpec, x, y):
-    """Evaluate the Green's function of the chosen operator off-diagonal."""
-    if op.kind is OperatorKind.RFL:
-        return rfl_green_ball(op, x, y)
-    if op.kind is OperatorKind.SFL:
-        return sfl_green_interval(op, x, y)
-    if op.domain.n != 1:
-        raise NotImplementedError("classical Green's function implemented on the interval only")
-    return classical_green_interval(op.domain, x, y)
-
-
 def martin_from_gaps(op: OperatorSpec, gap, dist):
     """Martin kernel D_gamma G_0(z, y) from gap = r^2 - |y|^2 and dist = |z - y|.
 
@@ -363,38 +302,19 @@ def martin_kernel(op: OperatorSpec, z, y):
     return martin_from_gaps(op, r * r - ay * ay, dist)
 
 
-@dataclass(frozen=True)
-class KernelBoundReport:
-    min_ratio: float
-    max_ratio: float
-    sample_size: int
-    log_case: bool
+def check_K1_bounds(op: OperatorSpec, x, y) -> tuple[float, float]:
+    """Min and max of Boggio's G_0(x, y) divided by its two-sided (K1) comparison.
 
-
-def check_K1_bounds(op: OperatorSpec, x, y) -> KernelBoundReport:
-    """Empirical two-sided kernel bounds over a sample of point pairs.
-
-    Reports the extremes of G_0(x,y) divided by the comparison
-    expression |x-y|^{2s-n} * min(delta^g(x) delta^g(y) / |x-y|^{2g}, 1);
-    for n = 2s = 1 the comparison carries the documented logarithmic
-    modification log(1 + delta^g delta^g / |x-y|^{2g}) instead of the
-    minimum, and the report is flagged.
+    The comparison is |x-y|^{2s-n} min(delta^s(x) delta^s(y) / |x-y|^{2s}, 1),
+    and log(1 + delta^s(x) delta^s(y) / |x-y|^{2s}) in the logarithmic case
+    n = 2s.  For n < 2s, G_0 stays bounded on the diagonal where that
+    comparison goes to zero, so no two-sided bound holds: ValueError.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.size == 0:
-        raise ValueError("empty sample")
-    s, g, n, r = op.s, op.gamma, op.domain.n, op.domain.r
+    s, n, r = op.s, op.domain.n, op.domain.r
+    if n < 2 * s:
+        raise ValueError(f"(K1) is not two-sided for n = {n} < 2s = {2 * s}")
     ax, ay, dist = _radii_and_distance(op.domain, x, y)
-    dx, dy = r - ax, r - ay
-    vals = np.atleast_1d(np.asarray(green_function(op, x, y), dtype=float))
-    log_case = (n == 1 and s == 0.5 and op.kind is OperatorKind.RFL)
-    boundary_factor = dx ** g * dy ** g / dist ** (2 * g)
-    if log_case:
-        comparison = np.log1p(boundary_factor)
-    else:
-        comparison = dist ** (2 * s - n) * np.minimum(boundary_factor, 1.0)
-    ratio = vals / comparison
-    return KernelBoundReport(min_ratio=float(np.min(ratio)),
-                             max_ratio=float(np.max(ratio)),
-                             sample_size=int(x.size if x.ndim <= 1 else len(x)),
-                             log_case=log_case)
+    near = ((r - ax) * (r - ay)) ** s / dist ** (2 * s)
+    comparison = np.log1p(near) if n == 2 * s else dist ** (2 * s - n) * np.minimum(near, 1.0)
+    ratio = rfl_green_ball(op, x, y) / comparison
+    return float(np.min(ratio)), float(np.max(ratio))

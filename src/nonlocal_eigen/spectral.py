@@ -112,9 +112,11 @@ def lambda_context(sd: SpectralData, lam: float) -> LambdaContext:
     """Locate a regular lambda relative to the discrete spectrum.
 
     Raises SpectralHit when lambda lies within TAU_MULT max(|lambda|, lambda_1)
-    of an eigenvalue.
+    of an eigenvalue, and ValueError when it is not finite.
     """
     lam = float(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     d = np.abs(sd.lam - lam)
     d_sigma = float(np.min(d))
     if d_sigma <= TAU_MULT * max(abs(lam), sd.lam[0]):
@@ -177,11 +179,3 @@ def apply_Glambda_perp(sd: SpectralData, i: int, lam: float, f_perp) -> GridFunc
     if scale > 0 and np.max(np.abs(c[:I])) > 1e-8 * scale:
         raise ValueError("input is not orthogonal to the eigenspace E")
     return sd.synth(c[I:] / (sd.lam[I:] - lam), slice(I, None))
-
-
-def spectral_norm_Hk(sd: SpectralData, u, k: float) -> float:
-    """Push-forward spectral norm (sum lambda_j^k <u, phi_j>^2)^{1/2}."""
-    if k < 0:
-        raise ValueError("spectral norm order k must be >= 0")
-    c = sd.coeffs(u)
-    return float(np.sqrt(np.sum(sd.lam**k * c**2)))

@@ -17,6 +17,7 @@ from .boundary import martin_apply, martin_constant_report, weighted_trace
 from .discretize import assemble_green_matrix, weighted_norm
 from .geometry import build_grid, make_domain
 from .kernels import (
+    check_K1_bounds,
     make_operator,
     martin_kernel,
     rfl_green_ball,
@@ -103,6 +104,27 @@ class VerifySuite:
         res = np.max(np.abs(np.asarray(rfl_green_ball(op, x[keep], y[keep]))
                             - np.asarray(rfl_green_ball(op, y[keep], x[keep]))))
         return _res("kernel_symmetry", res, 1e-12, f"{int(np.sum(keep))} random pairs")
+
+    def check_kernel_bounds(self):
+        # boundary distances and |x - y| log-uniform down to 1e-6 r, so that the
+        # pairs reach both the boundary and the diagonal
+        rng = np.random.default_rng(self.seed)
+        r, spreads = self.dom.r, []
+        for s, n in ((0.25, 1), (0.5, 1), (0.75, 3)):
+            u = rng.standard_normal((2, 1000, n))
+            u /= np.linalg.norm(u, axis=-1, keepdims=True)
+            x = r * (1.0 - 10.0 ** rng.uniform(-6, 0, (1000, 1))) * u[0]
+            y = x + r * 10.0 ** rng.uniform(-6, 0.3, (1000, 1)) * u[1]
+            inside = np.linalg.norm(y, axis=1) < r
+            dom = make_domain("interval" if n == 1 else "ball", n, r)
+            lo, hi = check_K1_bounds(make_operator("rfl", s, dom),
+                                     x[inside].squeeze(), y[inside].squeeze())
+            spreads.append(hi / lo)
+        # about twice 3.47, the largest spread over seeds 0-19 (seed 0, the 3-ball)
+        return _res("kernel_K1_bounds", max(spreads), 7.0, cmp="le",
+                    detail="max/min of G_0 over its (K1) comparison at s = 0.25, 0.5 "
+                           "(log case) on the interval and s = 0.75 on the 3-ball: "
+                           + ", ".join(f"{q:.3f}" for q in spreads))
 
     # -- criterion 2: Martin/harmonic identity --------------------------
     def check_martin_harmonic(self):
@@ -237,7 +259,7 @@ class VerifySuite:
             ctx = lambda_context(sd, frac * sd.lam[0])
             u = apply_Glambda(sd, ctx, f).values
             up = project_perp(sd, 1, u).values
-            norms.append(weighted_norm(up, self.grid, "L1_delta", alpha=op.gamma))
+            norms.append(weighted_norm(up, self.grid, op.gamma))
         ratio = max(norms) / min(norms)
         return _res("uniform_Eperp_estimate", ratio, 1.1, cmp="le",
                     detail="||u_perp delta^gamma||_L1 max/min over the lambda ladder")
@@ -288,7 +310,7 @@ class VerifySuite:
         for sign in (-1.0, 1.0):
             lam = sd.lam[0] * (1.0 + sign * 1e-4)
             v = apply_Glambda(sd, lambda_context(sd, lam), gp).values
-            dists.append(weighted_norm(v - ref, self.grid, "L1_delta", alpha=op.gamma))
+            dists.append(weighted_norm(v - ref, self.grid, op.gamma))
         return _res("fredholm_case_a_convergence", max(dists), 1e-4,
                     f"L1(delta^gamma) distance to the limit from below/above: "
                     f"{dists[0]:.2e} / {dists[1]:.2e}")

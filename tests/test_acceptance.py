@@ -27,6 +27,10 @@ def test_kernel_symmetry(suite):
     _assert(suite.check_kernel_symmetry())
 
 
+def test_kernel_K1_bounds(suite):
+    _assert(suite.check_kernel_bounds())
+
+
 # criterion 2 — Martin/harmonic identity
 def test_martin_harmonic_identity(suite):
     _assert(suite.check_martin_harmonic())

@@ -6,9 +6,7 @@ import pytest
 
 from nonlocal_eigen import boundary
 from nonlocal_eigen.boundary import (
-    BoundaryData,
     gamma_normal_derivative_G0,
-    make_boundary_data,
     martin_apply,
     martin_constant_report,
     weighted_trace,
@@ -25,14 +23,17 @@ def grid():
     return build_grid(DOM, 128, grading=2.0)
 
 
-def test_boundary_data_broadcast_and_validation():
-    bd = make_boundary_data(DOM, 3.0)
-    np.testing.assert_array_equal(bd.values, [3.0, 3.0])
-    assert bd.sup == 3.0
-    with pytest.raises(ValueError):
-        BoundaryData(DOM, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        BoundaryData(DOM, [np.inf, 0.0])
+def test_boundary_data_broadcast_and_validation(grid):
+    # one value serves both ends of the interval; the ball takes one constant
+    op = make_operator("rfl", 0.75, DOM)
+    np.testing.assert_array_equal(martin_apply(op, grid, 3.0).values,
+                                  martin_apply(op, grid, (3.0, 3.0)).values)
+    for h in ([1.0, 2.0, 3.0], [np.inf, 0.0], [np.nan], []):
+        with pytest.raises(ValueError, match="finite boundary value"):
+            martin_apply(op, grid, h)
+    ball = make_domain("ball", 3, 1.0)
+    with pytest.raises(ValueError, match=r"per end \(1\)"):
+        martin_apply(make_operator("rfl", 0.75, ball), build_grid(ball, 16), (1.0, 2.0))
 
 
 def test_martin_apply_rfl_is_explicit_harmonic(grid):

@@ -59,10 +59,18 @@ def test_solve_maximum_principle_profile(tmp_path):
     assert np.all(v >= 0)
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     out = str(tmp_path)
     # bad config
     assert run_cli(["eigen", "--N", "4", "--out", out]) == 2
+    # a lambda that is not finite, an unreadable g table, a K with no node, no modes
+    for argv, msg in ((["solve", "--lambda", "inf"], "lambda must be finite"),
+                      (["solve", "--lambda", "nan"], "lambda must be finite"),
+                      (["solve", "--g", f"table:{tmp_path / 'missing.csv'}"], "cannot read"),
+                      (["solve", "--K-frac", "1.5"], "K fraction"),
+                      (["eigen", "--j-max", "-1"], "--j-max")):
+        assert run_cli(argv + ["--N", "32", "--out", out]) == 2, argv
+        assert msg in capsys.readouterr().err, argv
     assert run_cli(["solve", "--op", "sfl", "--s", "0.3", "--out", out]) == 2
     assert run_cli(["solve", "--g", "nonsense", "--N", "64", "--out", out]) == 2
     # profiles take their argument after a colon only

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracles import green_function
 from rfl_oracle import ball_rfl_eigenvalues
 from scipy.integrate import IntegrationWarning, quad
 
@@ -21,7 +22,6 @@ from nonlocal_eigen.discretize import (
 )
 from nonlocal_eigen.geometry import build_grid, make_domain, sphere_area
 from nonlocal_eigen.kernels import (
-    green_function,
     make_operator,
     rfl_green_ball,
     rfl_green_from_gaps,
@@ -43,8 +43,9 @@ def test_grid_function_validation(grid):
         GridFunction(grid, np.zeros(3))
     with pytest.raises(ValueError):
         GridFunction(grid, np.full(grid.N, np.nan))
-    gf = GridFunction(grid, np.ones(grid.N))
-    np.testing.assert_array_equal(np.asarray(gf), 1.0)
+    gf = GridFunction(grid, [1] * grid.N)
+    assert gf.values.dtype == float
+    np.testing.assert_array_equal(gf.values, 1.0)
 
 
 def test_as_values_rejects_other_grid_of_same_size(grid):
@@ -223,15 +224,13 @@ def test_operator_grid_domain_mismatch(grid):
 
 
 def test_weighted_norms(grid):
-    f = np.ones(grid.N)
-    assert weighted_norm(f, grid, "L1_delta", alpha=0.0) == pytest.approx(2.0)
-    assert weighted_norm(f, grid, "L2") == pytest.approx(np.sqrt(2.0))
-    assert weighted_norm(f, grid, "Linf") == 1.0
-    assert weighted_norm(2 * f, grid, "Lp", p=4.0) == pytest.approx(2.0 * 2.0**0.25)
-    with pytest.raises(ValueError):
-        weighted_norm(f, grid, "bogus")
-    with pytest.raises(ValueError):
-        weighted_norm(f, grid, "L1_delta", alpha=-2.0, gamma=0.75)
+    # sum w |f| delta^alpha: int_{-1}^{1} (1 - |x|)^alpha dx = 2 / (1 + alpha)
+    f = -np.ones(grid.N)
+    assert weighted_norm(f, grid, 0.0) == pytest.approx(2.0)
+    assert weighted_norm(f, grid, 1.0) == pytest.approx(1.0)
+    assert weighted_norm(f, grid, -0.5) == pytest.approx(4.0, rel=1e-10)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        weighted_norm(np.ones(3), grid, 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -7,7 +7,6 @@ from nonlocal_eigen.discretize import _half_cells
 from nonlocal_eigen.geometry import (
     DomainKind,
     build_grid,
-    delta,
     make_domain,
     sphere_area,
 )
@@ -29,14 +28,6 @@ def test_domain_validation():
         make_domain("ball", 1, 1.0)
     ball = make_domain("ball", 3, 2.0)
     assert ball.volume == pytest.approx(4.0 / 3.0 * np.pi * 8.0)
-
-
-def test_delta_interval():
-    dom = make_domain("interval", 1, 1.0)
-    assert delta(dom, 0.25) == pytest.approx(0.75)
-    np.testing.assert_allclose(delta(dom, [-0.5, 0.5]), [0.5, 0.5])
-    with pytest.raises(ValueError):
-        delta(dom, 1.5)
 
 
 @pytest.mark.parametrize("kind,n", [("interval", 1), ("ball", 2), ("ball", 3)])
@@ -99,3 +90,7 @@ def test_compact_mask():
     mask = grid.compact_mask(0.25)
     assert np.all(grid.delta[mask] >= 0.25)
     assert 0 < np.sum(mask) < grid.N
+    # K is a nonempty set of nodes with frac in (0, 1)
+    for frac in (0.0, 1.5, float("nan"), 1.0 - 1e-9):
+        with pytest.raises(ValueError, match="K fraction"):
+            grid.compact_mask(frac)

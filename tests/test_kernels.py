@@ -5,20 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from kernel_oracles import (
+    classical_green_interval,
+    green_function,
+    sfl_green_interval,
+    sfl_martin_series_abel,
+)
 
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import (
     boggio_integral,
     check_K1_bounds,
-    classical_green_interval,
-    green_function,
     make_operator,
     martin_kernel,
     polylog_unit_circle,
     rfl_green_ball,
     sfl_eigenvalue,
-    sfl_green_interval,
-    sfl_martin_series_abel,
 )
 
 INTERVAL = make_domain("interval", 1, 1.0)
@@ -235,18 +237,21 @@ def test_martin_kernel_rejects_an_interior_z(kind, s, n):
 
 
 def test_k1_bounds_sane():
-    op = make_operator("rfl", 0.75, INTERVAL)
+    # n > 2s: two-sided on pairs down to |x - y| = 1e-6
     rng = np.random.default_rng(3)
-    x = rng.uniform(-0.95, 0.95, 300)
-    y = rng.uniform(-0.95, 0.95, 300)
-    keep = np.abs(x - y) > 1e-3
-    rep = check_K1_bounds(op, x[keep], y[keep])
-    assert rep.min_ratio > 0
-    assert rep.max_ratio / rep.min_ratio < 1e3
-    assert not rep.log_case
+    x = rng.uniform(-0.9, 0.9, 300)
+    y = x + 10.0 ** rng.uniform(-6, -1, 300)
+    lo, hi = check_K1_bounds(make_operator("rfl", 0.25, INTERVAL), x, y)
+    assert 0 < lo and hi / lo < 3
+    # n < 2s: G stays bounded on the diagonal, where the comparison vanishes
+    # (G / comparison is 2.2 at |x - y| = 1e-1 and 941 at 1e-6 for s = 0.75)
+    with pytest.raises(ValueError, match="not two-sided"):
+        check_K1_bounds(make_operator("rfl", 0.75, INTERVAL), x, y)
 
 
-def test_k1_bounds_log_case_flag():
-    op = make_operator("rfl", 0.5, INTERVAL)
-    rep = check_K1_bounds(op, np.array([0.1]), np.array([0.4]))
-    assert rep.log_case
+def test_k1_bounds_log_case():
+    # n = 2s = 1: G grows like log(1/|x - y|) on the diagonal, where the power
+    # comparison min(., 1) stays at 1; the logarithmic one tracks it
+    d = 10.0 ** -np.arange(1.0, 9.0)
+    lo, hi = check_K1_bounds(make_operator("rfl", 0.5, INTERVAL), 0.0 * d, d)
+    assert 0 < lo and hi / lo < 2

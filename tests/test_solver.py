@@ -10,7 +10,6 @@ from nonlocal_eigen.solver import (
     check_notions,
     check_poincare,
     fredholm_diagnose,
-    solve_dirichlet,
     solve_large,
     sweep_lambda,
 )
@@ -28,9 +27,10 @@ def setup():
 
 
 def test_solve_dirichlet_green_identity(setup):
+    # no boundary data (h None) is the Dirichlet solve
     op, grid, dk, sd = setup
     ctx = lambda_context(sd, 0.5 * sd.lam[0])
-    rep = solve_dirichlet(sd, ctx, np.cos(grid.x))
+    rep = solve_large(op, sd, ctx, np.cos(grid.x), None)
     assert rep.green_residual < 1e-12
     assert rep.I == 0
     np.testing.assert_array_equal(rep.v_h.values, 0.0)

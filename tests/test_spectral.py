@@ -14,7 +14,6 @@ from nonlocal_eigen.spectral import (
     eigendecompose,
     lambda_context,
     project_perp,
-    spectral_norm_Hk,
 )
 
 DOM = make_domain("interval", 1, 1.0)
@@ -110,15 +109,6 @@ def test_perp_solve_bounded_at_singular_lambda(sfl):
     u = apply_Glambda_perp(sd, 1, sd.lam[0], fp).values
     assert np.all(np.isfinite(u))
     assert np.max(np.abs(u)) < 10.0
-
-
-def test_spectral_norm(sfl):
-    _, _, sd = sfl
-    phi1 = sd.phi[:, 0]
-    assert spectral_norm_Hk(sd, phi1, 0.0) == pytest.approx(1.0, abs=1e-10)
-    assert spectral_norm_Hk(sd, phi1, 2.0) == pytest.approx(sd.lam[0], rel=1e-5)
-    with pytest.raises(ValueError):
-        spectral_norm_Hk(sd, phi1, -1.0)
 
 
 def test_groups_simple_spectrum(sfl):
