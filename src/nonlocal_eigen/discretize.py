@@ -3,14 +3,13 @@
 The integral operator u(x) = int G_0(x, y) f(y) dy becomes the matrix
 action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Off the diagonal
 K holds one kernel value per pair, mirrored, by fixed Gauss-Legendre
-rules only.  On the interval the diagonal is the mean of G_0(x_i, .)
-over node i's cell: exact for the classical kernel and, for Boggio's
-kernel, the singular part in closed form and the bounded remainder by
-one rule.  On the ball the kernel on radial data is Boggio's angular
-mean, itself a fixed theta-rule, and the diagonal is calibrated so that
-each row reproduces the closed-form torsion function.  Boggio's kernel
-is always formed from boundary distances.  The SFL kernel is continuous
-and keeps its exact pointwise diagonal.
+rules only; on the ball the kernel on radial data is Boggio's angular
+mean, itself a fixed theta-rule.  Every quadrature kernel (RFL on the
+interval and the ball, classical on the interval) takes one diagonal
+rule, singularity subtraction: K_ii is set so that each row integrates
+f = 2 - |x|^2/r^2 to the closed-form G_0 f.  Boggio's kernel is always
+formed from boundary distances.  The SFL kernel is continuous and keeps
+its exact pointwise diagonal.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from .kernels import (
     OperatorKind,
     OperatorSpec,
     rfl_green_from_gaps,
-    rfl_green_singular,
-    rfl_green_singular_integral,
     sfl_eigenfunction,
     sfl_eigenvalue,
 )
@@ -49,15 +46,13 @@ class GridFunction:
 
 
 def as_values(f, grid: QuadGrid) -> np.ndarray:
-    """Accept a GridFunction, an array of node values, or a callable."""
+    """Accept a GridFunction or an array of node values."""
     if isinstance(f, GridFunction):
         same = f.grid is grid or (np.array_equal(f.grid.x, grid.x)
                                   and np.array_equal(f.grid.w, grid.w))
         if not same:
             raise ValueError("grid mismatch")
         return f.values
-    if callable(f):
-        return np.asarray(f(grid.x), dtype=float)
     v = np.asarray(f, dtype=float)
     if v.shape != (grid.N,):
         raise ValueError("grid mismatch")
@@ -77,64 +72,10 @@ class DiscreteKernel:
         return self.grid.N
 
 
-# Gauss-Legendre points on [0, 1] for every fixed rule, and the power of the
-# map t = 1 - (1-u)^p on the two interval half-cells that end at +-r, which
-# smooths the delta(y)^s endpoint behaviour of the remainder
+# Gauss-Legendre points on [0, 1] for the ball's angular rule
 PRODUCT_NODES = 16
-BOUNDARY_MAP_POWER = 3
 _u, _wu = np.polynomial.legendre.leggauss(PRODUCT_NODES)
 _u, _wu = 0.5 * (_u + 1.0), 0.5 * _wu
-_t_end = 1.0 - (1.0 - _u) ** BOUNDARY_MAP_POWER
-_wt_end = BOUNDARY_MAP_POWER * (1.0 - _u) ** (BOUNDARY_MAP_POWER - 1) * _wu
-
-
-def _half_cells(grid: QuadGrid) -> np.ndarray:
-    """Per interval node, the lengths of its cell below and above x, shape (2, N).
-
-    Cells are cut by weights cumulated from the nearer end, so |cell_i| = w_i,
-    which keeps the diagonal rule consistent to second order; as boundary
-    distances the two end half-cells are delta exactly.
-    """
-    x, w, d = grid.x, grid.w, grid.delta
-    left = x < 0
-    inner = np.where(left, np.cumsum(w), np.cumsum(w[::-1])[::-1])
-    toward, away = d - (inner - w), inner - d
-    half = np.where(left, [toward, away], [away, toward])
-    if np.any(half < 0):
-        raise AssertionError("node escaped its quadrature cell")
-    return half
-
-
-def _interval_diag(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
-    """(1/w_i) int_{cell_i} G_0(x_i, y) dy on the interval, all nodes at once.
-
-    Node i splits its cell into the half-cells [x_i - h, x_i] and
-    [x_i, x_i + h] of _half_cells.  The classical kernel
-    (r - max)(r + min) / 2r is linear on each, so the half-cell integral
-    is h G(x_i, x_i -+ h/2), formed from grid.sides.  Boggio's kernel is
-    rfl_green_singular(d), integrated in closed form over [0, h], plus a
-    bounded remainder, summed by the PRODUCT_NODES-point Gauss-Legendre
-    rule in d = h t.  The remainder takes r -+ y from grid.sides and d,
-    never from y, which would round onto a node at roundoff from the
-    boundary.
-    """
-    h = _half_cells(grid)                # (side, node)
-    plus, minus = grid.sides             # r + x_i, r - x_i
-    if op.kind is OperatorKind.CLASSICAL:
-        left = h[0] * minus * (plus - h[0] / 2)
-        right = h[1] * plus * (minus - h[1] / 2)
-        return (left + right) / (2 * op.domain.r) / grid.w
-    plus, minus = plus[:, None], minus[:, None]
-    side = np.array([-1.0, 1.0])[:, None, None]
-    t = np.tile(_u, (2, grid.N, 1))
-    wt = np.tile(_wu, (2, grid.N, 1))
-    t[0, 0], wt[0, 0] = _t_end, _wt_end      # [-r, x_0]
-    t[1, -1], wt[1, -1] = _t_end, _wt_end    # [x_{N-1}, r]
-    d = h[..., None] * t
-    green = rfl_green_from_gaps(op, plus * minus, (plus + side * d) * (minus - side * d), d)
-    remainder = green - rfl_green_singular(op, d)
-    half = rfl_green_singular_integral(op, h) + h * np.sum(wt * remainder, axis=-1)
-    return (half[0] + half[1]) / grid.w
 
 
 # geometric panels of the ball's angular rule: 24 keep their ratio below
@@ -197,15 +138,19 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         K = np.zeros((grid.N, grid.N))
         K[i, j] = upper
         K = K + K.T
-        if ball:
-            # each row integrates to the torsion function c (r^2 - |x|^2)^s
-            # (singularity subtraction): the diagonal takes what the rest misses
-            n, s = op.domain.n, op.s
-            c = gamma(n / 2) / (2 ** (2 * s) * gamma(1 + s) * gamma(n / 2 + s))
-            torsion = c * (dl * (2 * op.domain.r - dl)) ** s
-            np.fill_diagonal(K, (torsion - K @ grid.w) / grid.w)
-        else:
-            np.fill_diagonal(K, _interval_diag(op, grid))
+        # singularity subtraction: the diagonal is set so that each row
+        # integrates f = 2 - |x|^2/r^2 to u_f = G_0 f in closed form.  f is
+        # not constant, so the torsion solve stays an independent check.  It
+        # spans the k = 0, 1 radial Jacobi modes of Dyda, Kuznetsov &
+        # Kwasnicki (2017), with G_0 P_k = (1 - rho^2)^s P_k / lam_k on the
+        # unit ball: P_0 = 1, P_1 = a rho^2 - n/2, lam_0 = lam0, lam_1 = lam0 q
+        r, n, s = op.domain.r, op.domain.n, op.s
+        rho2 = (grid.x / r) ** 2
+        lam0 = 2 ** (2 * s) * gamma(1 + s) * gamma(n / 2 + s) / gamma(n / 2)
+        a, q = s + n / 2 + 1, (1 + s) * (n / 2 + s) / (n / 2)
+        u_f = (dl * (2 * r - dl)) ** s / lam0 * (2 - ((a * rho2 - n / 2) / q + n / 2) / a)
+        wf = grid.w * (2 - rho2)
+        np.fill_diagonal(K, (u_f - K @ wf) / wf)
     else:
         raise ValueError("classical kernel matrices: interval only")
 

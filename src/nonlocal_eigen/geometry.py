@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import gamma as _gamma_fn
-from math import pi
+from math import inf, pi
 
 import numpy as np
 
@@ -30,8 +30,8 @@ class DomainSpec:
     r: float
 
     def __post_init__(self):
-        if self.r <= 0:
-            raise ValueError(f"radius must be positive, got {self.r}")
+        if not 0 < self.r < inf:
+            raise ValueError(f"radius must be positive and finite, got {self.r}")
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
         if (self.kind is DomainKind.INTERVAL) != (self.n == 1):
@@ -138,8 +138,8 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
     """
     if N < 8:
         raise ValueError(f"N must be >= 8, got {N}")
-    if grading < 1:
-        raise ValueError(f"grading exponent must be >= 1, got {grading}")
+    if not 1 <= grading < inf:
+        raise ValueError(f"grading exponent must be finite and >= 1, got {grading}")
     r, beta = domain.r, grading
 
     if domain.kind is DomainKind.INTERVAL:

@@ -10,6 +10,10 @@ Three operators are implemented on the interval/ball:
   convergent series, evaluated through a polylogarithm expansion.
 * Classical Laplacian (s = 1): the Poisson kernel, used as the endpoint of
   the s -> 1 limit (its Green's matrix is filled from boundary distances).
+
+Green's functions are evaluated off the diagonal x = y only: the Nystrom
+diagonal is calibrated in the discretization module against a closed-form
+solve, so no kernel needs a singular split.
 """
 
 from __future__ import annotations
@@ -182,33 +186,6 @@ def rfl_green_from_gaps(op: OperatorSpec, gap_x, gap_y, dist):
         raise ZeroDivisionError("Green's function requested on the diagonal x = y")
     rho = gap_x * gap_y / (r * r * dist * dist)
     return _scalar(_boggio_constant(n, s) * dist ** (2 * s - n) * boggio_integral(rho, s, n))
-
-
-def _interval_split(op: OperatorSpec) -> tuple[float, float]:
-    """C_{1,s} and K of the interval's singular part (rfl_green_singular)."""
-    if op.domain.n != 1:
-        raise ValueError("the singular split is implemented on the interval only")
-    return _boggio_constant(1, op.s), _boggio_series(op.s, 1)[3]
-
-
-def rfl_green_singular(op: OperatorSpec, d):
-    """Singular part of Boggio's interval kernel at distance d = |x-y|.
-
-    C (K d^{2s-1} - 2 expm1((2s-1) log d)/(2s-1)) with K from
-    _boggio_series; at s = 1/2 it is C (2 log 2 - 2 log d).  G(x, y)
-    minus this part stays bounded as y -> x, continuously in s.
-    """
-    C, K = _interval_split(op)
-    e, L = 2.0 * op.s - 1.0, np.log(d)
-    return C * (K * np.exp(e * L) - 2.0 * _expm1_ratio(e, L))
-
-
-def rfl_green_singular_integral(op: OperatorSpec, h):
-    """int_0^h rfl_green_singular(op, d) dd in closed form:
-    C (K h^{2s} / (2s) - 2h (expm1((2s-1) log h)/(2s-1) - 1) / (2s))."""
-    C, K = _interval_split(op)
-    s2, L = 2.0 * op.s, np.log(h)
-    return C * (K * np.exp(s2 * L) - 2.0 * h * (_expm1_ratio(s2 - 1.0, L) - 1.0)) / s2
 
 
 # ---------------------------------------------------------------------------

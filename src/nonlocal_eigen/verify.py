@@ -24,7 +24,6 @@ from .kernels import (
     sfl_eigenvalue,
 )
 from .limits import (
-    boundary_exponent_fit,
     large_solution_limit_s,
     make_family,
     spectral_convergence_s,

@@ -1,4 +1,4 @@
-from math import gamma, pi
+from math import gamma
 
 import mpmath
 import numpy as np

@@ -68,7 +68,11 @@ def test_exit_codes(tmp_path, capsys):
                       (["solve", "--lambda", "nan"], "lambda must be finite"),
                       (["solve", "--g", f"table:{tmp_path / 'missing.csv'}"], "cannot read"),
                       (["solve", "--K-frac", "1.5"], "K fraction"),
-                      (["eigen", "--j-max", "-1"], "--j-max")):
+                      (["eigen", "--j-max", "-1"], "--j-max"),
+                      (["eigen", "--grade", "inf"], "grading exponent"),
+                      (["eigen", "--grade", "nan"], "grading exponent"),
+                      (["eigen", "--r", "nan"], "radius"),
+                      (["eigen", "--r", "inf"], "radius")):
         assert run_cli(argv + ["--N", "32", "--out", out]) == 2, argv
         assert msg in capsys.readouterr().err, argv
     assert run_cli(["solve", "--op", "sfl", "--s", "0.3", "--out", out]) == 2

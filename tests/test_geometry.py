@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonlocal_eigen.discretize import _half_cells
 from nonlocal_eigen.geometry import (
-    DomainKind,
     build_grid,
     make_domain,
     sphere_area,
@@ -51,16 +49,6 @@ def test_grid_integrates_boundary_singular_weight():
     grid = build_grid(dom, 128, grading=2.0)
     val = np.sum(grid.w * grid.delta ** (-0.5))
     assert val == pytest.approx(4.0, rel=1e-10)
-
-
-def test_cells_partition_weights():
-    dom = make_domain("interval", 1, 1.0)
-    grid = build_grid(dom, 64, grading=2.0)
-    half = _half_cells(grid)
-    np.testing.assert_allclose(half.sum(0), grid.w, atol=1e-15)
-    assert np.all(half >= 0)
-    # the half-cells that end on the boundary are delta exactly
-    assert half[0, 0] == grid.delta[0] and half[1, -1] == grid.delta[-1]
 
 
 def test_grid_rejects_bad_parameters():
