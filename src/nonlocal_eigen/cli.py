@@ -134,6 +134,16 @@ def _setup(cfg: RunConfig):
     return domain, op, grid
 
 
+def _check_request(cfg: RunConfig):
+    """Reject a lambda that is not finite or a K fraction outside (0, 1) before
+    any assembly, with the messages of lambda_context and compact_mask."""
+    for lam in (cfg.lam, *cfg.lam_list):
+        if not np.isfinite(lam):
+            raise ConfigError(f"lambda must be finite, got {lam}")
+    if not 0.0 < cfg.K_frac < 1.0:
+        raise ConfigError(f"K fraction {cfg.K_frac} must lie in (0, 1) and leave a node in K")
+
+
 def cmd_eigen(cfg: RunConfig) -> int:
     if cfg.j_max < 1:
         raise ConfigError(f"--j-max must be at least 1, got {cfg.j_max}")
@@ -151,11 +161,13 @@ def cmd_eigen(cfg: RunConfig) -> int:
         "gaps": list(np.diff(sd.lam[:j_max])),
         "phi1_delta_bracket": [float(np.min(q)), float(np.max(q))],
         "n_discarded": sd.n_discarded,
+        "parity": [int(p) for p in sd.parity[:j_max]],
     })
     return EXIT_OK
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    _check_request(cfg)
     _, op, grid = _setup(cfg)
     sd = eigendecompose(assemble_green_matrix(op, grid))
     ctx = lambda_context(sd, cfg.lam)
@@ -172,6 +184,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    _check_request(cfg)
     _, op, grid = _setup(cfg)
     sd = eigendecompose(assemble_green_matrix(op, grid))
     g = resolve_g(cfg.g, grid, sd, op)
@@ -190,6 +203,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_limit_s(cfg: RunConfig) -> int:
+    _check_request(cfg)
     domain = make_domain(cfg.domain, cfg.n, cfg.r)
     grid = build_grid(domain, cfg.N, cfg.grade)
     fam = make_family(cfg.op, domain, cfg.M)

@@ -9,7 +9,9 @@ interval and the ball, classical on the interval) takes one diagonal
 rule, singularity subtraction: K_ii is set so that each row integrates
 f = 2 - |x|^2/r^2 to the closed-form G_0 f.  Boggio's kernel is always
 formed from boundary distances.  The SFL kernel is continuous and keeps
-its exact pointwise diagonal.
+its exact pointwise diagonal; on a mirrored grid its sine series is
+evaluated on the left half-grid only, split by the parity of the modes,
+and the other half of K is written as the mirror image.
 """
 
 from __future__ import annotations
@@ -107,15 +109,31 @@ def rfl_green_radial(op: OperatorSpec, delta_x, delta_y, d) -> np.ndarray:
     return total * sphere_area(n - 1) / sphere_area(n)
 
 
+def _sfl_gram(op: OperatorSpec, x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """B B^T with B_ik = mu_k^{-s/2} e_k(x_i), the SFL series over the modes k."""
+    B = sfl_eigenfunction(op.domain, k[None, :], x[:, None])
+    B *= sfl_eigenvalue(op.domain, k) ** (-op.s / 2)
+    return B @ B.T
+
+
 def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
     """Assemble the symmetric Nystrom matrix K_ij ~ G_0(x_i, x_j)."""
     if op.domain != grid.domain:
         raise ValueError("operator and grid live on different domains")
     if op.kind is OperatorKind.SFL:
         k = np.arange(1, op.sfl_truncation + 1)
-        B = sfl_eigenfunction(op.domain, k[None, :], grid.x[:, None])
-        B *= sfl_eigenvalue(op.domain, k) ** (-op.s / 2)
-        K = B @ B.T
+        if grid.mirrored:
+            # mode k has parity (-1)^(k+1), so on the left half-grid K = E + O,
+            # and across it (E - O) J, with E from the odd k and O from the even k
+            n = grid.N // 2
+            E, O = (_sfl_gram(op, grid.x[:n], k[p::2]) for p in (0, 1))
+            K = np.empty((grid.N, grid.N))
+            np.add(E, O, out=K[:n, :n])
+            np.subtract(E, O, out=K[:n, n:][:, ::-1])
+            K[n:, :n] = K[:n, n:].T
+            K[n:, n:] = K[:n, :n][::-1, ::-1]
+        else:
+            K = _sfl_gram(op, grid.x, k)
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
         M = op.sfl_truncation

@@ -85,6 +85,14 @@ class QuadGrid:
         left = self.x < 0
         return np.where(left, self.delta, far), np.where(left, far, self.delta)
 
+    @property
+    def mirrored(self) -> bool:
+        """An interval grid of even N whose x, w and delta equal their mirrors bit for bit."""
+        return (self.domain.kind is DomainKind.INTERVAL and self.N % 2 == 0
+                and np.array_equal(self.x, -self.x[::-1])
+                and np.array_equal(self.w, self.w[::-1])
+                and np.array_equal(self.delta, self.delta[::-1]))
+
     def boundary_nodes(self, z: float) -> np.ndarray:
         """The BOUNDARY_NODES nodes nearest the boundary point z, by increasing delta."""
         near = np.flatnonzero(np.sign(self.x) == np.sign(z))
@@ -107,25 +115,21 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _gauss_panels(a: float, b: float, n_panels: int, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    edges = np.linspace(a, b, n_panels + 1)
+def _gauss_panels(a: float, b: float, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes/weights on [a, b], counts[p] points on panel p."""
+    edges = np.linspace(a, b, len(counts) + 1)
     ts, ws = [], []
-    for p in range(n_panels):
-        xi, wi = _gauss_rule(counts[p])
+    for p, n in enumerate(counts):
+        xi, wi = _gauss_rule(n)
         lo, hi = edges[p], edges[p + 1]
         ts.append(0.5 * (hi - lo) * xi + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * wi)
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _panel_counts(N: int, even: bool = False) -> list[int]:
-    """Gauss points per panel: about 32 each, spread evenly over N."""
-    n_panels = max(1, N // 32)
-    if even:
-        n_panels = max(2, 2 * (n_panels // 2))
-    base = N // n_panels
-    extra = N - base * n_panels
+def _panel_counts(N: int, n_panels: int) -> list[int]:
+    """Gauss points per panel, spread evenly over N; the first panels take the extras."""
+    base, extra = divmod(N, n_panels)
     return [base + 1 if p < extra else base for p in range(n_panels)]
 
 
@@ -142,18 +146,25 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
         raise ValueError(f"grading exponent must be finite and >= 1, got {grading}")
     r, beta = domain.r, grading
 
+    # about 32 Gauss points per panel
+    n_panels = max(1, N // 32)
     if domain.kind is DomainKind.INTERVAL:
-        # even panel count keeps t=0 (the kink of the map) on a panel edge
-        counts = _panel_counts(N, even=True)
-        t, wt = _gauss_panels(-1.0, 1.0, len(counts), counts)
+        # an even panel count keeps t=0 (the kink of the map) on a panel edge
+        half = max(1, n_panels // 2)
+        if N % 2:
+            t, wt = _gauss_panels(-1.0, 1.0, _panel_counts(N, 2 * half))
+        else:
+            # [-1, 0] and its mirror image: x, w and delta equal their mirrors
+            # bit for bit, and the extra points sit at both ends
+            t, wt = _gauss_panels(-1.0, 0.0, _panel_counts(N // 2, half))
+            t, wt = np.concatenate([t, -t[::-1]]), np.concatenate([wt, wt[::-1]])
         # delta from the map keeps full precision where r - |x| would cancel
         d = r * (1.0 - np.abs(t)) ** beta
         x = np.sign(t) * (r - d)
         jac = r * beta * (1.0 - np.abs(t)) ** (beta - 1.0)
         w = wt * jac
     else:
-        counts = _panel_counts(N)
-        t, wt = _gauss_panels(0.0, 1.0, len(counts), counts)
+        t, wt = _gauss_panels(0.0, 1.0, _panel_counts(N, n_panels))
         d = r * (1.0 - t) ** beta
         x = r - d
         jac = r * beta * (1.0 - t) ** (beta - 1.0)

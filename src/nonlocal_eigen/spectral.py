@@ -3,7 +3,10 @@ operator for the shifted problem.
 
 The symmetrized matrix A = W^{1/2} K W^{1/2} is diagonalized once; its
 eigenvalues mu_j are the discrete eigenvalues of the Green's operator
-and lambda_j = 1/mu_j those of the differential operator.  All
+and lambda_j = 1/mu_j those of the differential operator.  On a mirrored
+interval grid A commutes with the flip x -> -x and is diagonalized as
+two half-size blocks, one for the even modes and one for the odd modes;
+each mode carries its parity.  All
 solve/project operations act through the retained eigenpairs, so the
 resolvent formula u = sum <f, phi_j> phi_j / (lambda_j - lambda) is
 exact in the discrete model.
@@ -35,6 +38,7 @@ class SpectralData:
     lam: np.ndarray          # lambda_j = 1/mu_j, ascending
     phi: np.ndarray          # (N, m); column j holds phi_j at the nodes
     n_discarded: int
+    parity: np.ndarray       # (m,); +1 even, -1 odd under x -> -x, 0 where not split
 
     @property
     def grid(self) -> QuadGrid:
@@ -76,36 +80,81 @@ class LambdaContext:
     d_sigma: float          # distance to the spectrum
 
 
+def _parity_blocks(A: np.ndarray, grid: QuadGrid, scale: float) -> list[tuple[np.ndarray, int]]:
+    """The blocks that ``eigh`` diagonalizes, each with the parity of its modes.
+
+    On a mirrored grid a matrix that commutes with the flip J, to 1e-10 of
+    ``scale``, splits into A11 + A12 J (even modes, +1) and A11 - A12 J (odd
+    modes, -1) on the left half-grid; any other matrix is one block (0).
+    """
+    n = grid.N // 2
+    # A - JAJ is J-antisymmetric, so its upper half holds its largest entry
+    if grid.mirrored and np.max(np.abs(A[:n] - A[::-1, ::-1][:n])) <= 1e-10 * scale:
+        top, flip = A[:n, :n], A[:n, n:][:, ::-1]
+        return [(top + flip, 1), (top - flip, -1)]
+    return [(A, 0)]
+
+
 def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     """Dense symmetric eigendecomposition of the Nystrom operator.
 
-    One LAPACK ``dsyevd`` call (divide and conquer, ``numpy.linalg.eigh``)
-    on the lower triangle of A = W^{1/2} K W^{1/2}.  Eigenvalues of A
-    below 1e-14 * mu_max are quadrature noise and are discarded.  Signs
-    are fixed in one vectorized pass: phi_1 has sum w phi_1 >= 0, and
-    every other phi_j has its first entry above 1e-10 max|phi_j| positive.
+    A = W^{1/2} K W^{1/2} is diagonalized by LAPACK's ``dsyevd`` (divide and
+    conquer, ``numpy.linalg.eigh``, lower triangle).  On a mirrored interval
+    grid a J-symmetric A (J the flip x -> -x) is diagonalized as two
+    half-size blocks, A11 + A12 J for the even modes and A11 - A12 J for the
+    odd ones; each eigenvector u lifts to [u; +-Ju] / sqrt(2), and
+    ``parity`` records +1 or -1 per mode.  Any other A is one block, with
+    parity 0.  The spectra merge into one descending mu list.  Eigenvalues
+    of A below 1e-14 * mu_max are quadrature noise and are discarded.  Signs
+    are fixed in one vectorized pass: phi_1 has sum w phi_1 >= 0, and every
+    other phi_j has its first entry above 1e-10 max|phi_j| positive.
     """
     w = dk.grid.w
     sw = np.sqrt(w)
-    A = dk.matrix * sw[:, None] * sw[None, :]
+    A = dk.matrix * sw[:, None]
+    A *= sw
     if not np.all(np.isfinite(A)):
         raise ValueError("symmetrized kernel has non-finite entries")
-    asym = np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300)
-    if asym > 1e-10:
-        raise ValueError(f"symmetrized kernel is not symmetric (relative residual {asym:.2e})")
-    mu, psi = np.linalg.eigh(A)
-    mu, psi = mu[::-1], psi[:, ::-1]
-    # mu descends, so the kept modes are a prefix
+    scale = max(np.max(np.abs(A)), 1e-300)
+    blocks = _parity_blocks(A, dk.grid, scale)
+    del A
+    # each block's spectrum descending, then one stable merge, which keeps a
+    # single block in LAPACK's order
+    mus, psis, signs = [], [], []
+    for B, sign in blocks:
+        # a J-symmetric A is symmetric if and only if both its blocks are
+        asym = np.max(np.abs(B - B.T)) / scale
+        if asym > 1e-10:
+            raise ValueError(f"symmetrized kernel is not symmetric (relative residual {asym:.2e})")
+        mu_b, psi_b = np.linalg.eigh(B)
+        mus.append(mu_b[::-1])
+        psis.append(psi_b[:, ::-1])
+        signs.append(np.full(len(mu_b), sign))
+    del blocks, B
+    mu = np.concatenate(mus)
+    order = np.argsort(-mu, kind="stable")
+    mu = mu[order]
+    # mu descends, so the kept modes are a prefix, and a prefix of each block
     m = int(np.sum(mu > 1e-14 * mu[0]))
-    lam = 1.0 / mu[:m]
-    phi = psi[:, :m] / sw[:, None]
+    parity = np.concatenate(signs)[order][:m]
+    # the column of phi that each block's modes go to; the blocks have equal size
+    N, n = dk.grid.N, len(psis[0])
+    phi = np.empty((N, m))
+    for cols, psi_b in zip(np.split(np.argsort(order), len(psis)), psis):
+        cols = cols[cols < m]
+        phi[:n, cols] = psi_b[:, :len(cols)]
+    del psis
+    # the lift [u; +-Ju] / sqrt(2) of a half-size block; one block has n = N
+    if n < N:
+        np.multiply(phi[n - 1::-1], parity, out=phi[n:])
+    phi /= (sw * np.sqrt(N / n))[:, None]
     # deterministic signs: the first significant entry of each column, and
     # phi_1's weighted sum
     a = np.abs(phi)
     lead = phi[np.argmax(a > 1e-10 * a.max(axis=0), axis=0), np.arange(m)]
     lead[:1] = w @ phi[:, :1]
     phi *= np.where(lead < 0, -1.0, 1.0)
-    return SpectralData(dk=dk, lam=lam, phi=phi, n_discarded=len(mu) - m)
+    return SpectralData(dk=dk, lam=1.0 / mu[:m], phi=phi, n_discarded=len(mu) - m, parity=parity)
 
 
 def lambda_context(sd: SpectralData, lam: float) -> LambdaContext:

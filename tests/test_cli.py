@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from nonlocal_eigen import cli
+from nonlocal_eigen import cli, limits
 from nonlocal_eigen.cli import main
 
 
@@ -108,6 +108,22 @@ def test_exit_codes(tmp_path, capsys):
                  ["limit-s", "--g", "one", "--h", "1"],
                  ["limit-s", "--g", "one", "--K-frac", "0.3"]):
         assert run_cli(argv + ["--out", out]) == 2, argv
+
+
+def test_bad_lambda_and_K_fraction_rejected_before_assembly(tmp_path, monkeypatch, capsys):
+    def assemble(*_):
+        raise AssertionError("assembled before the request was validated")
+
+    monkeypatch.setattr(cli, "assemble_green_matrix", assemble)
+    monkeypatch.setattr(limits, "assemble_green_matrix", assemble)
+    for argv, msg in ((["solve", "--lambda", "inf"], "lambda must be finite"),
+                      (["solve", "--K-frac", "1.5"], "K fraction"),
+                      (["sweep", "--lambda-list", "1,nan"], "lambda must be finite"),
+                      (["sweep", "--K-frac", "0"], "K fraction"),
+                      (["limit-s", "--lambda=-inf"], "lambda must be finite"),
+                      (["limit-s", "--K-frac", "1"], "K fraction")):
+        assert run_cli(argv + ["--N", "32", "--out", str(tmp_path)]) == 2, argv
+        assert msg in capsys.readouterr().err, argv
 
 
 def test_boundary_node_at_roundoff_assembles(tmp_path):

@@ -23,6 +23,7 @@ from nonlocal_eigen.kernels import (
     make_operator,
     rfl_green_ball,
     rfl_green_from_gaps,
+    sfl_eigenfunction,
     sfl_eigenvalue,
 )
 from nonlocal_eigen.solver import check_max_principle, check_poincare
@@ -188,6 +189,23 @@ def test_sfl_matrix_diagonalizes():
     out = apply_G0(dk, phi2).values
     mu2 = float(sfl_eigenvalue(DOM, 2))
     np.testing.assert_allclose(out, phi2 * mu2 ** (-op.s), atol=1e-6)
+
+
+@pytest.mark.parametrize("N,M", [(256, 1024), (96, 4096)])
+def test_sfl_half_grid_matrix_is_the_full_series(N, M):
+    # on a mirrored grid K is written from the left half-grid's odd-k and
+    # even-k Gram matrices; it must be the full B B^T, exactly symmetric and
+    # exactly J-symmetric
+    grid = build_grid(DOM, N)
+    op = make_operator("sfl", 0.75, DOM, sfl_truncation=M)
+    K = assemble_green_matrix(op, grid).matrix
+    k = np.arange(1, M + 1)
+    B = sfl_eigenfunction(DOM, k[None, :], grid.x[:, None]) * sfl_eigenvalue(DOM, k) ** (-0.375)
+    full = B @ B.T
+    assert grid.mirrored
+    assert np.max(np.abs(K - full)) <= 1e-13 * np.max(np.abs(full))
+    np.testing.assert_array_equal(K, K.T)
+    np.testing.assert_array_equal(K, K[::-1, ::-1])
 
 
 def test_operator_grid_domain_mismatch(grid):

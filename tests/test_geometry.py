@@ -82,3 +82,17 @@ def test_compact_mask():
     for frac in (0.0, 1.5, float("nan"), 1.0 - 1e-9):
         with pytest.raises(ValueError, match="K fraction"):
             grid.compact_mask(frac)
+
+
+def test_every_even_interval_grid_is_mirrored():
+    # x, w and delta equal their mirrors bit for bit, so the parity split
+    # applies on every even N; odd N and the ball are never mirrored
+    dom = make_domain("interval", 1, 1.0)
+    for N in range(8, 1101, 2):
+        grid = build_grid(dom, N)
+        assert np.array_equal(grid.x, -grid.x[::-1]), N
+        assert np.array_equal(grid.w, grid.w[::-1]), N
+        assert np.array_equal(grid.delta, grid.delta[::-1]), N
+        assert grid.mirrored, N
+    assert not build_grid(dom, 129).mirrored
+    assert not build_grid(make_domain("ball", 2, 1.0), 128).mirrored

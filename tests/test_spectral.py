@@ -1,3 +1,4 @@
+import dataclasses
 from math import pi
 
 import numpy as np
@@ -156,9 +157,112 @@ def test_sign_rule_is_the_docstring_rule(kind, s, N, kw):
     np.testing.assert_array_equal(_reference_signs(sd.phi * flips, sd.grid.w), sd.phi)
 
 
+@pytest.mark.parametrize("N", [96, 95])
+def test_nonsymmetric_kernel_rejected(N):
+    # the skew term x_i^2 - x_j^2 commutes with the flip on a mirrored grid,
+    # so it reaches the split's block check at even N, the full check at odd N
+    grid = build_grid(DOM, N)
+    dk = assemble_green_matrix(make_operator("rfl", 0.5, DOM), grid)
+    S = np.subtract.outer(grid.x**2, grid.x**2)
+    K = dk.matrix + 1e-8 * np.max(dk.matrix) * S
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigendecompose(DiscreteKernel(op=dk.op, grid=grid, matrix=K))
+
+
 def test_nonfinite_kernel_rejected(sfl):
     _, dk, _ = sfl
     K = dk.matrix.copy()
     K[3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         eigendecompose(DiscreteKernel(op=dk.op, grid=dk.grid, matrix=K))
+
+
+def _one_block(dk):
+    """The same matrix on a copy of the grid whose last node moved by one ulp:
+    the grid is no longer mirrored, so eigendecompose takes one block."""
+    x = dk.grid.x.copy()
+    x[-1] = np.nextafter(x[-1], 0.0)
+    grid = dataclasses.replace(dk.grid, x=x)
+    assert dk.grid.mirrored and not grid.mirrored
+    return eigendecompose(DiscreteKernel(op=dk.op, grid=grid, matrix=dk.matrix))
+
+
+def _eigen_residual(sd):
+    """max_j |A psi_j - mu_j psi_j| / mu_1 with A = W^1/2 K W^1/2 and psi_j = W^1/2 phi_j."""
+    sw = np.sqrt(sd.grid.w)
+    psi = sw[:, None] * sd.phi
+    A = sd.dk.matrix * sw[:, None] * sw[None, :]
+    return np.max(np.abs(A @ psi - psi / sd.lam)) * sd.lam[0]
+
+
+SPLIT_CASES = [("rfl", s, {}) for s in (0.25, 0.5, 0.75, 0.99)] + [
+    ("classical", 1.0, {}), ("sfl", 0.75, {"sfl_truncation": 1024})]
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("grading", [2.0, 4.0])
+@pytest.mark.parametrize("kind,s,kw", SPLIT_CASES)
+def test_parity_split_matches_one_block(kind, s, kw, grading, N):
+    grid = build_grid(DOM, N, grading=grading)
+    dk = assemble_green_matrix(make_operator(kind, s, DOM, **kw), grid)
+    sd, ref = eigendecompose(dk), _one_block(dk)
+    assert np.all(np.abs(sd.parity) == 1) and np.all(ref.parity == 0)
+    assert sd.n_discarded == ref.n_discarded
+    # both paths are backward stable, so mu_j = 1/lambda_j agree to roundoff
+    # of mu_1 (measured at most 1.5e-15 mu_1); lambda_50 / lambda_1 reaches
+    # 2500 near s = 1, where lambda_50 differs by 1e-13 relative
+    dmu = np.abs(1.0 / sd.lam[:50] - 1.0 / ref.lam[:50]) * sd.lam[0]
+    assert np.max(dmu) <= 1e-14
+    np.testing.assert_allclose(sd.lam[:10], ref.lam[:10], rtol=1e-13)
+    G = sd.phi.T @ (grid.w[:, None] * sd.phi)
+    assert np.max(np.abs(G - np.eye(sd.m))) <= 2e-14
+    # measured at most 1e-15 on either path
+    assert _eigen_residual(sd) <= 1e-14
+
+
+@pytest.mark.parametrize("kind,s,kw", SPLIT_CASES)
+def test_parity_labels_the_mirror_image(kind, s, kw):
+    sd = _decompose(kind, s, 256, 2.0, **kw)
+    np.testing.assert_allclose(sd.phi[::-1], sd.phi * sd.parity, rtol=0,
+                               atol=1e-14 * np.max(np.abs(sd.phi)))
+    if kind == "sfl":
+        # sin(k pi (x + 1) / 2) has parity (-1)^(k+1)
+        k = np.arange(1, 21)
+        np.testing.assert_array_equal(sd.parity[:20], (-1) ** (k + 1))
+
+
+def _check_one_block(sd):
+    assert np.all(sd.parity == 0) and sd.m + sd.n_discarded == sd.grid.N
+    G = sd.phi.T @ (sd.grid.w[:, None] * sd.phi)
+    assert np.max(np.abs(G - np.eye(sd.m))) <= 2e-14
+    assert _eigen_residual(sd) <= 1e-14
+
+
+@pytest.mark.parametrize("kind,s,N,kw", [("rfl", 0.75, 255, {}), ("classical", 1.0, 127, {}),
+                                         ("sfl", 0.75, 129, {"sfl_truncation": 512})])
+def test_odd_N_takes_one_block(kind, s, N, kw):
+    sd = _decompose(kind, s, N, 2.0, **kw)
+    assert not sd.grid.mirrored
+    _check_one_block(sd)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_takes_one_block(n):
+    ball = make_domain("ball", n, 1.0)
+    grid = build_grid(ball, 64)
+    assert not grid.mirrored
+    _check_one_block(eigendecompose(assemble_green_matrix(make_operator("rfl", 0.75, ball), grid)))
+
+
+def test_matrix_without_mirror_symmetry_takes_one_block():
+    # a symmetric rank-one term on the left half breaks J-symmetry by 1e-6
+    grid = build_grid(DOM, 256)
+    dk = assemble_green_matrix(make_operator("rfl", 0.5, DOM), grid)
+    v = np.where(grid.x < 0, np.cos(grid.x), 0.0)
+    K = dk.matrix + 1e-6 * np.max(dk.matrix) * np.outer(v, v)
+    sd = eigendecompose(DiscreteKernel(op=dk.op, grid=grid, matrix=K))
+    assert grid.mirrored
+    _check_one_block(sd)
+    sw = np.sqrt(grid.w)
+    mu = np.linalg.eigvalsh(K * sw[:, None] * sw[None, :])[::-1]
+    np.testing.assert_allclose(1.0 / sd.lam[:50], mu[:50], rtol=1e-12)
