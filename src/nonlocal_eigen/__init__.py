@@ -9,7 +9,6 @@ alternative, maximum principle and the s -> 1 classical limit.
 from .boundary import (
     MartinConstantReport,
     TraceReport,
-    gamma_normal_derivative_G0,
     martin_apply,
     martin_constant_report,
     weighted_trace,
@@ -30,11 +29,9 @@ from .kernels import (
     martin_kernel,
 )
 from .limits import (
-    OperatorFamily,
     SLimitReport,
     boundary_exponent_fit,
     large_solution_limit_s,
-    make_family,
     resolvent_convergence_s,
     spectral_convergence_s,
 )

@@ -1,5 +1,4 @@
-"""Martin operator, gamma-normal derivative of the Green's operator and
-the weighted boundary trace.
+"""Martin operator and the weighted boundary trace.
 
 The Martin operator turns boundary data h into a "large" harmonic
 function v_h blowing up like delta^{-b}; on the interval the boundary
@@ -31,8 +30,11 @@ def _martin_columns(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.nd
 
     Interval: M(-r, .) and M(r, .), the kernels of the two ends.
     Ball: the kernel times |z - y|^n and the sphere integral |S^{n-1}| r / gap,
-    whose product is M(1).
+    whose product is M(1).  Raises ValueError when op and grid live on
+    different domains.
     """
+    if op.domain != grid.domain:
+        raise ValueError("operator and grid live on different domains")
     plus, minus = grid.sides
     gap = plus * minus
     if op.domain.kind is DomainKind.INTERVAL:
@@ -49,6 +51,11 @@ def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
 
     h is finite: the values (h(-r), h(r)) on the interval, where one value
     serves both ends, or one constant on the ball.
+
+    Its transpose is the gamma-normal derivative of G_0 in the very weak
+    formulation: <M(h), f>_W = sum_z h(z) D_gamma G_0 f(z), so on the interval
+    D_gamma G_0 f(z) = <M(e_z), f>_W, with e_z the datum 1 at z and 0 at the
+    other end, and on the ball it is <M(1), f>_W / |dB_r| for radial f.
     """
     ends = 2 if op.domain.kind is DomainKind.INTERVAL else 1
     h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -60,25 +67,6 @@ def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
         return GridFunction(grid, h[0] * a + h[1] * b)
     # ball, constant data: the kernel times |z - y|^n, against the sphere integral
     return GridFunction(grid, h[0] * a * b)
-
-
-def gamma_normal_derivative_G0(op: OperatorSpec, grid: QuadGrid, z: float, f) -> float:
-    """D_gamma G_0(f)(z): quadrature of the Martin kernel against f, for |f| <= 1e8.
-
-    On the ball f is radial, so the value is the sphere mean
-    <M(1), f>_W / |dB_r|, the same at every boundary point z.
-    """
-    v = as_values(f, grid)
-    if np.max(np.abs(v)) > 1e8:
-        raise ValueError("data exceeds boundedness cap 1e+08")
-    r = grid.domain.r
-    if abs(abs(z) - r) > 1e-12 * r:
-        raise ValueError("z must be a boundary point of the domain")
-    a, b = _martin_columns(op, grid)
-    if op.domain.kind is DomainKind.INTERVAL:
-        return float(np.sum(grid.w * (a if z < 0 else b) * v))
-    n = op.domain.n
-    return float(np.sum(grid.w * (a * b) * v)) / (sphere_area(n) * r ** (n - 1))
 
 
 @dataclass(frozen=True)

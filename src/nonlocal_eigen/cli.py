@@ -22,9 +22,9 @@ import numpy as np
 
 from . import solver as solver_mod
 from .discretize import assemble_green_matrix
-from .geometry import build_grid, make_domain
-from .kernels import make_operator
-from .limits import large_solution_limit_s, make_family, resolvent_convergence_s
+from .geometry import K_FRACTION, build_grid, make_domain
+from .kernels import SFL_TRUNCATION, make_operator
+from .limits import large_solution_limit_s, resolvent_convergence_s
 from .spectral import SpectralHit, eigendecompose, lambda_context
 from .verify import run_verification
 
@@ -44,12 +44,12 @@ class RunConfig:
     r: float = 1.0
     N: int = 256
     grade: float = 2.0
-    M: int = 4096
+    M: int = SFL_TRUNCATION
     lam: float = 0.0
     lam_list: list = field(default_factory=list)
     g: str = "zero"
     h: list = field(default_factory=lambda: [1.0])
-    K_frac: float = 0.25
+    K_frac: float = K_FRACTION
     out: str = "."
     seed: int = 0
     group: int = 1
@@ -134,14 +134,13 @@ def _setup(cfg: RunConfig):
     return domain, op, grid
 
 
-def _check_request(cfg: RunConfig):
-    """Reject a lambda that is not finite or a K fraction outside (0, 1) before
-    any assembly, with the messages of lambda_context and compact_mask."""
+def _check_request(cfg: RunConfig, grid):
+    """Reject a lambda that is not finite, with lambda_context's message, or a
+    K fraction that compact_mask refuses on grid, before any assembly."""
     for lam in (cfg.lam, *cfg.lam_list):
         if not np.isfinite(lam):
             raise ConfigError(f"lambda must be finite, got {lam}")
-    if not 0.0 < cfg.K_frac < 1.0:
-        raise ConfigError(f"K fraction {cfg.K_frac} must lie in (0, 1) and leave a node in K")
+    grid.compact_mask(cfg.K_frac)
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
@@ -167,8 +166,8 @@ def cmd_eigen(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    _check_request(cfg)
     _, op, grid = _setup(cfg)
+    _check_request(cfg, grid)
     sd = eigendecompose(assemble_green_matrix(op, grid))
     ctx = lambda_context(sd, cfg.lam)
     g = resolve_g(cfg.g, grid, sd, op)
@@ -184,8 +183,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    _check_request(cfg)
     _, op, grid = _setup(cfg)
+    _check_request(cfg, grid)
     sd = eigendecompose(assemble_green_matrix(op, grid))
     g = resolve_g(cfg.g, grid, sd, op)
     sw = solver_mod.sweep_lambda(op, sd, g, cfg.h, cfg.group, cfg.lam_list or None, cfg.K_frac)
@@ -203,16 +202,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_limit_s(cfg: RunConfig) -> int:
-    _check_request(cfg)
     domain = make_domain(cfg.domain, cfg.n, cfg.r)
     grid = build_grid(domain, cfg.N, cfg.grade)
-    fam = make_family(cfg.op, domain, cfg.M)
+    _check_request(cfg, grid)
     if cfg.g == "zero":
-        rep = large_solution_limit_s(fam, cfg.s_list, cfg.lam, None, cfg.h, grid, cfg.K_frac)
+        rep = large_solution_limit_s(cfg.op, cfg.s_list, cfg.lam, None, cfg.h, grid,
+                                     cfg.K_frac, cfg.M)
     else:
-        opc = fam.classical()
-        g = resolve_g(cfg.g, grid, None, opc)
-        rep = resolvent_convergence_s(fam, cfg.s_list, cfg.lam, g, grid)
+        g = resolve_g(cfg.g, grid, None, make_operator("classical", 1.0, domain))
+        rep = resolvent_convergence_s(cfg.op, cfg.s_list, cfg.lam, g, grid, cfg.M)
     rows = rep.rows()
     header = list(rows[0].keys())
     path = os.path.join(cfg.out, "ladder.csv")

@@ -142,9 +142,13 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
     elif op.domain.kind is DomainKind.INTERVAL or op.kind is OperatorKind.RFL:
         # one kernel value per pair i < j (so x_i < x_j), mirrored; kernels are
         # formed from boundary distances, and on the ball Boggio's angular mean
-        # is the kernel on radial functions
+        # is the kernel on radial functions.  |x_i - x_j| is |delta_i - delta_j|
+        # on one side, where x may have rounded to +-r, and x_j - x_i across,
+        # which keeps K exactly mirror-symmetric
         i, j = np.triu_indices(grid.N, 1)
-        dl, d, ball = grid.delta, np.abs(grid.x[i] - grid.x[j]), op.domain.kind is DomainKind.BALL
+        dl, ball = grid.delta, op.domain.kind is DomainKind.BALL
+        left = grid.x < 0
+        d = np.where(left[i] == left[j], np.abs(dl[i] - dl[j]), grid.x[j] - grid.x[i])
         plus, minus = grid.sides
         if op.kind is OperatorKind.CLASSICAL:
             upper = plus[i] * minus[j] / (2 * op.domain.r)

@@ -58,6 +58,9 @@ def make_domain(kind: DomainKind | str, n: int, r: float) -> DomainSpec:
 # nodes that a boundary limit or exponent is extrapolated or fitted from
 BOUNDARY_NODES = 5
 
+# the interior compact set K holds the nodes with delta >= K_FRACTION r
+K_FRACTION = 0.25
+
 
 @dataclass(frozen=True, eq=False)
 class QuadGrid:
@@ -98,7 +101,7 @@ class QuadGrid:
         near = np.flatnonzero(np.sign(self.x) == np.sign(z))
         return near[np.argsort(self.delta[near])[:BOUNDARY_NODES]]
 
-    def compact_mask(self, frac: float = 0.25) -> np.ndarray:
+    def compact_mask(self, frac: float = K_FRACTION) -> np.ndarray:
         """Nodes with delta >= frac * r (the interior compact set K), for frac in (0, 1)."""
         mask = self.delta >= frac * self.domain.r
         if not 0.0 < frac < 1.0 or not np.any(mask):
@@ -158,7 +161,9 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
             # bit for bit, and the extra points sit at both ends
             t, wt = _gauss_panels(-1.0, 0.0, _panel_counts(N // 2, half))
             t, wt = np.concatenate([t, -t[::-1]]), np.concatenate([wt, wt[::-1]])
-        # delta from the map keeps full precision where r - |x| would cancel
+        # delta from the map keeps full precision where r - |x| would cancel,
+        # and x may round to +-r at a strong grading; positions near the
+        # boundary are read from delta only
         d = r * (1.0 - np.abs(t)) ** beta
         x = np.sign(t) * (r - d)
         jac = r * beta * (1.0 - np.abs(t)) ** (beta - 1.0)
@@ -172,6 +177,6 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
     order = np.argsort(x)
     x, w, d = x[order], w[order], d[order]
 
-    if np.any(w <= 0) or np.any(d <= 0) or np.any(np.abs(x) >= r):
-        raise AssertionError("grid construction produced nonpositive weights or boundary nodes")
+    if np.any(w <= 0) or np.any(d <= 0):
+        raise AssertionError("grid construction produced nonpositive weights or boundary distances")
     return QuadGrid(domain=domain, x=x, w=w, delta=d, grading=grading)

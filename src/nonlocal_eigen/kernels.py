@@ -35,6 +35,10 @@ class OperatorKind(Enum):
     CLASSICAL = "classical"
 
 
+# sine modes kept in the SFL kernel series by default
+SFL_TRUNCATION = 4096
+
+
 @dataclass(frozen=True)
 class OperatorSpec:
     """Operator choice with its order s and boundary exponents.
@@ -47,7 +51,7 @@ class OperatorSpec:
     kind: OperatorKind
     s: float
     domain: DomainSpec
-    sfl_truncation: int = 4096
+    sfl_truncation: int = SFL_TRUNCATION
 
     def __post_init__(self):
         if self.kind is OperatorKind.RFL:
@@ -75,7 +79,7 @@ class OperatorSpec:
 
 
 def make_operator(kind: OperatorKind | str, s: float, domain: DomainSpec,
-                  sfl_truncation: int = 4096) -> OperatorSpec:
+                  sfl_truncation: int = SFL_TRUNCATION) -> OperatorSpec:
     if isinstance(kind, str):
         kind = OperatorKind(kind.lower())
     return OperatorSpec(kind=kind, s=s, domain=domain, sfl_truncation=sfl_truncation)

@@ -14,31 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import as_values, assemble_green_matrix
-from .geometry import DomainSpec, QuadGrid
-from .kernels import OperatorKind, OperatorSpec, make_operator
+from .geometry import BOUNDARY_NODES, K_FRACTION, QuadGrid
+from .kernels import SFL_TRUNCATION, OperatorKind, make_operator
 from .solver import solve_large
 from .spectral import SpectralData, eigendecompose, lambda_context, apply_Glambda
-
-
-@dataclass(frozen=True)
-class OperatorFamily:
-    """An operator kind on a fixed domain, parameterized by the order s."""
-
-    kind: OperatorKind
-    domain: DomainSpec
-    sfl_truncation: int = 4096
-
-    def at(self, s: float) -> OperatorSpec:
-        return make_operator(self.kind, s, self.domain, self.sfl_truncation)
-
-    def classical(self) -> OperatorSpec:
-        return make_operator(OperatorKind.CLASSICAL, 1.0, self.domain)
-
-
-def make_family(kind, domain: DomainSpec, sfl_truncation: int = 4096) -> OperatorFamily:
-    if isinstance(kind, str):
-        kind = OperatorKind(kind.lower())
-    return OperatorFamily(kind=kind, domain=domain, sfl_truncation=sfl_truncation)
 
 
 @dataclass(frozen=True)
@@ -86,9 +65,9 @@ def boundary_exponent_fit(v, grid: QuadGrid) -> float:
     return float(slope)
 
 
-def _ladder(family: OperatorFamily, s_list, grid: QuadGrid):
-    """Validate the s ladder, then yield (op, sd): the classical endpoint
-    first, then one rung per s."""
+def _ladder(kind: OperatorKind | str, s_list, grid: QuadGrid, sfl_truncation: int):
+    """Validate the s ladder, then yield the spectra of the operators of kind
+    on grid.domain: the classical endpoint first, then one rung per s."""
     s_list = np.asarray(s_list, dtype=float)
     if s_list.size == 0:
         raise ValueError("empty s ladder")
@@ -96,8 +75,10 @@ def _ladder(family: OperatorFamily, s_list, grid: QuadGrid):
         raise ValueError("s ladder must be strictly increasing")
     if np.any((s_list <= 0.5) | (s_list >= 1.0)):
         raise ValueError("s ladder must lie in (1/2, 1)")
-    for op in [family.classical()] + [family.at(s) for s in s_list]:
-        yield op, eigendecompose(assemble_green_matrix(op, grid))
+    ops = [make_operator(OperatorKind.CLASSICAL, 1.0, grid.domain)]
+    ops += [make_operator(kind, s, grid.domain, sfl_truncation) for s in s_list]
+    for op in ops:
+        yield eigendecompose(assemble_green_matrix(op, grid))
 
 
 def _report(sd1: SpectralData, rungs: list, **monotone) -> SLimitReport:
@@ -113,34 +94,35 @@ def _report(sd1: SpectralData, rungs: list, **monotone) -> SLimitReport:
                   for flag, name in monotone.items()})
 
 
-def spectral_convergence_s(family: OperatorFamily, s_list, j_max: int,
-                           grid: QuadGrid) -> SLimitReport:
+def spectral_convergence_s(kind: OperatorKind | str, s_list, j_max: int, grid: QuadGrid,
+                           sfl_truncation: int = SFL_TRUNCATION) -> SLimitReport:
     """Eigenvalue/eigenfunction convergence toward the classical spectrum."""
-    ladder = _ladder(family, s_list, grid)
-    _, sd1 = next(ladder)
+    ladder = _ladder(kind, s_list, grid, sfl_truncation)
+    sd1 = next(ladder)
     mu1, phi1 = 1.0 / sd1.lam[:j_max], sd1.phi[:, :j_max]
-    rungs = [(op, sd.lam[0], {
+    rungs = [(sd.dk.op, sd.lam[0], {
         "omega": np.max(np.abs(1.0 / sd.lam[:j_max] - mu1)),
         "alignment": np.abs(phi1.T @ (grid.w[:, None] * sd.phi[:, :j_max])).diagonal(),
-    }) for op, sd in ladder]
+    }) for sd in ladder]
     return _report(sd1, rungs, omega_decreasing="omega", lam1_err_decreasing="lam1_err")
 
 
-def resolvent_convergence_s(family: OperatorFamily, s_list, lam: float, f,
-                            grid: QuadGrid) -> SLimitReport:
+def resolvent_convergence_s(kind: OperatorKind | str, s_list, lam: float, f, grid: QuadGrid,
+                            sfl_truncation: int = SFL_TRUNCATION) -> SLimitReport:
     """L2 convergence of the shifted solution operator to the classical one."""
-    ladder = _ladder(family, s_list, grid)
-    _, sd1 = next(ladder)
-    u1 = apply_Glambda(sd1, lambda_context(sd1, lam), f).values
+    ladder = _ladder(kind, s_list, grid, sfl_truncation)
+    sd1 = next(ladder)
+    u1 = apply_Glambda(lambda_context(sd1, lam), f).values
     rungs = []
-    for op, sd in ladder:
-        u = apply_Glambda(sd, lambda_context(sd, lam), f).values
-        rungs.append((op, sd.lam[0], {"sol_dist": np.sqrt(np.sum(grid.w * (u - u1) ** 2))}))
+    for sd in ladder:
+        u = apply_Glambda(lambda_context(sd, lam), f).values
+        rungs.append((sd.dk.op, sd.lam[0], {"sol_dist": np.sqrt(np.sum(grid.w * (u - u1) ** 2))}))
     return _report(sd1, rungs, sol_dist_decreasing="sol_dist")
 
 
-def large_solution_limit_s(family: OperatorFamily, s_list, lam: float, g, h,
-                           grid: QuadGrid, K_frac: float = 0.25) -> SLimitReport:
+def large_solution_limit_s(kind: OperatorKind | str, s_list, lam: float, g, h,
+                           grid: QuadGrid, K_frac: float = K_FRACTION,
+                           sfl_truncation: int = SFL_TRUNCATION) -> SLimitReport:
     """Convergence of large solutions to the classical Dirichlet solution.
 
     The classical endpoint v_1 = M_1(h) + G_{lambda}(g + lambda M_1(h))
@@ -148,21 +130,21 @@ def large_solution_limit_s(family: OperatorFamily, s_list, lam: float, g, h,
     set K, the boundary-exponent fit of log|v| vs log delta and the
     near-boundary amplification v * delta^{b(s)} are recorded.
     """
-    def solve(op, sd):
-        return solve_large(op, sd, lambda_context(sd, lam), g, h, K_frac).v_total.values
+    def solve(sd):
+        return solve_large(sd.dk.op, sd, lambda_context(sd, lam), g, h, K_frac).v_total.values
 
-    ladder = _ladder(family, s_list, grid)
-    op1, sd1 = next(ladder)
-    v1 = solve(op1, sd1)
+    ladder = _ladder(kind, s_list, grid, sfl_truncation)
+    sd1 = next(ladder)
+    v1 = solve(sd1)
     mask = grid.compact_mask(K_frac)
-    near = np.argsort(grid.delta)[:5]
+    near = np.argsort(grid.delta)[:BOUNDARY_NODES]
     rungs = []
-    for op, sd in ladder:
-        v = solve(op, sd)
-        rungs.append((op, sd.lam[0], {
+    for sd in ladder:
+        v = solve(sd)
+        rungs.append((sd.dk.op, sd.lam[0], {
             "sol_dist": np.sum(grid.w[mask] * np.abs(v - v1)[mask]),
             "boundary_fit": boundary_exponent_fit(v, grid),
             "sup_K": np.max(np.abs(v[mask])),
-            "near_boundary_amp": np.max(np.abs(v[near]) * grid.delta[near] ** op.b),
+            "near_boundary_amp": np.max(np.abs(v[near]) * grid.delta[near] ** sd.dk.op.b),
         }))
     return _report(sd1, rungs, sol_dist_decreasing="sol_dist", fit_to_zero="boundary_fit")

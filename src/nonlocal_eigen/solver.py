@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import martin_apply
-from .discretize import DiscreteKernel, GridFunction, as_values, weighted_norm
+from .discretize import GridFunction, as_values, weighted_norm
+from .geometry import K_FRACTION
 from .kernels import OperatorSpec
 from .spectral import LambdaContext, SpectralData, apply_Glambda, lambda_context
 
@@ -44,17 +45,24 @@ class SolveReport:
                 "v_total": list(self.v_total.values)}
 
 
-def _data(op: OperatorSpec, grid, g, h) -> tuple[np.ndarray, np.ndarray]:
-    """Node values of the interior datum g and of v_h = M(h); None is zero data."""
+def _data(op: OperatorSpec, sd: SpectralData, g, h) -> tuple[np.ndarray, np.ndarray]:
+    """Node values of the interior datum g and of v_h = M(h); None is zero data.
+
+    op must be the operator of the spectrum sd, whose Martin kernel lifts h.
+    """
+    if op != sd.dk.op:
+        raise ValueError(f"operator {op} is not the operator of the spectrum, {sd.dk.op}")
+    grid = sd.grid
     gv = as_values(g, grid) if g is not None else np.zeros(grid.N)
     v_h = martin_apply(op, grid, h).values if h is not None else np.zeros(grid.N)
     return gv, v_h
 
 
-def _solve(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext, gv: np.ndarray,
-           v_h: np.ndarray, split_at: int, K_frac: float) -> SolveReport:
-    """v = v_h + G_lambda(g + lambda v_h), split into the explicit part on
-    the modes below split_at and the complement u_perp."""
+def _solve(ctx: LambdaContext, gv: np.ndarray, v_h: np.ndarray, split_at: int,
+           K_frac: float) -> SolveReport:
+    """v = v_h + G_lambda(g + lambda v_h) on ctx's spectrum, split into the
+    explicit part on the modes below split_at and the complement u_perp."""
+    sd = ctx.sd
     grid = sd.grid
     rhs = gv + ctx.lam * v_h
     c = sd.coeffs(rhs) / (sd.lam - ctx.lam)
@@ -66,7 +74,7 @@ def _solve(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext, gv: np.ndarra
     u_green = sd.dk.matrix @ (grid.w * (rhs + ctx.lam * u))
     green_res = np.sqrt(np.sum(grid.w * (u - u_green) ** 2))
     mask = grid.compact_mask(K_frac)
-    gam = op.gamma
+    gam = sd.dk.op.gamma
     norms = {
         "v_L1_dgamma": weighted_norm(total, grid, gam),
         "uperp_L1_dgamma": weighted_norm(perp, grid, gam),
@@ -82,12 +90,15 @@ def _solve(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext, gv: np.ndarra
 
 
 def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
-                g, h, K_frac: float = 0.25) -> SolveReport:
+                g, h, K_frac: float = K_FRACTION) -> SolveReport:
     """Singular boundary data: v = v_h + G_lambda(g + lambda v_h).
 
     h None is the Dirichlet solve v = G_lambda(g), decomposed over E/E-perp.
+    op must be sd's operator and ctx a context of sd.
     """
-    return _solve(op, sd, ctx, *_data(op, sd.grid, g, h), ctx.I, K_frac)
+    if ctx.sd is not sd:
+        raise ValueError("the lambda context belongs to another spectrum")
+    return _solve(ctx, *_data(op, sd, g, h), ctx.I, K_frac)
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,7 @@ def fredholm_diagnose(sd: SpectralData, op: OperatorSpec, g, h, i: int) -> Fredh
     projection lies above eps or below -eps, with eps = 1e-3 times its
     sup, which keeps them nonempty in the blow-up case.
     """
-    return _fredholm(sd, *_data(op, sd.grid, g, h), i)
+    return _fredholm(sd, *_data(op, sd, g, h), i)
 
 
 def _fredholm(sd: SpectralData, gv: np.ndarray, v_h: np.ndarray, i: int) -> FredholmReport:
@@ -151,7 +162,7 @@ class SweepReport:
 
 
 def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
-                 lam_list=None, K_frac: float = 0.25) -> SweepReport:
+                 lam_list=None, K_frac: float = K_FRACTION) -> SweepReport:
     """Sweep lambda toward the i-th eigenvalue, recording blow-up data.
 
     The E/E-perp split is taken relative to the eigenvalue groups up to
@@ -161,7 +172,7 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     spectrum raises SpectralHit.
     """
     grid = sd.grid
-    gv, v_h = _data(op, grid, g, h)
+    gv, v_h = _data(op, sd, g, h)
     fred = _fredholm(sd, gv, v_h, i)
     lam_i = fred.lam_i
     grp = sd.group(i)
@@ -176,7 +187,7 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
 
     reports, supK, supKA, infO, up_norm, proj = [], [], [], [], [], []
     for lam in lam_list:
-        rep = _solve(op, sd, lambda_context(sd, lam), gv, v_h, split_at, K_frac)
+        rep = _solve(lambda_context(sd, lam), gv, v_h, split_at, K_frac)
         total = rep.v_total.values
         reports.append(rep)
         supK.append(rep.norms["sup_K"])
@@ -209,13 +220,13 @@ class TrialReport:
         return self.n_failures == 0
 
 
-def check_max_principle(sd: SpectralData, ctx: LambdaContext, trials: int = 100,
-                        seed: int = 0) -> TrialReport:
+def check_max_principle(ctx: LambdaContext, trials: int = 100, seed: int = 0) -> TrialReport:
     """Solutions with f >= 0 and lambda < lambda_1 must be nonnegative.
 
     Random nonnegative data, including delta-weighted unbounded samples;
     a trial fails when min u < -1e-8 * max u.
     """
+    sd = ctx.sd
     if ctx.lam >= sd.lam[0]:
         raise ValueError("maximum principle requires lambda < lambda_1")
     rng = np.random.default_rng(seed)
@@ -226,7 +237,7 @@ def check_max_principle(sd: SpectralData, ctx: LambdaContext, trials: int = 100,
         f = rng.uniform(0.0, 1.0, grid.N)
         if t % 3 == 2:
             f = f * grid.delta ** (-0.5)
-        u = apply_Glambda(sd, ctx, f).values
+        u = apply_Glambda(ctx, f).values
         margin = np.min(u) / max(np.max(u), 1e-300)
         worst = min(worst, margin)
         if margin < -1e-8:
@@ -234,10 +245,10 @@ def check_max_principle(sd: SpectralData, ctx: LambdaContext, trials: int = 100,
     return TrialReport(n_failures=failures, worst_margin=float(worst))
 
 
-def check_poincare(sd: SpectralData, dk: DiscreteKernel, trials: int = 100,
-                   seed: int = 0) -> TrialReport:
-    """lambda_1 <phi, G_0 phi>_W <= <phi, phi>_W for every phi."""
+def check_poincare(sd: SpectralData, trials: int = 100, seed: int = 0) -> TrialReport:
+    """lambda_1 <phi, G_0 phi>_W <= <phi, phi>_W for every phi, G_0 the kernel of sd."""
     rng = np.random.default_rng(seed)
+    dk = sd.dk
     grid = dk.grid
     lam1 = sd.lam[0]
     failures = 0
@@ -253,17 +264,18 @@ def check_poincare(sd: SpectralData, dk: DiscreteKernel, trials: int = 100,
     return TrialReport(n_failures=failures, worst_margin=float(worst))
 
 
-def check_notions(sd: SpectralData, dk: DiscreteKernel, ctx: LambdaContext,
-                  f, u=None) -> dict:
-    """Residuals of the equivalent notions of solution for the same u.
+def check_notions(ctx: LambdaContext, f, u=None) -> dict:
+    """Residuals of the equivalent notions of solution for the same u, on ctx's spectrum.
 
     r1: distance to the resolvent solution; r5: Green-identity residual
     u - lambda G_0 u - G_0 f; r6: worst spectral-coefficient residual
     (lambda_j - lambda) <u, phi_j> - <f, phi_j>.
     """
+    sd = ctx.sd
+    dk = sd.dk
     grid = dk.grid
     fv = as_values(f, grid)
-    u_ref = apply_Glambda(sd, ctx, fv).values
+    u_ref = apply_Glambda(ctx, fv).values
     uv = as_values(u, grid) if u is not None else u_ref
     w = grid.w
     r1 = np.sqrt(np.sum(w * (uv - u_ref) ** 2))

@@ -175,21 +175,22 @@ def lambda_context(sd: SpectralData, lam: float) -> LambdaContext:
     return LambdaContext(sd=sd, lam=lam, I=int(np.sum(sd.lam <= lam)), d_sigma=d_sigma)
 
 
-def apply_Glambda(sd: SpectralData, ctx: LambdaContext, f) -> GridFunction:
-    """Spectral solution operator of (L - lambda): all retained modes."""
-    c = sd.coeffs(f)
-    return sd.synth(c / (sd.lam - ctx.lam))
+def apply_Glambda(ctx: LambdaContext, f) -> GridFunction:
+    """Spectral solution operator of (L - lambda) on ctx's spectrum: all retained modes."""
+    sd = ctx.sd
+    return sd.synth(sd.coeffs(f) / (sd.lam - ctx.lam))
 
 
-def apply_Glambda_neumann(dk: DiscreteKernel, ctx: LambdaContext, f) -> GridFunction:
-    """Fixed-point route u <- lambda G_0 u + G_0 f; contracts for |lambda| < lambda_1.
+def apply_Glambda_neumann(ctx: LambdaContext, f) -> GridFunction:
+    """Fixed-point route u <- lambda G_0 u + G_0 f with the kernel of ctx's
+    spectrum; contracts for |lambda| < lambda_1.
 
     Stops at a weighted residual of 1e-12, within 10000 steps.
     """
-    sd = ctx.sd
-    lam = ctx.lam
+    sd, lam = ctx.sd, ctx.lam
     if abs(lam) >= sd.lam[0]:
         raise ValueError(f"Neumann iteration requires |lambda| < lambda_1 = {sd.lam[0]}")
+    dk = sd.dk
     w = dk.grid.w
     G0f = dk.matrix @ (w * as_values(f, dk.grid))
     u = G0f.copy()

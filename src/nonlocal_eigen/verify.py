@@ -23,11 +23,7 @@ from .kernels import (
     rfl_green_ball,
     sfl_eigenvalue,
 )
-from .limits import (
-    large_solution_limit_s,
-    make_family,
-    spectral_convergence_s,
-)
+from .limits import large_solution_limit_s, spectral_convergence_s
 from .spectral import (
     apply_Glambda,
     apply_Glambda_neumann,
@@ -72,14 +68,11 @@ class VerifySuite:
     # -- lazily shared heavy objects ------------------------------------
     @cached_property
     def rfl_sd(self):
-        op = make_operator("rfl", 0.5, self.dom)
-        dk = assemble_green_matrix(op, self.grid)
-        return op, dk, eigendecompose(dk)
+        return eigendecompose(assemble_green_matrix(make_operator("rfl", 0.5, self.dom), self.grid))
 
     def _sfl_at(self, grid):
         op = make_operator("sfl", 0.75, self.dom, sfl_truncation=grid.N)
-        dk = assemble_green_matrix(op, grid)
-        return op, dk, eigendecompose(dk)
+        return eigendecompose(assemble_green_matrix(op, grid))
 
     @cached_property
     def sfl_sd(self):
@@ -137,31 +130,30 @@ class VerifySuite:
 
     # -- criterion 3: SFL spectrum --------------------------------------
     def check_sfl_spectrum(self):
-        op, _, sd = self._sfl_at(self.grid_u)
+        sd = self._sfl_at(self.grid_u)
         k = np.arange(1, 11)
-        exact = sfl_eigenvalue(self.dom, k) ** op.s
+        exact = sfl_eigenvalue(self.dom, k) ** sd.dk.op.s
         rel = np.max(np.abs(sd.lam[:10] - exact) / exact)
         return _res("sfl_spectrum", rel, 1e-6,
                     f"lambda_1..10 vs ((k pi/2r)^2)^s, M = N = {self.N}")
 
     # -- criterion 4: orthonormality and positivity ---------------------
     def check_gram_residual(self):
-        _, _, sd = self.rfl_sd
+        sd = self.rfl_sd
         G = sd.phi.T @ (self.grid.w[:, None] * sd.phi)
         res = np.max(np.abs(G - np.eye(sd.m)))
         return _res("gram_residual", res, 1e-8, f"{sd.m} retained modes")
 
     def check_phi1_nonneg(self):
-        _, _, sd = self.rfl_sd
+        sd = self.rfl_sd
         phi1 = sd.phi[:, 0]
         return _res("phi1_nonnegative", -np.min(phi1), 1e-8 * np.max(phi1),
                     cmp="le", detail="min phi_1 vs -1e-8 max phi_1")
 
     def check_phi1_delta_bracket(self):
         brackets = []
-        for op, _, sd in (self.sfl_sd,
-                          self._sfl_at(build_grid(self.dom, 2 * self.N, grading=2.0))):
-            q = sd.phi[:, 0] / sd.grid.delta**op.gamma
+        for sd in (self.sfl_sd, self._sfl_at(build_grid(self.dom, 2 * self.N, grading=2.0))):
+            q = sd.phi[:, 0] / sd.grid.delta**sd.dk.op.gamma
             brackets.append(float(np.max(q) / np.min(q)))
         b1, b2 = brackets
         change = abs(b2 - b1) / b1
@@ -171,50 +163,47 @@ class VerifySuite:
 
     # -- criterion 5: operator identities -------------------------------
     def check_by_parts(self):
-        _, dk, sd = self.rfl_sd
-        ctx = lambda_context(sd, 0.5 * sd.lam[0])
+        ctx = lambda_context(self.rfl_sd, 0.5 * self.rfl_sd.lam[0])
         rng = np.random.default_rng(self.seed)
         w = self.grid.w
         worst = 0.0
         for _ in range(100):
             f = rng.standard_normal(self.grid.N)
             g = rng.standard_normal(self.grid.N)
-            Gf = apply_Glambda(sd, ctx, f).values
-            Gg = apply_Glambda(sd, ctx, g).values
+            Gf = apply_Glambda(ctx, f).values
+            Gg = apply_Glambda(ctx, g).values
             num = abs(np.sum(w * f * Gg) - np.sum(w * g * Gf))
             den = np.sqrt(np.sum(w * f**2)) * np.sqrt(np.sum(w * g**2))
             worst = max(worst, num / den)
         return _res("integration_by_parts", worst, 1e-9, "100 random pairs")
 
     def check_route_agreement(self):
-        _, dk, sd = self.rfl_sd
-        ctx = lambda_context(sd, 0.5 * sd.lam[0])
+        ctx = lambda_context(self.rfl_sd, 0.5 * self.rfl_sd.lam[0])
         rng = np.random.default_rng(self.seed)
         f = rng.standard_normal(self.grid.N)
-        un = apply_Glambda_neumann(dk, ctx, f).values
-        us = apply_Glambda(sd, ctx, f).values
+        un = apply_Glambda_neumann(ctx, f).values
+        us = apply_Glambda(ctx, f).values
         res = np.sqrt(np.sum(self.grid.w * (un - us) ** 2))
         return _res("neumann_vs_spectral", res, 1e-8, "lambda = 0.5 lambda_1")
 
     def check_notions(self):
-        _, dk, sd = self.rfl_sd
-        ctx = lambda_context(sd, 0.5 * sd.lam[0])
+        ctx = lambda_context(self.rfl_sd, 0.5 * self.rfl_sd.lam[0])
         rng = np.random.default_rng(self.seed)
         f = rng.standard_normal(self.grid.N)
-        res = solver_mod.check_notions(sd, dk, ctx, f)
+        res = solver_mod.check_notions(ctx, f)
         worst = max(res.values())
         return _res("notion_equivalence", worst, 1e-8,
                     f"r1={res['r1']:.2e} r5={res['r5']:.2e} r6={res['r6']:.2e}")
 
     # -- criterion 6: maximum principle ---------------------------------
     def check_max_principle(self):
-        _, _, sd = self.rfl_sd
+        sd = self.rfl_sd
         lam1 = sd.lam[0]
         worst = np.inf
         fails = 0
         for lam in (-5.0, 0.0, 0.9 * lam1, 0.99 * lam1):
             ctx = lambda_context(sd, lam)
-            rep = solver_mod.check_max_principle(sd, ctx, trials=100, seed=self.seed)
+            rep = solver_mod.check_max_principle(ctx, trials=100, seed=self.seed)
             worst = min(worst, rep.worst_margin)
             fails += rep.n_failures
         return CheckResult("maximum_principle", fails == 0, float(worst), -1e-8,
@@ -222,32 +211,30 @@ class VerifySuite:
                            "measured = worst min u / max u")
 
     def check_max_principle_negative_control(self):
-        _, _, sd = self.rfl_sd
-        lam = 0.5 * (sd.lam[0] + sd.lam[1])
-        ctx = lambda_context(sd, lam)
-        u = apply_Glambda(sd, ctx, sd.phi[:, 0]).values
+        sd = self.rfl_sd
+        ctx = lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1]))
+        u = apply_Glambda(ctx, sd.phi[:, 0]).values
         return CheckResult("max_principle_negative_control", np.min(u) < 0,
                            float(np.min(u)), 0.0,
                            "lambda in (lambda_1, lambda_2), f = phi_1 must go negative")
 
     # -- criterion 7: Poincare ------------------------------------------
     def check_poincare(self):
-        _, dk, sd = self.rfl_sd
-        rep = solver_mod.check_poincare(sd, dk, trials=100, seed=self.seed)
+        rep = solver_mod.check_poincare(self.rfl_sd, trials=100, seed=self.seed)
         return _res("poincare", rep.worst_margin, 1.0 + 1e-8,
                     "worst lambda_1 <phi, G0 phi> / <phi, phi> over 100 random phi")
 
     def check_poincare_equality(self):
-        _, dk, sd = self.rfl_sd
+        sd = self.rfl_sd
         w = self.grid.w
         phi1 = sd.phi[:, 0]
-        lhs = sd.lam[0] * np.sum(w * phi1 * (dk.matrix @ (w * phi1)))
+        lhs = sd.lam[0] * np.sum(w * phi1 * (sd.dk.matrix @ (w * phi1)))
         rhs = np.sum(w * phi1 * phi1)
         return _res("poincare_equality_phi1", abs(lhs / rhs - 1.0), 1e-8)
 
     # -- criterion 8: uniform E-perp estimate ---------------------------
     def check_uniform_Eperp(self):
-        op, _, sd = self.sfl_sd
+        sd = self.sfl_sd
         rng = np.random.default_rng(self.seed)
         f = rng.uniform(0.5, 1.5, self.grid.N)
         # orthogonal to the lowest three groups so no single near-lambda_1
@@ -256,9 +243,9 @@ class VerifySuite:
         norms = []
         for frac in (0.5, 0.9, 0.99, 0.999):
             ctx = lambda_context(sd, frac * sd.lam[0])
-            u = apply_Glambda(sd, ctx, f).values
+            u = apply_Glambda(ctx, f).values
             up = project_perp(sd, 1, u).values
-            norms.append(weighted_norm(up, self.grid, op.gamma))
+            norms.append(weighted_norm(up, self.grid, sd.dk.op.gamma))
         ratio = max(norms) / min(norms)
         return _res("uniform_Eperp_estimate", ratio, 1.1, cmp="le",
                     detail="||u_perp delta^gamma||_L1 max/min over the lambda ladder")
@@ -266,15 +253,14 @@ class VerifySuite:
     # -- criterion 9: Fredholm blow-up rate and global blow-up ----------
     @cached_property
     def _sweep(self):
-        op, _, sd = self.sfl_sd
-        return op, sd, solver_mod.sweep_lambda(op, sd, None, (1.0, 1.0), 1)
+        return solver_mod.sweep_lambda(self.sfl_sd.dk.op, self.sfl_sd, None, (1.0, 1.0), 1)
 
     def check_fredholm_rate(self):
-        op, sd, sw = self._sweep
+        sd = self.sfl_sd
         lam1 = sd.lam[0]
         lam = 0.999 * lam1
         ctx = lambda_context(sd, lam)
-        rep = solver_mod.solve_large(op, sd, ctx, None, (1.0, 1.0))
+        rep = solver_mod.solve_large(sd.dk.op, sd, ctx, None, (1.0, 1.0))
         v_h = rep.v_h.values
         proj = abs(np.sum(self.grid.w * rep.v_total.values * sd.phi[:, 0]))
         target = abs(lam1 * np.sum(self.grid.w * v_h * sd.phi[:, 0]))
@@ -284,14 +270,13 @@ class VerifySuite:
                     "at lambda = 0.999 lambda_1")
 
     def check_blowup_monotone(self):
-        _, _, sw = self._sweep
+        sw = self._sweep
         ok = bool(np.all(np.diff(sw.sup_K_Aplus) > 0))
         return CheckResult("blowup_sup_monotone", ok, float(sw.sup_K_Aplus[-1]),
                            0.0, "sup over K cap A+ strictly increasing along the sweep")
 
     def check_global_blowup(self):
-        _, _, sw = self._sweep
-        inf_seq = sw.inf_Omega
+        inf_seq = self._sweep.inf_Omega
         i10 = np.argmax(inf_seq > 10.0) if np.any(inf_seq > 10.0) else -1
         ok = (np.any(inf_seq > 10.0) and np.any(inf_seq > 100.0)
               and i10 <= int(np.argmax(inf_seq > 100.0)))
@@ -300,7 +285,7 @@ class VerifySuite:
 
     # -- criterion 10: Fredholm convergence, degenerate case ------------
     def check_fredholm_case_a(self):
-        op, _, sd = self.sfl_sd
+        sd = self.sfl_sd
         rng = np.random.default_rng(self.seed)
         g = rng.uniform(0.5, 1.5, self.grid.N)
         gp = project_perp(sd, 1, g)
@@ -308,8 +293,8 @@ class VerifySuite:
         dists = []
         for sign in (-1.0, 1.0):
             lam = sd.lam[0] * (1.0 + sign * 1e-4)
-            v = apply_Glambda(sd, lambda_context(sd, lam), gp).values
-            dists.append(weighted_norm(v - ref, self.grid, op.gamma))
+            v = apply_Glambda(lambda_context(sd, lam), gp).values
+            dists.append(weighted_norm(v - ref, self.grid, sd.dk.op.gamma))
         return _res("fredholm_case_a_convergence", max(dists), 1e-4,
                     f"L1(delta^gamma) distance to the limit from below/above: "
                     f"{dists[0]:.2e} / {dists[1]:.2e}")
@@ -330,9 +315,8 @@ class VerifySuite:
                     "relative kernel distance at s = 0.995, n = 3, interior samples")
 
     def check_sfl_lambda1_monotone(self):
-        fam = make_family("sfl", self.dom, self.N)
-        rep = spectral_convergence_s(fam, [0.6, 0.7, 0.8, 0.9, 0.95, 0.99], 3,
-                                     self.grid_u)
+        rep = spectral_convergence_s("sfl", [0.6, 0.7, 0.8, 0.9, 0.95, 0.99], 3,
+                                     self.grid_u, sfl_truncation=self.N)
         errs = np.abs(rep.lam1 - (pi / (2.0 * self.dom.r)) ** 2)
         ok = bool(np.all(np.diff(errs) < 0))
         return CheckResult("sfl_lambda1_monotone", ok, float(errs[-1]), 0.0,
@@ -340,8 +324,8 @@ class VerifySuite:
 
     @cached_property
     def _large_ladder(self):
-        return large_solution_limit_s(make_family("rfl", self.dom), [0.7, 0.9, 0.99],
-                                      0.0, None, (1.0, 1.0), self.grid)
+        return large_solution_limit_s("rfl", [0.7, 0.9, 0.99], 0.0, None, (1.0, 1.0),
+                                      self.grid)
 
     def check_boundary_exponent(self):
         rep = self._large_ladder

@@ -6,7 +6,6 @@ import pytest
 
 from nonlocal_eigen import boundary
 from nonlocal_eigen.boundary import (
-    gamma_normal_derivative_G0,
     martin_apply,
     martin_constant_report,
     weighted_trace,
@@ -67,33 +66,6 @@ def test_martin_blowup_exponent(grid):
     assert slope == pytest.approx(-op.b, abs=1e-3)
 
 
-def test_weak_duality_with_G0(grid):
-    # <M(h), f>_W equals the boundary pairing sum_z h(z) D_gamma G_0(f)(z)
-    op = make_operator("rfl", 0.6, DOM)
-    rng = np.random.default_rng(0)
-    f = rng.uniform(0.0, 1.0, grid.N)
-    h = (2.0, -1.0)
-    lhs = float(np.sum(grid.w * martin_apply(op, grid, h).values * f))
-    rhs = 2.0 * gamma_normal_derivative_G0(op, grid, -1.0, f) \
-        - 1.0 * gamma_normal_derivative_G0(op, grid, 1.0, f)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("s", [0.6, 0.75])
-def test_weak_duality_on_the_ball(n, s):
-    # <M(1), f>_W = |dB_r| D_gamma G_0(f)(z) for radial f; evaluated at the
-    # on-axis point instead of its sphere mean, D_gamma G_0 was off by
-    # factors of 656 to 1e10
-    dom = make_domain("ball", n, 1.0)
-    grid = build_grid(dom, 64, grading=2.0)
-    op = make_operator("rfl", s, dom)
-    f = np.random.default_rng(0).uniform(0.0, 1.0, grid.N)
-    lhs = float(np.sum(grid.w * martin_apply(op, grid, 1.0).values * f))
-    for z in (-1.0, 1.0):
-        assert sphere_area(n) * gamma_normal_derivative_G0(op, grid, z, f) == pytest.approx(lhs, rel=1e-12)
-
-
 def test_martin_columns_computed_once_per_op_and_grid(monkeypatch):
     calls = []
 
@@ -106,8 +78,6 @@ def test_martin_columns_computed_once_per_op_and_grid(monkeypatch):
     op = make_operator("sfl", 0.75, DOM)
     for k in range(10):
         martin_apply(op, fresh, (1.0, float(k)))
-    for z in (-1.0, 1.0):
-        gamma_normal_derivative_G0(op, fresh, z, np.ones(fresh.N))
     weighted_trace(op, martin_apply(op, fresh, (2.0, 5.0)), 1.0, fresh)
     assert len(calls) == 2
     martin_apply(op, build_grid(DOM, 64, grading=2.0), 1.0)
@@ -135,10 +105,17 @@ def test_martin_apply_equals_the_uncached_kernel(kind, s, dom):
     assert np.array_equal(martin_apply(op, grid, h).values, expect)
 
 
-def test_gamma_normal_derivative_cap(grid):
-    op = make_operator("rfl", 0.6, DOM)
-    with pytest.raises(ValueError):
-        gamma_normal_derivative_G0(op, grid, 1.0, np.full(grid.N, 1e9))
+def test_operator_on_another_domain_is_rejected(grid):
+    # an operator on (-2, 2) with a grid on (-1, 1) once read the trace of
+    # M(1) as 1.68 instead of 1
+    op = make_operator("rfl", 0.75, make_domain("interval", 1, 2.0))
+    with pytest.raises(ValueError, match="different domains"):
+        martin_apply(op, grid, 1.0)
+    m1 = martin_apply(make_operator("rfl", 0.75, DOM), grid, 1.0)
+    with pytest.raises(ValueError, match="different domains"):
+        weighted_trace(op, m1, 1.0, grid)
+    with pytest.raises(ValueError, match="different domains"):
+        martin_constant_report(op, grid)
 
 
 def test_trace_recovers_boundary_data():

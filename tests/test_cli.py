@@ -120,6 +120,8 @@ def test_bad_lambda_and_K_fraction_rejected_before_assembly(tmp_path, monkeypatc
                       (["solve", "--K-frac", "1.5"], "K fraction"),
                       (["sweep", "--lambda-list", "1,nan"], "lambda must be finite"),
                       (["sweep", "--K-frac", "0"], "K fraction"),
+                      # inside (0, 1), but no node has delta >= 0.9999 r
+                      (["solve", "--K-frac", "0.9999"], "K fraction"),
                       (["limit-s", "--lambda=-inf"], "lambda must be finite"),
                       (["limit-s", "--K-frac", "1"], "K fraction")):
         assert run_cli(argv + ["--N", "32", "--out", str(tmp_path)]) == 2, argv
@@ -136,15 +138,16 @@ def test_boundary_node_at_roundoff_assembles(tmp_path):
 
 
 def test_numerical_fault_in_assembly_exits_3(tmp_path, monkeypatch):
-    # two nodes that coincide put the kernel on its diagonal: a numerical
-    # fault (exit 3), not a configuration error (exit 2)
+    # two nodes that coincide (in x and in delta, which the fill reads on
+    # one side) put the kernel on its diagonal: a numerical fault (exit 3),
+    # not a configuration error (exit 2)
     build = cli.build_grid
 
     def merged(domain, N, grading):
         grid = build(domain, N, grading)
-        x = grid.x.copy()
-        x[1] = x[0]
-        return dataclasses.replace(grid, x=x)
+        x, delta = grid.x.copy(), grid.delta.copy()
+        x[1], delta[1] = x[0], delta[0]
+        return dataclasses.replace(grid, x=x, delta=delta)
 
     monkeypatch.setattr(cli, "build_grid", merged)
     assert run_cli(["eigen", "--op", "rfl", "--N", "16", "--out", str(tmp_path)]) == 3
@@ -197,11 +200,12 @@ def test_console_script_invocation(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    # scipy.linalg alone costs about 300 ms at start-up; src/ imports scipy
-    # only inside the functions that need it
+    # scipy.linalg alone costs about 300 ms at start-up, and src/ imports no
+    # scipy; mpmath is imported by the SFL Martin kernel when it first needs
+    # a zeta value, never at start-up
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, nonlocal_eigen.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -72,6 +72,7 @@ def test_matrix_symmetric(grid, kind, s):
     # the mirrored upper triangle is the kernel at every pair, bit for bit,
     # formed from boundary distances: the classical (r + x_i)(r - x_j) / 2r
     # for x_i < x_j from grid.sides, Boggio's from the gaps delta (2r - delta)
+    # and |x - y|, which is |delta_x - delta_y| for two nodes on one side
     X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
     off = ~np.eye(grid.N, dtype=bool)
     if kind == "classical":
@@ -82,7 +83,9 @@ def test_matrix_symmetric(grid, kind, s):
     else:
         gap = grid.delta * (2 - grid.delta)
         GX, GY = np.meshgrid(gap, gap, indexing="ij")
-        ref = rfl_green_from_gaps(op, GX[off], GY[off], np.abs(X - Y)[off])
+        DX, DY = np.meshgrid(grid.delta, grid.delta, indexing="ij")
+        dist = np.where((X < 0) == (Y < 0), np.abs(DX - DY), np.abs(X - Y))
+        ref = rfl_green_from_gaps(op, GX[off], GY[off], dist[off])
     np.testing.assert_array_equal(dk.matrix[off], ref)
     # away from the boundary r -+ x does not cancel: the coordinate form agrees
     far = off & (grid.delta[:, None] >= 0.1) & (grid.delta[None, :] >= 0.1)
@@ -173,9 +176,9 @@ def test_rfl_matrix_properties(s, N, grading):
     assert np.all(K @ grid.w > 0)
     sd = eigendecompose(dk)
     for lam in (0.0, 0.9 * sd.lam[0]):
-        rep = check_max_principle(sd, lambda_context(sd, lam))
+        rep = check_max_principle(lambda_context(sd, lam))
         assert rep.n_failures == 0, (lam, rep.worst_margin)
-    rep = check_poincare(sd, dk)
+    rep = check_poincare(sd)
     assert rep.n_failures == 0, rep.worst_margin
 
 
@@ -354,13 +357,15 @@ def test_ball_matrix_at_small_s_stays_finite(n, s, grading):
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_rfl_offdiagonal_near_the_boundary_matches_mpmath(s):
     # grading 4, N = 512: node 0 sits at delta = 8.6e-16, where r^2 - x^2
-    # formed from coordinates loses every digit; the entry is Boggio's
-    # kernel at the gaps delta (2r - delta), summed here at 30 digits
+    # formed from coordinates loses every digit: r + x_0 is 4% off delta_0,
+    # and x_1 - x_0 is 8e-6 off delta_1 - delta_0; the entry is Boggio's kernel
+    # at the gaps delta (2r - delta) and the distance delta_1 - delta_0, summed
+    # here at 30 digits
     grid = build_grid(DOM, 512, grading=4.0)
     K = assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix
     with mpmath.workdps(30):
         gap = [mpmath.mpf(d) * (2 - mpmath.mpf(d)) for d in grid.delta[:2]]
-        dist = mpmath.mpf(grid.x[1]) - mpmath.mpf(grid.x[0])
+        dist = mpmath.mpf(grid.delta[1]) - mpmath.mpf(grid.delta[0])
         rho = gap[0] * gap[1] / dist**2
         C = 1 / (4 ** mpmath.mpf(s) * mpmath.gamma(s) ** 2)    # Gamma(1/2) = sqrt(pi)
         ref = C * dist ** (2 * s - 1) * mpmath.betainc(s, 0.5 - mpmath.mpf(s), 0, rho / (1 + rho))

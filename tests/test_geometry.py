@@ -96,3 +96,14 @@ def test_every_even_interval_grid_is_mirrored():
         assert grid.mirrored, N
     assert not build_grid(dom, 129).mirrored
     assert not build_grid(make_domain("ball", 2, 1.0), 128).mirrored
+
+
+def test_every_grading_4_grid_builds():
+    # from N = 953 on the outermost delta falls to about 5e-17 and x rounds
+    # to -+r; the grid stands, since every kernel reads delta there
+    dom = make_domain("interval", 1, 1.0)
+    for N in range(8, 1101):
+        grid = build_grid(dom, N, grading=4.0)
+        assert np.all(grid.delta > 0) and np.all(grid.w > 0), N
+        assert np.sum(grid.w) == pytest.approx(2.0, rel=1e-10), N
+    assert build_grid(dom, 1024, grading=4.0).x[0] == -1.0

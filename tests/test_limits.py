@@ -7,7 +7,6 @@ from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.limits import (
     boundary_exponent_fit,
     large_solution_limit_s,
-    make_family,
     resolvent_convergence_s,
     spectral_convergence_s,
 )
@@ -21,8 +20,7 @@ def grid():
 
 
 def test_sfl_spectral_convergence(grid):
-    fam = make_family("sfl", DOM, 64)
-    rep = spectral_convergence_s(fam, [0.7, 0.8, 0.9, 0.99], 3, grid)
+    rep = spectral_convergence_s("sfl", [0.7, 0.8, 0.9, 0.99], 3, grid, 64)
     # lambda_1(s) = ((pi/2)^2)^s analytically
     np.testing.assert_allclose(
         rep.lam1, ((pi / 2) ** 2) ** rep.s_list, rtol=1e-6)
@@ -34,34 +32,27 @@ def test_sfl_spectral_convergence(grid):
 
 
 def test_ladder_validation(grid):
-    fam = make_family("sfl", DOM, 64)
-    with pytest.raises(ValueError):
-        spectral_convergence_s(fam, [], 3, grid)
-    with pytest.raises(ValueError):
-        spectral_convergence_s(fam, [0.9, 0.7], 3, grid)
-    with pytest.raises(ValueError):
-        spectral_convergence_s(fam, [0.3, 0.7], 3, grid)
+    for s_list in ([], [0.9, 0.7], [0.3, 0.7]):
+        with pytest.raises(ValueError):
+            spectral_convergence_s("sfl", s_list, 3, grid, 64)
 
 
 def test_resolvent_convergence(grid):
-    fam = make_family("sfl", DOM, 64)
-    rep = resolvent_convergence_s(fam, [0.7, 0.9, 0.99], 0.0, np.ones(grid.N), grid)
+    rep = resolvent_convergence_s("sfl", [0.7, 0.9, 0.99], 0.0, np.ones(grid.N), grid, 64)
     assert rep.monotone["sol_dist_decreasing"]
     assert rep.sol_dist[-1] < 0.02
 
 
 def test_resolvent_convergence_between_eigenvalues(grid):
     # a regular lambda between lambda_1(1) and lambda_2(1) still converges
-    fam = make_family("sfl", DOM, 64)
     lam = 0.5 * ((pi / 2) ** 2 + pi**2)
-    rep = resolvent_convergence_s(fam, [0.8, 0.9, 0.99], lam, np.cos(grid.x), grid)
+    rep = resolvent_convergence_s("sfl", [0.8, 0.9, 0.99], lam, np.cos(grid.x), grid, 64)
     assert rep.monotone["sol_dist_decreasing"]
 
 
 def test_large_solution_limit_rfl():
     grid = build_grid(DOM, 64, grading=2.0)
-    fam = make_family("rfl", DOM)
-    rep = large_solution_limit_s(fam, [0.7, 0.9, 0.99], 0.0, None, 1.0, grid)
+    rep = large_solution_limit_s("rfl", [0.7, 0.9, 0.99], 0.0, None, 1.0, grid)
     assert rep.monotone["sol_dist_decreasing"]
     assert rep.monotone["fit_to_zero"]
     # boundary exponent of M(1) is s - 1 exactly
@@ -83,5 +74,5 @@ def test_boundary_exponent_fit_takes_one_end():
     # unequal boundary data: the five smallest delta of both ends gave a
     # slope of -0.347 here, the nodes nearest r give -b = -(1 - s)
     grid = build_grid(DOM, 64, grading=2.0)
-    rep = large_solution_limit_s(make_family("rfl", DOM), [0.7], 0.0, None, (1.0, 2.0), grid)
+    rep = large_solution_limit_s("rfl", [0.7], 0.0, None, (1.0, 2.0), grid)
     assert rep.boundary_fit[0] == pytest.approx(-rep.b[0], abs=1e-3)

@@ -99,15 +99,15 @@ def test_sweep_rejects_spectrum_touch(setup):
 def test_max_principle(setup):
     op, grid, dk, sd = setup
     ctx = lambda_context(sd, 0.9 * sd.lam[0])
-    rep = check_max_principle(sd, ctx, trials=30, seed=1)
+    rep = check_max_principle(ctx, trials=30, seed=1)
     assert rep.passed
     with pytest.raises(ValueError):
-        check_max_principle(sd, lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1])))
+        check_max_principle(lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1])))
 
 
 def test_poincare(setup):
     op, grid, dk, sd = setup
-    rep = check_poincare(sd, dk, trials=30, seed=1)
+    rep = check_poincare(sd, trials=30, seed=1)
     assert rep.passed
     assert rep.worst_margin <= 1.0 + 1e-10
 
@@ -116,13 +116,40 @@ def test_check_notions_and_negative_control(setup):
     op, grid, dk, sd = setup
     ctx = lambda_context(sd, 0.5 * sd.lam[0])
     f = np.cos(grid.x)
-    res = check_notions(sd, dk, ctx, f)
+    res = check_notions(ctx, f)
     assert res["r1"] < 1e-8 and res["r5"] < 1e-8
     # r6 multiplies the Gram noise by the largest retained eigenvalue,
     # which is large for the strongly graded SFL grid used here
     assert res["r6"] < 1e-3
     # corrupted u must be detected through r5
     from nonlocal_eigen.spectral import apply_Glambda
-    u_bad = apply_Glambda(sd, ctx, f).values + 0.01
-    res_bad = check_notions(sd, dk, ctx, f, u=u_bad)
+    u_bad = apply_Glambda(ctx, f).values + 0.01
+    res_bad = check_notions(ctx, f, u=u_bad)
     assert res_bad["r5"] > 1e-3
+
+
+def test_context_of_another_spectrum_is_rejected(setup):
+    # a context from the s = 0.8 spectrum once solved at a lambda that the
+    # s = 0.75 spectrum rejects as a spectral hit
+    op, grid, dk, sd = setup
+    other = eigendecompose(assemble_green_matrix(
+        make_operator("sfl", 0.8, DOM, sfl_truncation=96), grid))
+    ctx = lambda_context(other, 0.5 * other.lam[0])
+    with pytest.raises(ValueError, match="another spectrum"):
+        solve_large(op, sd, ctx, np.ones(grid.N), 1.0)
+
+
+@pytest.mark.parametrize("other", [
+    make_operator("rfl", 0.75, DOM),
+    make_operator("sfl", 0.8, DOM, sfl_truncation=96),
+    make_operator("sfl", 0.75, DOM),  # the default truncation, not 96
+])
+def test_operator_of_another_spectrum_is_rejected(setup, other):
+    # the Martin kernel that lifts h must be the operator of the spectrum
+    op, grid, dk, sd = setup
+    ctx = lambda_context(sd, 0.5 * sd.lam[0])
+    for call in (lambda: solve_large(other, sd, ctx, None, 1.0),
+                 lambda: sweep_lambda(other, sd, None, 1.0, 1),
+                 lambda: fredholm_diagnose(sd, other, None, 1.0, 1)):
+        with pytest.raises(ValueError, match="not the operator of the spectrum"):
+            call()

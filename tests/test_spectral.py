@@ -71,7 +71,7 @@ def test_resolvent_identity(sfl):
     ctx = lambda_context(sd, 1.3)
     rng = np.random.default_rng(1)
     f = rng.standard_normal(dk.grid.N)
-    u = apply_Glambda(sd, ctx, f).values
+    u = apply_Glambda(ctx, f).values
     w = dk.grid.w
     residual = u - ctx.lam * (dk.matrix @ (w * u)) - dk.matrix @ (w * f)
     assert np.max(np.abs(residual)) < 1e-10
@@ -81,11 +81,11 @@ def test_neumann_agrees_with_spectral(sfl):
     _, dk, sd = sfl
     ctx = lambda_context(sd, 0.5 * sd.lam[0])
     f = np.cos(dk.grid.x)
-    un = apply_Glambda_neumann(dk, ctx, f).values
-    us = apply_Glambda(sd, ctx, f).values
+    un = apply_Glambda_neumann(ctx, f).values
+    us = apply_Glambda(ctx, f).values
     np.testing.assert_allclose(un, us, atol=1e-10)
     with pytest.raises(ValueError):
-        apply_Glambda_neumann(dk, lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1])), f)
+        apply_Glambda_neumann(lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1])), f)
 
 
 def test_project_perp_and_perp_solve(sfl):
