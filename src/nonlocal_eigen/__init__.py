@@ -6,13 +6,7 @@ Martin kernels and large boundary-blow-up solutions, the Fredholm
 alternative, maximum principle and the s -> 1 classical limit.
 """
 
-from .boundary import (
-    MartinConstantReport,
-    TraceReport,
-    martin_apply,
-    martin_constant_report,
-    weighted_trace,
-)
+from .boundary import TraceReport, martin_apply, weighted_trace
 from .discretize import (
     DiscreteKernel,
     GridFunction,

@@ -8,20 +8,20 @@ sphere-integral identity int_{dB_r} |z-y|^{-n} dS = |S^{n-1}| r / (r^2 - |y|^2).
 
 The weighted trace B u(z) = lim u(x) / M(1)(x) is recovered numerically
 by polynomial (Richardson-type) extrapolation in delta along the nodes
-of the boundary-graded grid.
+of the boundary-graded grid.  It also gives the Martin normalization:
+lim delta^{1-s} M(1) = 1 / B(delta^{s-1}).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gamma as gamma_fn
 
 import numpy as np
 
 from .discretize import GridFunction, as_values
-from .geometry import BOUNDARY_NODES, DomainKind, QuadGrid, sphere_area
-from .kernels import OperatorKind, OperatorSpec, martin_from_gaps
+from .geometry import DomainKind, QuadGrid, sphere_area
+from .kernels import OperatorSpec, martin_from_gaps
 
 
 @lru_cache(maxsize=16)
@@ -90,43 +90,18 @@ def _extrapolate_to_zero(d: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     farthest node.
     """
     full = _neville_at_zero(d, v)
-    reduced = _neville_at_zero(d[:-1], v[:-1]) if len(d) > 2 else v[0]
+    reduced = _neville_at_zero(d[:-1], v[:-1])
     return full, abs(full - reduced)
 
 
 def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid) -> TraceReport:
-    """Weighted boundary trace at z: u / M(1) at the BOUNDARY_NODES nodes
-    nearest z, extrapolated along the grid."""
+    """Weighted boundary trace at z: u / M(1) at ``grid.boundary_nodes(z)``,
+    extrapolated along the grid."""
     v = as_values(u, grid)
     order = grid.boundary_nodes(z)
-    if len(order) < BOUNDARY_NODES:
-        raise ValueError(f"fewer than {BOUNDARY_NODES} usable nodes near z={z}")
     d = grid.delta[order]
     m1 = martin_apply(op, grid, 1.0).values
     value, err = _extrapolate_to_zero(d, v[order] / m1[order])
     if not np.isfinite(value) or (abs(value) > 0 and err > 10 * abs(value)):
         raise ValueError("trace extrapolation did not converge")
     return TraceReport(value=value, error=err)
-
-
-@dataclass(frozen=True)
-class MartinConstantReport:
-    """Measured boundary normalization lim delta^{1-s} M(1) of the interval
-    RFL Martin kernel against its closed form 1/(s Gamma(s)^2 r)."""
-
-    measured: float
-    candidate_kernel: float
-
-
-def martin_constant_report(op: OperatorSpec, grid: QuadGrid) -> MartinConstantReport:
-    """Extrapolate lim delta^{1-s} M(1) at the right endpoint and compare."""
-    if op.kind is not OperatorKind.RFL or op.domain.kind is not DomainKind.INTERVAL:
-        raise ValueError("constant comparison is defined for the RFL interval")
-    s, r = op.s, op.domain.r
-    m1 = martin_apply(op, grid, 1.0).values
-    sel = grid.boundary_nodes(r)
-    measured, _ = _extrapolate_to_zero(grid.delta[sel], grid.delta[sel] ** (1 - s) * m1[sel])
-    return MartinConstantReport(
-        measured=measured,
-        candidate_kernel=1.0 / (s * gamma_fn(s) ** 2 * r),
-    )

@@ -206,10 +206,11 @@ def cmd_limit_s(cfg: RunConfig) -> int:
     grid = build_grid(domain, cfg.N, cfg.grade)
     _check_request(cfg, grid)
     if cfg.g == "zero":
-        rep = large_solution_limit_s(cfg.op, cfg.s_list, cfg.lam, None, cfg.h, grid,
-                                     cfg.K_frac, cfg.M)
+        rep = large_solution_limit_s(cfg.op, cfg.s_list, cfg.lam, cfg.h, grid, cfg.K_frac, cfg.M)
     else:
-        g = resolve_g(cfg.g, grid, None, make_operator("classical", 1.0, domain))
+        # the lowest rung has the smallest gamma, so it admits the least data
+        lowest = make_operator(cfg.op, min(cfg.s_list), domain, cfg.M)
+        g = resolve_g(cfg.g, grid, None, lowest)
         rep = resolvent_convergence_s(cfg.op, cfg.s_list, cfg.lam, g, grid, cfg.M)
     rows = rep.rows()
     header = list(rows[0].keys())

@@ -69,10 +69,6 @@ class DiscreteKernel:
     grid: QuadGrid
     matrix: np.ndarray
 
-    @property
-    def N(self) -> int:
-        return self.grid.N
-
 
 # Gauss-Legendre points on [0, 1] for the ball's angular rule
 PRODUCT_NODES = 16

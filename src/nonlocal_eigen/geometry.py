@@ -97,8 +97,18 @@ class QuadGrid:
                 and np.array_equal(self.delta, self.delta[::-1]))
 
     def boundary_nodes(self, z: float) -> np.ndarray:
-        """The BOUNDARY_NODES nodes nearest the boundary point z, by increasing delta."""
+        """The BOUNDARY_NODES nodes nearest the boundary point z, by increasing delta.
+
+        z is -r or r on the interval and r on the ball, to 1e-12 r.  Any other
+        z, or fewer than BOUNDARY_NODES nodes on its side, raises ValueError.
+        """
+        r = self.domain.r
+        ends = (-r, r) if self.domain.kind is DomainKind.INTERVAL else (r,)
+        if not any(abs(z - e) <= 1e-12 * r for e in ends):
+            raise ValueError(f"z = {z} is not a boundary point; expected one of {ends}")
         near = np.flatnonzero(np.sign(self.x) == np.sign(z))
+        if len(near) < BOUNDARY_NODES:
+            raise ValueError(f"fewer than {BOUNDARY_NODES} nodes near z = {z}")
         return near[np.argsort(self.delta[near])[:BOUNDARY_NODES]]
 
     def compact_mask(self, frac: float = K_FRACTION) -> np.ndarray:

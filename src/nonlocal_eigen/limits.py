@@ -9,12 +9,12 @@ grid, never by extrapolating s close to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discretize import as_values, assemble_green_matrix
-from .geometry import BOUNDARY_NODES, K_FRACTION, QuadGrid
+from .geometry import K_FRACTION, QuadGrid
 from .kernels import SFL_TRUNCATION, OperatorKind, make_operator
 from .solver import solve_large
 from .spectral import SpectralData, eigendecompose, lambda_context, apply_Glambda
@@ -22,46 +22,38 @@ from .spectral import SpectralData, eigendecompose, lambda_context, apply_Glambd
 
 @dataclass(frozen=True)
 class SLimitReport:
-    """Ladder diagnostics of the s -> 1 limit against the classical endpoint."""
+    """Ladder diagnostics of the s -> 1 limit against the classical endpoint.
 
-    s_list: np.ndarray
-    lam1: np.ndarray             # lambda_1(s)
-    lam1_err: np.ndarray         # |lambda_1(s) - lambda_1(classical)|
-    b: np.ndarray                # blow-up exponent 1-2s+gamma per s
-    sol_dist: np.ndarray = None        # solution distance to the classical one
-    omega: np.ndarray = None           # sup_j |mu_j(s) - mu_j(1)|
-    alignment: np.ndarray = None       # (n_s, j_max) |<phi_j(s), phi_j(1)>|
-    boundary_fit: np.ndarray = None    # log|v| vs log delta slope per s
-    sup_K: np.ndarray = None           # interior sup of the large solution
-    near_boundary_amp: np.ndarray = None  # sup v * delta^{b(s)} near the boundary
-    monotone: dict = field(default_factory=dict)
+    ``columns`` maps a name to one entry per rung, read as ``rep["sol_dist"]``:
+    s, lam1, lam1_err = |lambda_1(s) - lambda_1(1)| and b = 1 - 2s + gamma, then
+    the ladder's own measurements in the order it takes them.
+    """
+
+    columns: dict
+    monotone: dict
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
 
     def rows(self) -> list[dict]:
-        out = []
-        for i, s in enumerate(self.s_list):
-            row = {"s": float(s), "lam1": float(self.lam1[i]),
-                   "lam1_err": float(self.lam1_err[i]), "b": float(self.b[i])}
-            for name in ("sol_dist", "omega", "boundary_fit", "sup_K", "near_boundary_amp"):
-                v = getattr(self, name)
-                if v is not None:
-                    row[name] = float(v[i])
-            out.append(row)
-        return out
+        """One dict per rung of the one-dimensional columns, in column order."""
+        flat = {k: c for k, c in self.columns.items() if c.ndim == 1}
+        return [{k: float(c[i]) for k, c in flat.items()} for i in range(len(self["s"]))]
 
 
 def _monotone_decreasing(a: np.ndarray) -> bool:
     """Nonincreasing along the ladder, allowing a relative slack of 10%."""
-    a = np.asarray(a, dtype=float)
     return bool(np.all(a[1:] <= 1.10 * a[:-1]))
 
 
 def boundary_exponent_fit(v, grid: QuadGrid) -> float:
-    """Least-squares slope of log|v| against log delta at the BOUNDARY_NODES
-    nodes nearest the boundary point r."""
-    vals = np.abs(as_values(v, grid))
+    """Least-squares slope of log|v| against log delta at
+    ``grid.boundary_nodes(r)``; ValueError where v vanishes at one of them."""
     order = grid.boundary_nodes(grid.domain.r)
-    ld, lv = np.log(grid.delta[order]), np.log(vals[order])
-    slope, _ = np.polyfit(ld, lv, 1)
+    vals = np.abs(as_values(v, grid))[order]
+    if np.any(vals == 0):
+        raise ValueError("boundary exponent fit of a function that vanishes at a fit node")
+    slope, _ = np.polyfit(np.log(grid.delta[order]), np.log(vals), 1)
     return float(slope)
 
 
@@ -84,14 +76,12 @@ def _ladder(kind: OperatorKind | str, s_list, grid: QuadGrid, sfl_truncation: in
 def _report(sd1: SpectralData, rungs: list, **monotone) -> SLimitReport:
     """Stack per-rung (op, lambda_1, metrics) into a report; each monotone
     flag names the column whose magnitude must not grow along the ladder."""
-    cols = {name: np.array([m[name] for _, _, m in rungs]) for name in rungs[0][2]}
     lam1 = np.array([l1 for _, l1, _ in rungs])
-    cols["lam1_err"] = np.abs(lam1 - sd1.lam[0])
-    return SLimitReport(
-        s_list=np.array([op.s for op, _, _ in rungs]), lam1=lam1,
-        b=np.array([op.b for op, _, _ in rungs]), **cols,
-        monotone={flag: _monotone_decreasing(np.abs(cols[name]))
-                  for flag, name in monotone.items()})
+    cols = {"s": np.array([op.s for op, _, _ in rungs]), "lam1": lam1,
+            "lam1_err": np.abs(lam1 - sd1.lam[0]), "b": np.array([op.b for op, _, _ in rungs])}
+    cols.update({name: np.array([m[name] for _, _, m in rungs]) for name in rungs[0][2]})
+    return SLimitReport(columns=cols, monotone={
+        flag: _monotone_decreasing(np.abs(cols[name])) for flag, name in monotone.items()})
 
 
 def spectral_convergence_s(kind: OperatorKind | str, s_list, j_max: int, grid: QuadGrid,
@@ -120,24 +110,25 @@ def resolvent_convergence_s(kind: OperatorKind | str, s_list, lam: float, f, gri
     return _report(sd1, rungs, sol_dist_decreasing="sol_dist")
 
 
-def large_solution_limit_s(kind: OperatorKind | str, s_list, lam: float, g, h,
+def large_solution_limit_s(kind: OperatorKind | str, s_list, lam: float, h,
                            grid: QuadGrid, K_frac: float = K_FRACTION,
                            sfl_truncation: int = SFL_TRUNCATION) -> SLimitReport:
     """Convergence of large solutions to the classical Dirichlet solution.
 
-    The classical endpoint v_1 = M_1(h) + G_{lambda}(g + lambda M_1(h))
-    uses the exact classical kernels; per s the L1 distance on the compact
-    set K, the boundary-exponent fit of log|v| vs log delta and the
-    near-boundary amplification v * delta^{b(s)} are recorded.
+    The classical endpoint v_1 = M_1(h) + lambda G_lambda M_1(h) uses the
+    exact classical kernels; per s the L1 distance on the compact set K, the
+    boundary-exponent fit of log|v| vs log delta and the near-boundary
+    amplification v * delta^{b(s)}, both at ``grid.boundary_nodes(r)``, are
+    recorded.
     """
     def solve(sd):
-        return solve_large(sd.dk.op, sd, lambda_context(sd, lam), g, h, K_frac).v_total.values
+        return solve_large(sd.dk.op, sd, lambda_context(sd, lam), None, h, K_frac).v_total.values
 
     ladder = _ladder(kind, s_list, grid, sfl_truncation)
     sd1 = next(ladder)
     v1 = solve(sd1)
     mask = grid.compact_mask(K_frac)
-    near = np.argsort(grid.delta)[:BOUNDARY_NODES]
+    near = grid.boundary_nodes(grid.domain.r)
     rungs = []
     for sd in ladder:
         v = solve(sd)

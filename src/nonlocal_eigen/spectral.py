@@ -193,13 +193,14 @@ def apply_Glambda_neumann(ctx: LambdaContext, f) -> GridFunction:
     dk = sd.dk
     w = dk.grid.w
     G0f = dk.matrix @ (w * as_values(f, dk.grid))
-    u = G0f.copy()
+    u = lam * (dk.matrix @ (w * G0f)) + G0f
     for _ in range(10_000):
-        unew = lam * (dk.matrix @ (w * u)) + G0f
-        res = np.sqrt(np.sum(w * (unew - lam * (dk.matrix @ (w * unew)) - G0f) ** 2))
-        u = unew
+        # the matvec that measures u's residual also makes the next iterate
+        nxt = lam * (dk.matrix @ (w * u)) + G0f
+        res = np.sqrt(np.sum(w * (u - nxt) ** 2))
         if res <= 1e-12:
             return GridFunction(dk.grid, u)
+        u = nxt
     raise RuntimeError(f"Neumann iteration did not reach tol=1e-12 in 10000 "
                        f"iterations (residual {res:.3e})")
 

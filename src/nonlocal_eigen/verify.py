@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gamma as gamma_fn
 from math import log, pi, sqrt
 
 import numpy as np
 
 from . import solver as solver_mod
-from .boundary import martin_apply, martin_constant_report, weighted_trace
+from .boundary import martin_apply, weighted_trace
 from .discretize import assemble_green_matrix, weighted_norm
 from .geometry import build_grid, make_domain
 from .kernels import (
@@ -69,6 +70,16 @@ class VerifySuite:
     @cached_property
     def rfl_sd(self):
         return eigendecompose(assemble_green_matrix(make_operator("rfl", 0.5, self.dom), self.grid))
+
+    @cached_property
+    def grid2(self):
+        """The 2N grid at grading 2, for the refinement and trace checks."""
+        return build_grid(self.dom, 2 * self.N, grading=2.0)
+
+    @cached_property
+    def ctx_half(self):
+        """The RFL context at lambda = lambda_1 / 2, shared by the operator identities."""
+        return lambda_context(self.rfl_sd, 0.5 * self.rfl_sd.lam[0])
 
     def _sfl_at(self, grid):
         op = make_operator("sfl", 0.75, self.dom, sfl_truncation=grid.N)
@@ -152,7 +163,7 @@ class VerifySuite:
 
     def check_phi1_delta_bracket(self):
         brackets = []
-        for sd in (self.sfl_sd, self._sfl_at(build_grid(self.dom, 2 * self.N, grading=2.0))):
+        for sd in (self.sfl_sd, self._sfl_at(self.grid2)):
             q = sd.phi[:, 0] / sd.grid.delta**sd.dk.op.gamma
             brackets.append(float(np.max(q) / np.min(q)))
         b1, b2 = brackets
@@ -163,7 +174,7 @@ class VerifySuite:
 
     # -- criterion 5: operator identities -------------------------------
     def check_by_parts(self):
-        ctx = lambda_context(self.rfl_sd, 0.5 * self.rfl_sd.lam[0])
+        ctx = self.ctx_half
         rng = np.random.default_rng(self.seed)
         w = self.grid.w
         worst = 0.0
@@ -178,7 +189,7 @@ class VerifySuite:
         return _res("integration_by_parts", worst, 1e-9, "100 random pairs")
 
     def check_route_agreement(self):
-        ctx = lambda_context(self.rfl_sd, 0.5 * self.rfl_sd.lam[0])
+        ctx = self.ctx_half
         rng = np.random.default_rng(self.seed)
         f = rng.standard_normal(self.grid.N)
         un = apply_Glambda_neumann(ctx, f).values
@@ -187,10 +198,9 @@ class VerifySuite:
         return _res("neumann_vs_spectral", res, 1e-8, "lambda = 0.5 lambda_1")
 
     def check_notions(self):
-        ctx = lambda_context(self.rfl_sd, 0.5 * self.rfl_sd.lam[0])
         rng = np.random.default_rng(self.seed)
         f = rng.standard_normal(self.grid.N)
-        res = solver_mod.check_notions(ctx, f)
+        res = solver_mod.check_notions(self.ctx_half, f)
         worst = max(res.values())
         return _res("notion_equivalence", worst, 1e-8,
                     f"r1={res['r1']:.2e} r5={res['r5']:.2e} r6={res['r6']:.2e}")
@@ -317,36 +327,33 @@ class VerifySuite:
     def check_sfl_lambda1_monotone(self):
         rep = spectral_convergence_s("sfl", [0.6, 0.7, 0.8, 0.9, 0.95, 0.99], 3,
                                      self.grid_u, sfl_truncation=self.N)
-        errs = np.abs(rep.lam1 - (pi / (2.0 * self.dom.r)) ** 2)
+        errs = np.abs(rep["lam1"] - (pi / (2.0 * self.dom.r)) ** 2)
         ok = bool(np.all(np.diff(errs) < 0))
         return CheckResult("sfl_lambda1_monotone", ok, float(errs[-1]), 0.0,
                            "|lambda_1(s) - pi^2/4r^2| strictly decreasing along the ladder")
 
     @cached_property
     def _large_ladder(self):
-        return large_solution_limit_s("rfl", [0.7, 0.9, 0.99], 0.0, None, (1.0, 1.0),
-                                      self.grid)
+        return large_solution_limit_s("rfl", [0.7, 0.9, 0.99], 0.0, (1.0, 1.0), self.grid)
 
     def check_boundary_exponent(self):
         rep = self._large_ladder
-        ok = (bool(rep.monotone["fit_to_zero"])
-              and abs(rep.boundary_fit[-1]) < 0.02)
-        return CheckResult("boundary_exponent_vanishes", ok,
-                           float(abs(rep.boundary_fit[-1])), 0.02,
-                           f"log|v| vs log delta slopes: "
-                           f"{np.array2string(rep.boundary_fit, precision=4)}")
+        fit = rep["boundary_fit"]
+        ok = bool(rep.monotone["fit_to_zero"]) and abs(fit[-1]) < 0.02
+        return CheckResult("boundary_exponent_vanishes", ok, float(abs(fit[-1])), 0.02,
+                           f"log|v| vs log delta slopes: {np.array2string(fit, precision=4)}")
 
     def check_large_solution_limit(self):
         rep = self._large_ladder
         return CheckResult("large_solution_classical_limit",
                            bool(rep.monotone["sol_dist_decreasing"]),
-                           float(rep.sol_dist[-1]), 0.0,
+                           float(rep["sol_dist"][-1]), 0.0,
                            f"L1(K) distances to the classical solution: "
-                           f"{np.array2string(rep.sol_dist, precision=4)}")
+                           f"{np.array2string(rep['sol_dist'], precision=4)}")
 
     # -- criterion 12: weighted trace -----------------------------------
     def check_trace_reproduces_h(self):
-        grid = build_grid(self.dom, 2 * self.N, grading=2.0)
+        grid = self.grid2
         op = make_operator("rfl", 0.75, self.dom)
         h = (2.0, 5.0)
         vh = martin_apply(op, grid, h)
@@ -358,12 +365,14 @@ class VerifySuite:
                     f"B(M((2,5))) at both endpoints, N = {2 * self.N}")
 
     def check_martin_constant(self):
+        # lim delta^{1-s} M(1) = 1 / B(delta^{s-1}), against its closed form
         op = make_operator("rfl", 0.75, self.dom)
-        rep = martin_constant_report(op, self.grid)
-        rel = abs(rep.measured - rep.candidate_kernel) / rep.candidate_kernel
-        return _res("martin_constant", rel, 1e-8,
-                    f"lim delta^(1-s) M(1) = {rep.measured!r} vs kernel candidate "
-                    f"1/(s Gamma(s)^2 r) = {rep.candidate_kernel!r}")
+        s, r = op.s, self.dom.r
+        measured = 1.0 / weighted_trace(op, self.grid.delta ** (s - 1), r, self.grid).value
+        oracle = 1.0 / (s * gamma_fn(s) ** 2 * r)
+        return _res("martin_constant", abs(measured - oracle) / oracle, 1e-8,
+                    f"lim delta^(1-s) M(1) = {measured!r} vs kernel candidate "
+                    f"1/(s Gamma(s)^2 r) = {oracle!r}")
 
     # -- driver ---------------------------------------------------------
     # every check_* method, in definition order

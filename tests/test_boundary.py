@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from nonlocal_eigen import boundary
-from nonlocal_eigen.boundary import (
-    martin_apply,
-    martin_constant_report,
-    weighted_trace,
-)
+from nonlocal_eigen.boundary import martin_apply, weighted_trace
 from nonlocal_eigen.discretize import apply_G0, assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain, sphere_area
 from nonlocal_eigen.kernels import OperatorKind, make_operator, martin_from_gaps
@@ -61,7 +57,7 @@ def test_martin_apply_ball_constant_data():
 def test_martin_blowup_exponent(grid):
     op = make_operator("sfl", 0.75, DOM)
     v = martin_apply(op, grid, 1.0).values
-    near = np.argsort(grid.delta)[:5]
+    near = grid.boundary_nodes(1.0)
     slope = np.polyfit(np.log(grid.delta[near]), np.log(v[near]), 1)[0]
     assert slope == pytest.approx(-op.b, abs=1e-3)
 
@@ -114,8 +110,6 @@ def test_operator_on_another_domain_is_rejected(grid):
     m1 = martin_apply(make_operator("rfl", 0.75, DOM), grid, 1.0)
     with pytest.raises(ValueError, match="different domains"):
         weighted_trace(op, m1, 1.0, grid)
-    with pytest.raises(ValueError, match="different domains"):
-        martin_constant_report(op, grid)
 
 
 def test_trace_recovers_boundary_data():
@@ -134,12 +128,21 @@ def test_trace_of_bounded_function_vanishes(grid):
     assert abs(tr.value) < 1e-8
 
 
-def test_martin_constant_report(grid):
+def test_martin_constant_is_the_reciprocal_trace(grid):
+    # lim delta^{1-s} M(1) = 1 / B(delta^{s-1}) = 1 / (s Gamma(s)^2 r)
     op = make_operator("rfl", 0.75, DOM)
-    rep = martin_constant_report(op, grid)
     s = op.s
-    assert rep.candidate_kernel == pytest.approx(1.0 / (s * gamma(s) ** 2))
-    assert rep.measured == pytest.approx(rep.candidate_kernel, rel=1e-6)
+    tr = weighted_trace(op, grid.delta ** (s - 1), 1.0, grid)
+    assert 1.0 / tr.value == pytest.approx(1.0 / (s * gamma(s) ** 2), rel=1e-6)
+
+
+@pytest.mark.parametrize("dom,h", [(DOM, (2.0, 5.0)), (make_domain("ball", 3, 1.0), 5.0)])
+def test_trace_off_the_boundary_is_rejected(dom, h):
+    # z = r/2 once returned the trace at r
+    grid = build_grid(dom, 64, grading=2.0)
+    op = make_operator("rfl", 0.75, dom)
+    with pytest.raises(ValueError, match="not a boundary point"):
+        weighted_trace(op, martin_apply(op, grid, h), 0.5 * dom.r, grid)
 
 
 def _martin_mpmath(op, grid, h):

@@ -191,6 +191,29 @@ def test_limit_s_b_column(tmp_path):
         assert row["b"] == pytest.approx(1.0 - row["s"])  # b = 1 - s for RFL
 
 
+def test_limit_s_checks_g_against_its_lowest_rung(tmp_path, capsys):
+    # delta_pow:alpha needs alpha > -1 - gamma, and the RFL rung s = 0.7 has
+    # gamma = 0.7; a classical stand-in with gamma = 1 once let -1.8 through
+    base = ["limit-s", "--op", "rfl", "--N", "32", "--s-list", "0.7,0.9", "--out", str(tmp_path)]
+    assert run_cli(["solve", "--op", "rfl", "--s", "0.7", "--N", "32",
+                    "--g", "delta_pow:-1.8", "--out", str(tmp_path)]) == 2
+    assert run_cli(base + ["--g", "delta_pow:-1.8"]) == 2
+    assert "outside the admissible range" in capsys.readouterr().err
+    assert run_cli(base + ["--g", "delta_pow:-1.6"]) == 0
+
+
+def test_limit_s_of_zero_data_exits_2(tmp_path, capsys):
+    # v = 0 has no boundary exponent; the fit once wrote nan and exited 0
+    base = ["limit-s", "--op", "rfl", "--N", "48", "--s-list", "0.7,0.9", "--g", "zero"]
+    assert run_cli(base + ["--h", "0", "--out", str(tmp_path / "zero")]) == 2
+    assert "vanishes" in capsys.readouterr().err
+    # data at one end only: v decays at r like delta^s, and is not zero there
+    assert run_cli(base + ["--h", "1,0", "--out", str(tmp_path / "one_end")]) == 0
+    lines = (tmp_path / "one_end" / "ladder.csv").read_text().splitlines()
+    row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+    assert row["boundary_fit"] == pytest.approx(row["s"], abs=1e-2)
+
+
 def test_console_script_invocation(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "nonlocal_eigen.cli", "eigen", "--op", "sfl",

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonlocal_eigen.geometry import (
+    BOUNDARY_NODES,
     build_grid,
     make_domain,
     sphere_area,
@@ -70,6 +71,26 @@ def test_grid_properties_random(N, beta, r):
     assert np.all(grid.delta > 0)
     assert np.all(np.diff(grid.x) > 0)
     assert np.sum(grid.w) == pytest.approx(2.0 * r, rel=1e-10)
+
+
+def test_boundary_nodes_take_one_boundary_point():
+    r = 2.0
+    grid = build_grid(make_domain("interval", 1, r), 64)
+    for z in (-r, r, r * (1 + 1e-13)):
+        near = grid.boundary_nodes(z)
+        assert len(near) == BOUNDARY_NODES
+        assert np.all(np.sign(grid.x[near]) == np.sign(z))
+        assert np.all(np.diff(grid.delta[near]) > 0)
+        rest = np.setdiff1d(np.flatnonzero(np.sign(grid.x) == np.sign(z)), near)
+        assert np.max(grid.delta[near]) < np.min(grid.delta[rest])
+    ball = build_grid(make_domain("ball", 3, r), 16)
+    np.testing.assert_array_equal(ball.boundary_nodes(r), np.arange(15, 10, -1))
+    for g, z in ((grid, 0.0), (grid, 0.5 * r), (grid, r * (1 - 1e-9)), (ball, -r), (ball, 0.5 * r)):
+        with pytest.raises(ValueError, match="not a boundary point"):
+            g.boundary_nodes(z)
+    # N = 8 leaves four nodes on each side of the interval
+    with pytest.raises(ValueError, match="fewer than 5 nodes"):
+        build_grid(make_domain("interval", 1, r), 8).boundary_nodes(r)
 
 
 def test_compact_mask():

@@ -22,13 +22,14 @@ def grid():
 def test_sfl_spectral_convergence(grid):
     rep = spectral_convergence_s("sfl", [0.7, 0.8, 0.9, 0.99], 3, grid, 64)
     # lambda_1(s) = ((pi/2)^2)^s analytically
-    np.testing.assert_allclose(
-        rep.lam1, ((pi / 2) ** 2) ** rep.s_list, rtol=1e-6)
+    np.testing.assert_allclose(rep["lam1"], ((pi / 2) ** 2) ** rep["s"], rtol=1e-6)
     assert rep.monotone["omega_decreasing"]
     assert rep.monotone["lam1_err_decreasing"]
     # eigenfunction alignment approaches 1
-    assert rep.alignment[-1][0] > 0.999
-    np.testing.assert_allclose(rep.b, 2.0 - 2.0 * rep.s_list)
+    assert rep["alignment"][-1][0] > 0.999
+    np.testing.assert_allclose(rep["b"], 2.0 - 2.0 * rep["s"])
+    # rows carry the one-dimensional columns only, in column order
+    assert list(rep.rows()[0]) == ["s", "lam1", "lam1_err", "b", "omega"]
 
 
 def test_ladder_validation(grid):
@@ -40,7 +41,7 @@ def test_ladder_validation(grid):
 def test_resolvent_convergence(grid):
     rep = resolvent_convergence_s("sfl", [0.7, 0.9, 0.99], 0.0, np.ones(grid.N), grid, 64)
     assert rep.monotone["sol_dist_decreasing"]
-    assert rep.sol_dist[-1] < 0.02
+    assert rep["sol_dist"][-1] < 0.02
 
 
 def test_resolvent_convergence_between_eigenvalues(grid):
@@ -52,16 +53,17 @@ def test_resolvent_convergence_between_eigenvalues(grid):
 
 def test_large_solution_limit_rfl():
     grid = build_grid(DOM, 64, grading=2.0)
-    rep = large_solution_limit_s("rfl", [0.7, 0.9, 0.99], 0.0, None, 1.0, grid)
+    rep = large_solution_limit_s("rfl", [0.7, 0.9, 0.99], 0.0, 1.0, grid)
     assert rep.monotone["sol_dist_decreasing"]
     assert rep.monotone["fit_to_zero"]
     # boundary exponent of M(1) is s - 1 exactly
-    np.testing.assert_allclose(rep.boundary_fit, rep.s_list - 1.0, atol=1e-3)
+    np.testing.assert_allclose(rep["boundary_fit"], rep["s"] - 1.0, atol=1e-3)
     # interior values stay bounded along the ladder
-    assert np.max(rep.sup_K) < 2.0
+    assert np.max(rep["sup_K"]) < 2.0
     rows = rep.rows()
     assert rows[0]["s"] == pytest.approx(0.7)
-    assert "boundary_fit" in rows[0]
+    assert list(rows[0]) == ["s", "lam1", "lam1_err", "b", "sol_dist", "boundary_fit",
+                             "sup_K", "near_boundary_amp"]
 
 
 def test_boundary_exponent_fit_on_power():
@@ -74,5 +76,21 @@ def test_boundary_exponent_fit_takes_one_end():
     # unequal boundary data: the five smallest delta of both ends gave a
     # slope of -0.347 here, the nodes nearest r give -b = -(1 - s)
     grid = build_grid(DOM, 64, grading=2.0)
-    rep = large_solution_limit_s("rfl", [0.7], 0.0, None, (1.0, 2.0), grid)
-    assert rep.boundary_fit[0] == pytest.approx(-rep.b[0], abs=1e-3)
+    rep = large_solution_limit_s("rfl", [0.7], 0.0, (1.0, 2.0), grid)
+    assert rep["boundary_fit"][0] == pytest.approx(-rep["b"][0], abs=1e-3)
+
+
+def test_fit_and_amplitude_read_the_same_end():
+    # h = (1, 0): v blows up at -r and decays like delta^s at r.  The amplitude
+    # once took the five smallest delta of both ends (three at -r) and read
+    # 0.848 from -r while the fit described r
+    grid = build_grid(DOM, 48, grading=2.0)
+    rep = large_solution_limit_s("rfl", [0.7, 0.9], 0.0, (1.0, 0.0), grid)
+    assert np.all(rep["near_boundary_amp"] < 0.01)
+    np.testing.assert_allclose(rep["boundary_fit"], rep["s"], atol=1e-2)
+
+
+def test_boundary_exponent_fit_of_zero_raises():
+    grid = build_grid(DOM, 64, grading=2.0)
+    with pytest.raises(ValueError, match="vanishes"):
+        boundary_exponent_fit(np.zeros(grid.N), grid)
