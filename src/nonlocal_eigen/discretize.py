@@ -2,16 +2,17 @@
 
 The integral operator u(x) = int G_0(x, y) f(y) dy becomes the matrix
 action u_i = sum_j K_ij w_j f_j on a quadrature grid.  Off the diagonal
-K holds one kernel value per pair, mirrored, by fixed Gauss-Legendre
-rules only; on the ball the kernel on radial data is Boggio's angular
-mean, itself a fixed theta-rule.  Every quadrature kernel (RFL on the
-interval and the ball, classical on the interval) takes one diagonal
-rule, singularity subtraction: K_ii is set so that each row integrates
-f = 2 - |x|^2/r^2 to the closed-form G_0 f.  Boggio's kernel is always
-formed from boundary distances.  The SFL kernel is continuous and keeps
-its exact pointwise diagonal; on a mirrored grid its sine series is
-evaluated on the left half-grid only, split by the parity of the modes,
-and the other half of K is written as the mirror image.
+K holds one kernel value per pair, by fixed Gauss-Legendre rules only;
+on the ball the kernel on radial data is Boggio's angular mean, itself a
+fixed theta-rule.  Every quadrature kernel (RFL on the interval and the
+ball, classical on the interval) takes one diagonal rule, singularity
+subtraction: K_ii is set so that each row integrates f = 2 - |x|^2/r^2
+to the closed-form G_0 f.  Boggio's kernel is always formed from
+boundary distances.  The SFL kernel is continuous and keeps its exact
+pointwise diagonal.  On a mirrored interval grid K is kept as its two
+half-grid parity blocks: the quadrature kernels fill them from N^2/4
+kernel values, the SFL from the odd-k and even-k sine modes on the left
+half-grid, and every product with K runs on the half grid.
 """
 
 from __future__ import annotations
@@ -63,11 +64,18 @@ def as_values(f, grid: QuadGrid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteKernel:
-    """Symmetric Nystrom matrix for the Green's operator on a grid."""
+    """Symmetric Nystrom matrix K for the Green's operator on a grid, kept as
+    blocks, each with the parity of its modes.
+
+    On a mirrored grid (n = N/2) K commutes with the flip J and is stored as
+    its two n x n parity blocks, E = K11 + K12 J (even modes, +1) and
+    O = K11 - K12 J (odd modes, -1), from the left half's rows; no N x N
+    array is formed.  Any other grid stores one block, (K, 0).
+    """
 
     op: OperatorSpec
     grid: QuadGrid
-    matrix: np.ndarray
+    blocks: tuple[tuple[np.ndarray, int], ...]
 
 
 # Gauss-Legendre points on [0, 1] for the ball's angular rule
@@ -112,77 +120,141 @@ def _sfl_gram(op: OperatorSpec, x: np.ndarray, k: np.ndarray) -> np.ndarray:
     return B @ B.T
 
 
+def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.ndarray | None]:
+    """The off-diagonal kernel values, one per pair, formed from boundary distances.
+
+    Returns K with a zero diagonal, and None; on a mirrored grid (n = N/2)
+    the left half's K11, with a zero diagonal, and K12 J, both symmetric
+    and together N^2/4 kernel values.  |x_i - x_j| is |delta_i - delta_j|
+    for two nodes on one side, where x may have rounded to +-r, and
+    x_j - x_i across.  On the ball Boggio's angular mean is the kernel on
+    radial functions.
+    """
+    N, dl, x = grid.N, grid.delta, grid.x
+    plus, minus = grid.sides
+    gap, left = plus * minus, x < 0
+
+    def kernel(i, j):
+        # pairs with x_i < x_j
+        d = np.where(left[i] == left[j], np.abs(dl[i] - dl[j]), x[j] - x[i])
+        if op.kind is OperatorKind.CLASSICAL:
+            return plus[i] * minus[j] / (2 * op.domain.r)
+        if op.domain.kind is DomainKind.BALL:
+            return rfl_green_radial(op, dl[i], dl[j], d)
+        return rfl_green_from_gaps(op, gap[i], gap[j], d)
+
+    n = N // 2 if grid.mirrored else N
+    i, j = np.triu_indices(n, 1)
+    K = np.zeros((n, n))
+    K[i, j] = kernel(i, j)
+    K = K + K.T
+    if not grid.mirrored:
+        return K, None
+    # (K12 J)_ij pairs node i with N - 1 - j, the mirror image of node j
+    i, j = np.triu_indices(n)
+    C = np.empty((n, n))
+    C[i, j] = kernel(i, N - 1 - j)
+    C[j, i] = C[i, j]
+    return K, C
+
+
+def _entry_range(blocks) -> tuple[float, float]:
+    """The least and greatest entry of K: of K itself, or of K11 = (E + O)/2
+    and K12 J = (E - O)/2."""
+    if len(blocks) == 1:
+        K = blocks[0][0]
+        return float(np.min(K)), float(np.max(K))
+    (E, _), (O, _) = blocks
+    t = E + O
+    lo, hi = np.min(t), np.max(t)
+    np.subtract(E, O, out=t)
+    return 0.5 * float(min(lo, np.min(t))), 0.5 * float(max(hi, np.max(t)))
+
+
 def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
-    """Assemble the symmetric Nystrom matrix K_ij ~ G_0(x_i, x_j)."""
+    """Assemble the symmetric Nystrom matrix K_ij ~ G_0(x_i, x_j) as its blocks."""
     if op.domain != grid.domain:
         raise ValueError("operator and grid live on different domains")
     if op.kind is OperatorKind.SFL:
         k = np.arange(1, op.sfl_truncation + 1)
         if grid.mirrored:
-            # mode k has parity (-1)^(k+1), so on the left half-grid K = E + O,
-            # and across it (E - O) J, with E from the odd k and O from the even k
+            # mode k has parity (-1)^(k+1), so on the left half-grid K11 and
+            # K12 J are the odd-k Gram plus and minus the even-k Gram: E is
+            # twice the odd-k Gram and O twice the even-k Gram
             n = grid.N // 2
-            E, O = (_sfl_gram(op, grid.x[:n], k[p::2]) for p in (0, 1))
-            K = np.empty((grid.N, grid.N))
-            np.add(E, O, out=K[:n, :n])
-            np.subtract(E, O, out=K[:n, n:][:, ::-1])
-            K[n:, :n] = K[:n, n:].T
-            K[n:, n:] = K[:n, :n][::-1, ::-1]
+            blocks = tuple((_sfl_gram(op, grid.x[:n], k[p::2]), sign)
+                           for p, sign in ((0, 1), (1, -1)))
+            for B, _ in blocks:
+                B *= 2.0
         else:
-            K = _sfl_gram(op, grid.x, k)
+            blocks = ((_sfl_gram(op, grid.x, k), 0),)
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
         M = op.sfl_truncation
         neg_tol = (np.pi / (2 * op.domain.r)) ** (-2 * op.s) \
             * M ** (1.0 - 2.0 * op.s) / (op.domain.r * (2.0 * op.s - 1.0))
     elif op.domain.kind is DomainKind.INTERVAL or op.kind is OperatorKind.RFL:
-        # one kernel value per pair i < j (so x_i < x_j), mirrored; kernels are
-        # formed from boundary distances, and on the ball Boggio's angular mean
-        # is the kernel on radial functions.  |x_i - x_j| is |delta_i - delta_j|
-        # on one side, where x may have rounded to +-r, and x_j - x_i across,
-        # which keeps K exactly mirror-symmetric
-        i, j = np.triu_indices(grid.N, 1)
-        dl, ball = grid.delta, op.domain.kind is DomainKind.BALL
-        left = grid.x < 0
-        d = np.where(left[i] == left[j], np.abs(dl[i] - dl[j]), grid.x[j] - grid.x[i])
-        plus, minus = grid.sides
-        if op.kind is OperatorKind.CLASSICAL:
-            upper = plus[i] * minus[j] / (2 * op.domain.r)
-        elif ball:
-            upper = rfl_green_radial(op, dl[i], dl[j], d)
-        else:
-            gap = plus * minus
-            upper = rfl_green_from_gaps(op, gap[i], gap[j], d)
-        K = np.zeros((grid.N, grid.N))
-        K[i, j] = upper
-        K = K + K.T
+        K, C = _fill(op, grid)
+        n = len(K)
         # singularity subtraction: the diagonal is set so that each row
         # integrates f = 2 - |x|^2/r^2 to u_f = G_0 f in closed form.  f is
         # not constant, so the torsion solve stays an independent check.  It
         # spans the k = 0, 1 radial Jacobi modes of Dyda, Kuznetsov &
         # Kwasnicki (2017), with G_0 P_k = (1 - rho^2)^s P_k / lam_k on the
         # unit ball: P_0 = 1, P_1 = a rho^2 - n/2, lam_0 = lam0, lam_1 = lam0 q
-        r, n, s = op.domain.r, op.domain.n, op.s
-        rho2 = (grid.x / r) ** 2
-        lam0 = 2 ** (2 * s) * gamma(1 + s) * gamma(n / 2 + s) / gamma(n / 2)
-        a, q = s + n / 2 + 1, (1 + s) * (n / 2 + s) / (n / 2)
-        u_f = (dl * (2 * r - dl)) ** s / lam0 * (2 - ((a * rho2 - n / 2) / q + n / 2) / a)
-        wf = grid.w * (2 - rho2)
-        np.fill_diagonal(K, (u_f - K @ wf) / wf)
+        r, dim, s = op.domain.r, op.domain.n, op.s
+        dl, rho2 = grid.delta[:n], (grid.x[:n] / r) ** 2
+        lam0 = 2 ** (2 * s) * gamma(1 + s) * gamma(dim / 2 + s) / gamma(dim / 2)
+        a, q = s + dim / 2 + 1, (1 + s) * (dim / 2 + s) / (dim / 2)
+        u_f = (dl * (2 * r - dl)) ** s / lam0 * (2 - ((a * rho2 - dim / 2) / q + dim / 2) / a)
+        wf = grid.w[:n] * (2 - rho2)
+        if C is None:
+            blocks = ((K, 0),)
+        else:
+            E = K + C
+            blocks = ((E, 1), (np.subtract(K, C, out=K), -1))
+        # f is even, so on a mirrored grid the row sums of K (w f) are E (w f)[:n]
+        d = (u_f - blocks[0][0] @ wf) / wf
+        for B, _ in blocks:
+            B.flat[::n + 1] += d
     else:
         raise ValueError("classical kernel matrices: interval only")
 
+    lo, hi = _entry_range(blocks)
     if op.kind is not OperatorKind.SFL:
-        neg_tol = 1e-12 * np.max(K)
-    if np.min(K) < -neg_tol:
+        neg_tol = 1e-12 * hi
+    if lo < -neg_tol:
         raise AssertionError("negative kernel matrix entry beyond truncation noise")
-    return DiscreteKernel(op=op, grid=grid, matrix=K)
+    return DiscreteKernel(op=op, grid=grid, blocks=blocks)
+
+
+def parity_parts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y_top + J y_bot and y_top - J y_bot, the even and odd parts of values
+    on a mirrored grid, each on the left half-grid."""
+    n = len(y) // 2
+    top, bot = y[:n], y[:n - 1:-1]
+    return top + bot, top - bot
 
 
 def apply_G0(dk: DiscreteKernel, f) -> GridFunction:
-    """u_i = sum_j K_ij w_j f_j, the discrete Green's operator action."""
-    v = as_values(f, dk.grid)
-    return GridFunction(dk.grid, dk.matrix @ (dk.grid.w * v))
+    """u_i = sum_j K_ij w_j f_j, the discrete Green's operator action.
+
+    On a mirrored grid, with a and b the parity parts of y = w f, K y is
+    (E a + O b)/2 on top and J (E a - O b)/2 below: two half-grid products.
+    """
+    grid = dk.grid
+    y = grid.w * as_values(f, grid)
+    if len(dk.blocks) == 1:
+        return GridFunction(grid, dk.blocks[0][0] @ y)
+    (E, _), (O, _) = dk.blocks
+    a, b = parity_parts(y)
+    ea, ob = E @ a, O @ b
+    n = grid.N // 2
+    u = np.empty(grid.N)
+    np.add(ea, ob, out=u[:n])
+    np.subtract(ea, ob, out=u[:n - 1:-1])
+    u *= 0.5
+    return GridFunction(grid, u)
 
 
 def weighted_norm(f, grid: QuadGrid, alpha: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import martin_apply
-from .discretize import GridFunction, as_values, weighted_norm
+from .discretize import GridFunction, apply_G0, as_values, weighted_norm
 from .geometry import K_FRACTION
 from .kernels import OperatorSpec
 from .spectral import LambdaContext, SpectralData, apply_Glambda, lambda_context
@@ -58,20 +58,20 @@ def _data(op: OperatorSpec, sd: SpectralData, g, h) -> tuple[np.ndarray, np.ndar
     return gv, v_h
 
 
-def _solve(ctx: LambdaContext, gv: np.ndarray, v_h: np.ndarray, split_at: int,
-           K_frac: float) -> SolveReport:
-    """v = v_h + G_lambda(g + lambda v_h) on ctx's spectrum, split into the
-    explicit part on the modes below split_at and the complement u_perp."""
+def _solve(ctx: LambdaContext, rhs: np.ndarray, c_rhs: np.ndarray, v_h: np.ndarray,
+           split_at: int, K_frac: float) -> SolveReport:
+    """v = v_h + G_lambda(rhs) on ctx's spectrum, rhs = g + lambda v_h with
+    coefficients c_rhs, split into the explicit part on the modes below
+    split_at and the complement u_perp."""
     sd = ctx.sd
     grid = sd.grid
-    rhs = gv + ctx.lam * v_h
-    c = sd.coeffs(rhs) / (sd.lam - ctx.lam)
+    c = c_rhs / (sd.lam - ctx.lam)
     explicit = sd.synth(c[:split_at], slice(split_at)).values
     perp = sd.synth(c[split_at:], slice(split_at, None)).values
     total = v_h + explicit + perp
     u = explicit + perp  # = G_lambda(rhs)
     # Green identity u = G_0(rhs + lambda u), one matvec
-    u_green = sd.dk.matrix @ (grid.w * (rhs + ctx.lam * u))
+    u_green = apply_G0(sd.dk, rhs + ctx.lam * u).values
     green_res = np.sqrt(np.sum(grid.w * (u - u_green) ** 2))
     mask = grid.compact_mask(K_frac)
     gam = sd.dk.op.gamma
@@ -98,7 +98,9 @@ def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
     """
     if ctx.sd is not sd:
         raise ValueError("the lambda context belongs to another spectrum")
-    return _solve(ctx, *_data(op, sd, g, h), ctx.I, K_frac)
+    gv, v_h = _data(op, sd, g, h)
+    rhs = gv + ctx.lam * v_h
+    return _solve(ctx, rhs, sd.coeffs(rhs), v_h, ctx.I, K_frac)
 
 
 @dataclass(frozen=True)
@@ -169,10 +171,12 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     and including group i, so u_perp stays uniformly bounded while the
     explicit part carries the 1/(lambda_i - lambda) blow-up.  lam_list
     None is the ladder lambda_i (1 - SWEEP_OFFSETS); a lambda on the
-    spectrum raises SpectralHit.
+    spectrum raises SpectralHit.  <g + lambda v_h, phi_j> is linear in
+    lambda, so the coefficients of g and v_h are taken once for every rung.
     """
     grid = sd.grid
     gv, v_h = _data(op, sd, g, h)
+    c_g, c_h = sd.coeffs(gv), sd.coeffs(v_h)
     fred = _fredholm(sd, gv, v_h, i)
     lam_i = fred.lam_i
     grp = sd.group(i)
@@ -187,7 +191,8 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
 
     reports, supK, supKA, infO, up_norm, proj = [], [], [], [], [], []
     for lam in lam_list:
-        rep = _solve(lambda_context(sd, lam), gv, v_h, split_at, K_frac)
+        rep = _solve(lambda_context(sd, lam), gv + lam * v_h, c_g + lam * c_h, v_h,
+                     split_at, K_frac)
         total = rep.v_total.values
         reports.append(rep)
         supK.append(rep.norms["sup_K"])
@@ -248,14 +253,13 @@ def check_max_principle(ctx: LambdaContext, trials: int = 100, seed: int = 0) ->
 def check_poincare(sd: SpectralData, trials: int = 100, seed: int = 0) -> TrialReport:
     """lambda_1 <phi, G_0 phi>_W <= <phi, phi>_W for every phi, G_0 the kernel of sd."""
     rng = np.random.default_rng(seed)
-    dk = sd.dk
-    grid = dk.grid
+    grid = sd.grid
     lam1 = sd.lam[0]
     failures = 0
     worst = -np.inf
     for _ in range(trials):
         phi = rng.standard_normal(grid.N)
-        lhs = lam1 * np.sum(grid.w * phi * (dk.matrix @ (grid.w * phi)))
+        lhs = lam1 * np.sum(grid.w * phi * apply_G0(sd.dk, phi).values)
         rhs = np.sum(grid.w * phi * phi)
         ratio = lhs / rhs
         worst = max(worst, ratio)
@@ -272,13 +276,12 @@ def check_notions(ctx: LambdaContext, f, u=None) -> dict:
     (lambda_j - lambda) <u, phi_j> - <f, phi_j>.
     """
     sd = ctx.sd
-    dk = sd.dk
-    grid = dk.grid
+    grid = sd.grid
     fv = as_values(f, grid)
     u_ref = apply_Glambda(ctx, fv).values
     uv = as_values(u, grid) if u is not None else u_ref
     w = grid.w
     r1 = np.sqrt(np.sum(w * (uv - u_ref) ** 2))
-    r5 = np.sqrt(np.sum(w * (uv - dk.matrix @ (w * (fv + ctx.lam * uv))) ** 2))
+    r5 = np.sqrt(np.sum(w * (uv - apply_G0(sd.dk, fv + ctx.lam * uv).values) ** 2))
     r6 = np.max(np.abs((sd.lam - ctx.lam) * sd.coeffs(uv) - sd.coeffs(fv)))
     return {"r1": float(r1), "r5": float(r5), "r6": float(r6)}

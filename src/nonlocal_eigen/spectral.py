@@ -5,11 +5,12 @@ The symmetrized matrix A = W^{1/2} K W^{1/2} is diagonalized once; its
 eigenvalues mu_j are the discrete eigenvalues of the Green's operator
 and lambda_j = 1/mu_j those of the differential operator.  On a mirrored
 interval grid A commutes with the flip x -> -x and is diagonalized as
-two half-size blocks, one for the even modes and one for the odd modes;
-each mode carries its parity.  All
-solve/project operations act through the retained eigenpairs, so the
-resolvent formula u = sum <f, phi_j> phi_j / (lambda_j - lambda) is
-exact in the discrete model.
+its two half-size parity blocks, one for the even modes and one for the
+odd modes; each mode carries its parity, and the coefficient and
+synthesis products run on the half grid.  All solve/project operations
+act through the retained eigenpairs, so the resolvent formula
+u = sum <f, phi_j> phi_j / (lambda_j - lambda) is exact in the discrete
+model.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretize import DiscreteKernel, GridFunction, as_values
+from .discretize import DiscreteKernel, GridFunction, apply_G0, as_values, parity_parts
 from .geometry import QuadGrid
 
 # relative distance that puts lambda on the spectrum and joins eigenvalues into a group
@@ -49,18 +50,37 @@ class SpectralData:
         return len(self.lam)
 
     def coeffs(self, f) -> np.ndarray:
-        """Weighted spectral coefficients <f, phi_j>_W."""
-        v = as_values(f, self.grid)
-        return self.phi.T @ (self.grid.w * v)
+        """Weighted spectral coefficients <f, phi_j>_W.
+
+        With parities, phi's bottom half is the mirror image of its top half
+        times the parity, so each mode pairs the top half with the even or
+        the odd part of y = w f: one product on the half grid.
+        """
+        y = self.grid.w * as_values(f, self.grid)
+        if not self.parity.any():
+            return self.phi.T @ y
+        n = self.grid.N // 2
+        c = self.phi[:n].T @ np.stack(parity_parts(y), axis=1)
+        return np.where(self.parity > 0, c[:, 0], c[:, 1])
 
     def synth(self, c: np.ndarray, modes=slice(None)) -> GridFunction:
-        """sum_j c_j phi_j over the selected modes (all by default)."""
-        return GridFunction(self.grid, self.phi[:, modes] @ c)
+        """sum_j c_j phi_j over the selected modes (all by default).
+
+        With parities, the top half is sum_j c_j phi_j[:n] and the bottom
+        half the mirror image of sum_j parity_j c_j phi_j[:n].
+        """
+        if not self.parity.any():
+            return GridFunction(self.grid, self.phi[:, modes] @ c)
+        n = self.grid.N // 2
+        t = self.phi[:n, modes] @ np.stack([c, self.parity[modes] * c], axis=1)
+        return GridFunction(self.grid, np.concatenate([t[:, 0], t[::-1, 1]]))
 
     @cached_property
     def groups(self) -> list[np.ndarray]:
-        """Indices grouped by eigenvalue multiplicity (relative gap TAU_MULT)."""
-        breaks = np.where(np.diff(self.lam) > TAU_MULT * self.lam[1:])[0]
+        """Indices grouped by eigenvalue multiplicity (relative gap TAU_MULT);
+        a group never joins an even mode with an odd one."""
+        breaks = np.where((np.diff(self.lam) > TAU_MULT * self.lam[1:])
+                          | (self.parity[1:] != self.parity[:-1]))[0]
         return np.split(np.arange(self.m), breaks + 1)
 
     def group(self, i: int) -> np.ndarray:
@@ -80,57 +100,45 @@ class LambdaContext:
     d_sigma: float          # distance to the spectrum
 
 
-def _parity_blocks(A: np.ndarray, grid: QuadGrid, scale: float) -> list[tuple[np.ndarray, int]]:
-    """The blocks that ``eigh`` diagonalizes, each with the parity of its modes.
-
-    On a mirrored grid a matrix that commutes with the flip J, to 1e-10 of
-    ``scale``, splits into A11 + A12 J (even modes, +1) and A11 - A12 J (odd
-    modes, -1) on the left half-grid; any other matrix is one block (0).
-    """
-    n = grid.N // 2
-    # A - JAJ is J-antisymmetric, so its upper half holds its largest entry
-    if grid.mirrored and np.max(np.abs(A[:n] - A[::-1, ::-1][:n])) <= 1e-10 * scale:
-        top, flip = A[:n, :n], A[:n, n:][:, ::-1]
-        return [(top + flip, 1), (top - flip, -1)]
-    return [(A, 0)]
-
-
 def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     """Dense symmetric eigendecomposition of the Nystrom operator.
 
     A = W^{1/2} K W^{1/2} is diagonalized by LAPACK's ``dsyevd`` (divide and
-    conquer, ``numpy.linalg.eigh``, lower triangle).  On a mirrored interval
-    grid a J-symmetric A (J the flip x -> -x) is diagonalized as two
-    half-size blocks, A11 + A12 J for the even modes and A11 - A12 J for the
-    odd ones; each eigenvector u lifts to [u; +-Ju] / sqrt(2), and
-    ``parity`` records +1 or -1 per mode.  Any other A is one block, with
-    parity 0.  The spectra merge into one descending mu list.  Eigenvalues
-    of A below 1e-14 * mu_max are quadrature noise and are discarded.  Signs
-    are fixed in one vectorized pass: phi_1 has sum w phi_1 >= 0, and every
-    other phi_j has its first entry above 1e-10 max|phi_j| positive.
+    conquer, ``numpy.linalg.eigh``, lower triangle), one kernel block at a
+    time.  On a mirrored interval grid these are the parity blocks E and O
+    (J the flip x -> -x), each scaled by W^{1/2} of the left half-grid on
+    both sides; each eigenvector u lifts to [u; +-Ju] / sqrt(2), and
+    ``parity`` records +1 or -1 per mode.  A one-block kernel, with parity
+    0, is any other grid's or one built by hand, and its K must be
+    symmetric to 1e-10.  The spectra merge into one descending mu list.
+    Eigenvalues of A below 1e-14 * mu_max are quadrature noise and are
+    discarded.  Signs are fixed in one vectorized pass: phi_1 has
+    sum w phi_1 >= 0, and every other phi_j has its first entry above
+    1e-10 max|phi_j| positive.
     """
     w = dk.grid.w
-    sw = np.sqrt(w)
-    A = dk.matrix * sw[:, None]
-    A *= sw
-    if not np.all(np.isfinite(A)):
-        raise ValueError("symmetrized kernel has non-finite entries")
-    scale = max(np.max(np.abs(A)), 1e-300)
-    blocks = _parity_blocks(A, dk.grid, scale)
-    del A
+    blocks = []
+    for K, sign in dk.blocks:
+        sw = np.sqrt(w[:len(K)])
+        A = K * sw[:, None]
+        A *= sw
+        if not np.all(np.isfinite(A)):
+            raise ValueError("symmetrized kernel has non-finite entries")
+        blocks.append((A, sign))
+    scale = max(max(np.max(np.abs(A)) for A, _ in blocks), 1e-300)
     # each block's spectrum descending, then one stable merge, which keeps a
     # single block in LAPACK's order
     mus, psis, signs = [], [], []
-    for B, sign in blocks:
-        # a J-symmetric A is symmetric if and only if both its blocks are
-        asym = np.max(np.abs(B - B.T)) / scale
+    for A, sign in blocks:
+        # a J-symmetric K is symmetric if and only if both its blocks are
+        asym = np.max(np.abs(A - A.T)) / scale
         if asym > 1e-10:
             raise ValueError(f"symmetrized kernel is not symmetric (relative residual {asym:.2e})")
-        mu_b, psi_b = np.linalg.eigh(B)
+        mu_b, psi_b = np.linalg.eigh(A)
         mus.append(mu_b[::-1])
         psis.append(psi_b[:, ::-1])
         signs.append(np.full(len(mu_b), sign))
-    del blocks, B
+    del blocks, A
     mu = np.concatenate(mus)
     order = np.argsort(-mu, kind="stable")
     mu = mu[order]
@@ -147,7 +155,7 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     # the lift [u; +-Ju] / sqrt(2) of a half-size block; one block has n = N
     if n < N:
         np.multiply(phi[n - 1::-1], parity, out=phi[n:])
-    phi /= (sw * np.sqrt(N / n))[:, None]
+    phi /= (np.sqrt(w) * np.sqrt(N / n))[:, None]
     # deterministic signs: the first significant entry of each column, and
     # phi_1's weighted sum
     a = np.abs(phi)
@@ -192,11 +200,11 @@ def apply_Glambda_neumann(ctx: LambdaContext, f) -> GridFunction:
         raise ValueError(f"Neumann iteration requires |lambda| < lambda_1 = {sd.lam[0]}")
     dk = sd.dk
     w = dk.grid.w
-    G0f = dk.matrix @ (w * as_values(f, dk.grid))
-    u = lam * (dk.matrix @ (w * G0f)) + G0f
+    G0f = apply_G0(dk, f).values
+    u = lam * apply_G0(dk, G0f).values + G0f
     for _ in range(10_000):
         # the matvec that measures u's residual also makes the next iterate
-        nxt = lam * (dk.matrix @ (w * u)) + G0f
+        nxt = lam * apply_G0(dk, u).values + G0f
         res = np.sqrt(np.sum(w * (u - nxt) ** 2))
         if res <= 1e-12:
             return GridFunction(dk.grid, u)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import solver as solver_mod
 from .boundary import martin_apply, weighted_trace
-from .discretize import assemble_green_matrix, weighted_norm
+from .discretize import apply_G0, assemble_green_matrix, weighted_norm
 from .geometry import build_grid, make_domain
 from .kernels import (
     check_K1_bounds,
@@ -238,7 +238,7 @@ class VerifySuite:
         sd = self.rfl_sd
         w = self.grid.w
         phi1 = sd.phi[:, 0]
-        lhs = sd.lam[0] * np.sum(w * phi1 * (sd.dk.matrix @ (w * phi1)))
+        lhs = sd.lam[0] * np.sum(w * phi1 * apply_G0(sd.dk, phi1).values)
         rhs = np.sum(w * phi1 * phi1)
         return _res("poincare_equality_phi1", abs(lhs / rhs - 1.0), 1e-8)
 

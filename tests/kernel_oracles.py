@@ -4,7 +4,8 @@ The sine series of the SFL Green's function and the Abel-damped Martin
 series are the definitions that the package's closed forms (the
 polylogarithm Martin kernel, the Nystrom matrix) must reproduce; the
 classical interval Green's function is the coordinate form of the
-classical fill.  ``green_function`` dispatches on the operator.
+classical fill.  ``green_function`` dispatches on the operator, and
+``full_matrix`` rebuilds the N x N Nystrom matrix from a kernel's blocks.
 """
 
 from math import pi
@@ -65,3 +66,17 @@ def green_function(op, x, y):
     if op.kind is OperatorKind.SFL:
         return sfl_green_interval(op, x, y)
     return classical_green_interval(op.domain, x, y)
+
+
+def mirror_matrix(K11, K12J):
+    """The J-symmetric N x N matrix with left half rows [K11, (K12 J) J]."""
+    return np.block([[K11, K12J[:, ::-1]], [K12J[::-1], K11[::-1, ::-1]]])
+
+
+def full_matrix(dk):
+    """The N x N matrix K of a DiscreteKernel: its one block, or from the parity
+    blocks E and O, K11 = (E + O)/2 and K12 J = (E - O)/2."""
+    if len(dk.blocks) == 1:
+        return dk.blocks[0][0]
+    (E, _), (O, _) = dk.blocks
+    return mirror_matrix(0.5 * (E + O), 0.5 * (E - O))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracles import green_function
+from kernel_oracles import full_matrix, green_function, mirror_matrix
 from rfl_oracle import ball_rfl_eigenvalues
 from scipy.integrate import IntegrationWarning, quad
 
+from nonlocal_eigen import discretize
 from nonlocal_eigen.discretize import (
     GridFunction,
     apply_G0,
@@ -62,17 +63,23 @@ def test_as_values_accepts_callable_and_array(grid):
         as_values(np.ones(5), grid)
 
 
+def _filled(op, grid):
+    """The off-diagonal kernel values the fill computes, as an N x N matrix."""
+    K, C = discretize._fill(op, grid)
+    return K if C is None else mirror_matrix(K, C)
+
+
 @pytest.mark.parametrize("kind,s", [("rfl", 0.75), ("sfl", 0.75), ("classical", 1.0)])
 def test_matrix_symmetric(grid, kind, s):
     op = make_operator(kind, s, DOM, sfl_truncation=64)
-    dk = assemble_green_matrix(op, grid)
-    np.testing.assert_allclose(dk.matrix, dk.matrix.T, atol=1e-14)
+    K = full_matrix(assemble_green_matrix(op, grid))
+    np.testing.assert_allclose(K, K.T, atol=1e-14)
     if kind == "sfl":
         return
-    # the mirrored upper triangle is the kernel at every pair, bit for bit,
-    # formed from boundary distances: the classical (r + x_i)(r - x_j) / 2r
-    # for x_i < x_j from grid.sides, Boggio's from the gaps delta (2r - delta)
-    # and |x - y|, which is |delta_x - delta_y| for two nodes on one side
+    # the kernel at every pair, bit for bit, as the fill computes it from
+    # boundary distances: the classical (r + x_i)(r - x_j) / 2r for x_i < x_j
+    # from grid.sides, Boggio's from the gaps delta (2r - delta) and |x - y|,
+    # which is |delta_x - delta_y| for two nodes on one side
     X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
     off = ~np.eye(grid.N, dtype=bool)
     if kind == "classical":
@@ -86,11 +93,52 @@ def test_matrix_symmetric(grid, kind, s):
         DX, DY = np.meshgrid(grid.delta, grid.delta, indexing="ij")
         dist = np.where((X < 0) == (Y < 0), np.abs(DX - DY), np.abs(X - Y))
         ref = rfl_green_from_gaps(op, GX[off], GY[off], dist[off])
-    np.testing.assert_array_equal(dk.matrix[off], ref)
-    # away from the boundary r -+ x does not cancel: the coordinate form agrees
+    np.testing.assert_array_equal(_filled(op, grid)[off], ref)
+    # the blocks hold K to roundoff of each row's largest entry (measured
+    # at most 1.6e-16), and away from the boundary, where r -+ x does not
+    # cancel, the coordinate form agrees
+    N = grid.N
+    tol = 1e-15 * np.max(np.abs(ref.reshape(N, N - 1)), axis=1)
+    assert np.all(np.abs(K[off] - ref).reshape(N, N - 1) <= tol[:, None])
     far = off & (grid.delta[:, None] >= 0.1) & (grid.delta[None, :] >= 0.1)
-    np.testing.assert_allclose(dk.matrix[far], green_function(op, X[far], Y[far]),
+    np.testing.assert_allclose(K[far], green_function(op, X[far], Y[far]),
                                rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kind,domain,N", [("rfl", DOM, 64), ("rfl", DOM, 63),
+                                           ("classical", DOM, 64),
+                                           ("rfl", make_domain("ball", 2, 1.0), 24)])
+def test_fill_evaluates_one_kernel_value_per_pair(kind, domain, N, monkeypatch):
+    # N^2/4 values on a mirrored grid: n (n - 1)/2 for K11 and n (n + 1)/2 for
+    # the symmetric K12 J; N (N - 1)/2 on any other grid
+    grid = build_grid(domain, N)
+    # the ball's kernel is the angular mean, which calls Boggio's many times
+    name = "rfl_green_radial" if domain.n > 1 else "rfl_green_from_gaps"
+    calls, orig = [], getattr(discretize, name)
+    monkeypatch.setattr(discretize, name,
+                        lambda op, a, *rest: calls.append(np.size(a)) or orig(op, a, *rest))
+    K, C = discretize._fill(make_operator(kind, 1.0 if kind == "classical" else 0.5,
+                                          domain), grid)
+    pairs = N * N // 4 if grid.mirrored else N * (N - 1) // 2
+    assert sum(calls) == (0 if kind == "classical" else pairs)
+    assert (C is None) != grid.mirrored
+    assert K.shape == (N // 2,) * 2 if grid.mirrored else (N, N)
+
+
+APPLY_CASES = [("rfl", 0.5, DOM, 64, {}), ("sfl", 0.75, DOM, 64, {"sfl_truncation": 256}),
+               ("classical", 1.0, DOM, 64, {}), ("rfl", 0.75, DOM, 63, {}),
+               ("rfl", 0.75, make_domain("ball", 2, 1.0), 24, {})]
+
+
+@pytest.mark.parametrize("kind,s,domain,N,kw", APPLY_CASES)
+def test_apply_G0_is_the_matrix_action(kind, s, domain, N, kw):
+    # two half-grid products on a mirrored grid, one product otherwise
+    grid = build_grid(domain, N)
+    dk = assemble_green_matrix(make_operator(kind, s, domain, **kw), grid)
+    v = np.random.default_rng(4).standard_normal(N)
+    ref = full_matrix(dk) @ (grid.w * v)
+    u = apply_G0(dk, v).values
+    assert np.max(np.abs(u - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_classical_row_action_exact(grid):
@@ -141,7 +189,7 @@ def test_rfl_diagonal_continuous_across_log_case():
     grid = build_grid(DOM, 64, grading=2.0)
 
     def diag(s):
-        return np.diag(assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix)
+        return np.diag(full_matrix(assemble_green_matrix(make_operator("rfl", s, DOM), grid)))
 
     for s in (0.5 - 1e-12, 0.5 + 1e-12):
         np.testing.assert_allclose(diag(s), diag(0.5), rtol=1e-10, atol=0)
@@ -153,7 +201,7 @@ def test_rfl_matrix_with_a_node_at_roundoff_from_the_boundary(s):
     # rounds onto x_0; the diagonal rule works from delta and d instead
     grid = build_grid(DOM, 512, grading=4.0)
     assert grid.delta[0] < 1e-15
-    K = assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix
+    K = full_matrix(assemble_green_matrix(make_operator("rfl", s, DOM), grid))
     assert np.all(np.isfinite(K)) and np.all(K > 0)
 
 
@@ -170,7 +218,7 @@ def test_rfl_matrix_properties(s, N, grading):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dk = assemble_green_matrix(make_operator("rfl", s, DOM), grid)
-    K = dk.matrix
+    K = full_matrix(dk)
     assert np.array_equal(K, K.T)
     assert np.all(np.isfinite(K)) and np.all(K > 0)
     assert np.all(K @ grid.w > 0)
@@ -196,12 +244,12 @@ def test_sfl_matrix_diagonalizes():
 
 @pytest.mark.parametrize("N,M", [(256, 1024), (96, 4096)])
 def test_sfl_half_grid_matrix_is_the_full_series(N, M):
-    # on a mirrored grid K is written from the left half-grid's odd-k and
-    # even-k Gram matrices; it must be the full B B^T, exactly symmetric and
-    # exactly J-symmetric
+    # on a mirrored grid the blocks are twice the left half-grid's odd-k and
+    # even-k Gram matrices; the K they make must be the full B B^T, exactly
+    # symmetric and exactly J-symmetric
     grid = build_grid(DOM, N)
     op = make_operator("sfl", 0.75, DOM, sfl_truncation=M)
-    K = assemble_green_matrix(op, grid).matrix
+    K = full_matrix(assemble_green_matrix(op, grid))
     k = np.arange(1, M + 1)
     B = sfl_eigenfunction(DOM, k[None, :], grid.x[:, None]) * sfl_eigenvalue(DOM, k) ** (-0.375)
     full = B @ B.T
@@ -233,7 +281,7 @@ def test_ball_matrix_small(n):
     grid = build_grid(dom, 24, grading=2.0)
     op = make_operator("rfl", 0.75, dom)
     dk = assemble_green_matrix(op, grid)
-    assert np.all(dk.matrix >= 0)
+    assert np.all(full_matrix(dk) >= 0)
     u = apply_G0(dk, np.ones(grid.N)).values
     # torsion function of the RFL on the unit ball:
     # u(x) = Gamma(n/2) (1-|x|^2)^s / (2^{2s} Gamma(s+n/2) Gamma(1+s))
@@ -349,8 +397,8 @@ def test_ball_matrix_at_small_s_stays_finite(n, s, grading):
     dom = make_domain("ball", n, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        K = assemble_green_matrix(make_operator("rfl", s, dom),
-                                  build_grid(dom, 24, grading=grading)).matrix
+        K = full_matrix(assemble_green_matrix(make_operator("rfl", s, dom),
+                                              build_grid(dom, 24, grading=grading)))
     assert np.all(np.isfinite(K)) and np.all(K > 0)
 
 
@@ -362,7 +410,7 @@ def test_rfl_offdiagonal_near_the_boundary_matches_mpmath(s):
     # at the gaps delta (2r - delta) and the distance delta_1 - delta_0, summed
     # here at 30 digits
     grid = build_grid(DOM, 512, grading=4.0)
-    K = assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix
+    K = _filled(make_operator("rfl", s, DOM), grid)
     with mpmath.workdps(30):
         gap = [mpmath.mpf(d) * (2 - mpmath.mpf(d)) for d in grid.delta[:2]]
         dist = mpmath.mpf(grid.delta[1]) - mpmath.mpf(grid.delta[0])
@@ -377,7 +425,7 @@ def test_classical_offdiagonal_near_the_boundary_matches_mpmath():
     # delta_0 (K[0, 1] was 3.9e-2 off); every entry against (r + x_i)(r - x_j) / 2r
     # formed from delta at 30 digits
     grid = build_grid(DOM, 512, grading=4.0)
-    K = assemble_green_matrix(make_operator("classical", 1.0, DOM), grid).matrix
+    K = _filled(make_operator("classical", 1.0, DOM), grid)
     with mpmath.workdps(30):
         d = [mpmath.mpf(v) for v in grid.delta]
         plus = [dv if x < 0 else 2 - dv for dv, x in zip(d, grid.x)]
@@ -390,11 +438,16 @@ def test_classical_offdiagonal_near_the_boundary_matches_mpmath():
 @pytest.mark.parametrize("s", [0.5, 0.75])
 @pytest.mark.parametrize("N,grading,tol", [(256, 2.0, 1e-12), (512, 4.0, 1e-8)])
 def test_interval_diagonal_is_mirror_symmetric(s, N, grading, tol):
-    # the grid is symmetric about 0, so the diagonal's share K_ii w_i of the
-    # row action must be too; measured at most 1.4e-15 of the row.  The raw
-    # entries differ by up to 7.2e-6 at grading 4, where K_ii w_i is 3.5e-11
-    # of the row: there the calibration reads K_ii through a cancellation
+    # the diagonal is calibrated on the left half-grid and both parity blocks
+    # carry it, so every row of K, on either half, must integrate
+    # f = 2 - x^2 to the closed form G_0 f; measured at most 3.6e-16 of the
+    # row K w at both gradings.  At grading 4 K_ii w_i is 3.5e-11 of the row,
+    # and the calibration reads K_ii through a cancellation
     grid = build_grid(DOM, N, grading=grading)
-    K = assemble_green_matrix(make_operator("rfl", s, DOM), grid).matrix
-    share, row = np.diag(K) * grid.w, K @ grid.w
-    assert np.all(np.abs(share - share[::-1]) <= tol * row)
+    dk = assemble_green_matrix(make_operator("rfl", s, DOM), grid)
+    lam0 = 2 ** (2 * s) * gamma(1 + s) * gamma(0.5 + s) / gamma(0.5)
+    a, q = s + 1.5, 2 * (1 + s) * (0.5 + s)
+    x2 = grid.x**2
+    exact = (grid.delta * (2 - grid.delta)) ** s / lam0 * (2 - ((a * x2 - 0.5) / q + 0.5) / a)
+    u, row = apply_G0(dk, 2 - x2).values, apply_G0(dk, np.ones(N)).values
+    assert np.all(np.abs(u - exact) <= tol * row)

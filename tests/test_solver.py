@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -153,3 +155,26 @@ def test_operator_of_another_spectrum_is_rejected(setup, other):
                  lambda: fredholm_diagnose(sd, other, None, 1.0, 1)):
         with pytest.raises(ValueError, match="not the operator of the spectrum"):
             call()
+
+
+def test_requests_on_a_mirrored_grid_allocate_no_full_matrix():
+    # the kernel is kept as two N/2 x N/2 blocks, and a solve, a sweep and a
+    # Fredholm diagnosis allocate less than one N x N array of doubles in all
+    N = 512
+    grid = build_grid(DOM, N)
+    op = make_operator("sfl", 0.75, DOM, sfl_truncation=1024)
+    sd = eigendecompose(assemble_green_matrix(op, grid))
+    arrays = [v for v in vars(sd.dk).values() if isinstance(v, np.ndarray)]
+    arrays += [B for B, _ in sd.dk.blocks]
+    assert len(sd.dk.blocks) == 2 and all(a.shape != (N, N) for a in arrays)
+    g, h = np.ones(N), (1.0, 2.0)
+    solve_large(op, sd, lambda_context(sd, 3.0), g, h)     # fills the Martin cache
+    tracemalloc.start()
+    try:
+        solve_large(op, sd, lambda_context(sd, 3.0), g, h)
+        sweep_lambda(op, sd, None, h, 2)
+        fredholm_diagnose(sd, op, g, h, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N, peak

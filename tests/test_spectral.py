@@ -3,11 +3,13 @@ from math import pi
 
 import numpy as np
 import pytest
+from kernel_oracles import full_matrix
 
 from nonlocal_eigen.discretize import DiscreteKernel, assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import make_operator
 from nonlocal_eigen.spectral import (
+    SpectralData,
     SpectralHit,
     apply_Glambda,
     apply_Glambda_neumann,
@@ -72,8 +74,8 @@ def test_resolvent_identity(sfl):
     rng = np.random.default_rng(1)
     f = rng.standard_normal(dk.grid.N)
     u = apply_Glambda(ctx, f).values
-    w = dk.grid.w
-    residual = u - ctx.lam * (dk.matrix @ (w * u)) - dk.matrix @ (w * f)
+    w, K = dk.grid.w, full_matrix(dk)
+    residual = u - ctx.lam * (K @ (w * u)) - K @ (w * f)
     assert np.max(np.abs(residual)) < 1e-10
 
 
@@ -115,6 +117,33 @@ def test_perp_solve_bounded_at_singular_lambda(sfl):
 def test_groups_simple_spectrum(sfl):
     _, _, sd = sfl
     assert all(len(g) == 1 for g in sd.groups[:10])
+
+
+def test_groups_never_join_an_even_mode_with_an_odd_one():
+    # lambda 1e-9 apart is one group by TAU_MULT, unless the parities differ
+    phi = np.zeros((8, 2))
+    sd = SpectralData(dk=None, lam=np.array([1.0, 1.0 + 1e-9]), phi=phi, n_discarded=0,
+                      parity=np.array([1, -1]))
+    assert [list(g) for g in sd.groups] == [[0], [1]]
+    same = dataclasses.replace(sd, parity=np.array([0, 0]))
+    assert [list(g) for g in same.groups] == [[0, 1]]
+
+
+@pytest.mark.parametrize("N", [96, 95])
+def test_coeffs_and_synth_are_the_full_products(N):
+    # the half-grid products on a mirrored grid, the full ones otherwise
+    grid = build_grid(DOM, N)
+    sd = eigendecompose(assemble_green_matrix(
+        make_operator("sfl", 0.75, DOM, sfl_truncation=256), grid))
+    assert np.any(sd.parity) == grid.mirrored
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(N)
+    ref = sd.phi.T @ (grid.w * v)
+    assert np.max(np.abs(sd.coeffs(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for modes in (slice(7), slice(7, None), np.array([9, 2, 4])):
+        c = rng.standard_normal(len(np.arange(sd.m)[modes]))
+        ref = sd.phi[:, modes] @ c
+        assert np.max(np.abs(sd.synth(c, modes).values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def _decompose(kind, s, N, grading, **kw):
@@ -159,39 +188,35 @@ def test_sign_rule_is_the_docstring_rule(kind, s, N, kw):
 
 @pytest.mark.parametrize("N", [96, 95])
 def test_nonsymmetric_kernel_rejected(N):
-    # the skew term x_i^2 - x_j^2 commutes with the flip on a mirrored grid,
-    # so it reaches the split's block check at even N, the full check at odd N
+    # a skew term x_i^2 - x_j^2 of 1e-8 in the even block of a mirrored grid's
+    # kernel reaches the block check, and in the one block at odd N the same
     grid = build_grid(DOM, N)
     dk = assemble_green_matrix(make_operator("rfl", 0.5, DOM), grid)
-    S = np.subtract.outer(grid.x**2, grid.x**2)
-    K = dk.matrix + 1e-8 * np.max(dk.matrix) * S
+    (K, sign), *rest = dk.blocks
+    x2 = grid.x[:len(K)] ** 2
+    skewed = K + 1e-8 * np.max(K) * np.subtract.outer(x2, x2)
     with pytest.raises(ValueError, match="not symmetric"):
-        eigendecompose(DiscreteKernel(op=dk.op, grid=grid, matrix=K))
+        eigendecompose(dataclasses.replace(dk, blocks=((skewed, sign), *rest)))
 
 
 def test_nonfinite_kernel_rejected(sfl):
     _, dk, _ = sfl
-    K = dk.matrix.copy()
+    K = full_matrix(dk)
     K[3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        eigendecompose(DiscreteKernel(op=dk.op, grid=dk.grid, matrix=K))
+        eigendecompose(DiscreteKernel(op=dk.op, grid=dk.grid, blocks=((K, 0),)))
 
 
 def _one_block(dk):
-    """The same matrix on a copy of the grid whose last node moved by one ulp:
-    the grid is no longer mirrored, so eigendecompose takes one block."""
-    x = dk.grid.x.copy()
-    x[-1] = np.nextafter(x[-1], 0.0)
-    grid = dataclasses.replace(dk.grid, x=x)
-    assert dk.grid.mirrored and not grid.mirrored
-    return eigendecompose(DiscreteKernel(op=dk.op, grid=grid, matrix=dk.matrix))
+    """The same matrix as one block, which eigendecompose diagonalizes whole."""
+    return eigendecompose(DiscreteKernel(op=dk.op, grid=dk.grid, blocks=((full_matrix(dk), 0),)))
 
 
 def _eigen_residual(sd):
     """max_j |A psi_j - mu_j psi_j| / mu_1 with A = W^1/2 K W^1/2 and psi_j = W^1/2 phi_j."""
     sw = np.sqrt(sd.grid.w)
     psi = sw[:, None] * sd.phi
-    A = sd.dk.matrix * sw[:, None] * sw[None, :]
+    A = full_matrix(sd.dk) * sw[:, None] * sw[None, :]
     return np.max(np.abs(A @ psi - psi / sd.lam)) * sd.lam[0]
 
 
@@ -259,8 +284,9 @@ def test_matrix_without_mirror_symmetry_takes_one_block():
     grid = build_grid(DOM, 256)
     dk = assemble_green_matrix(make_operator("rfl", 0.5, DOM), grid)
     v = np.where(grid.x < 0, np.cos(grid.x), 0.0)
-    K = dk.matrix + 1e-6 * np.max(dk.matrix) * np.outer(v, v)
-    sd = eigendecompose(DiscreteKernel(op=dk.op, grid=grid, matrix=K))
+    K = full_matrix(dk)
+    K = K + 1e-6 * np.max(K) * np.outer(v, v)
+    sd = eigendecompose(DiscreteKernel(op=dk.op, grid=grid, blocks=((K, 0),)))
     assert grid.mirrored
     _check_one_block(sd)
     sw = np.sqrt(grid.w)
