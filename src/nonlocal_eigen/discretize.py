@@ -32,16 +32,22 @@ from .kernels import (
 )
 
 
+def _fits(v: np.ndarray, grid: QuadGrid) -> bool:
+    """Node values of one function, shape (N,), or of a block of them, (N, T)."""
+    return v.ndim in (1, 2) and v.shape[0] == grid.N
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Values of a function at the grid nodes."""
+    """Values of a function at the grid nodes, or of a block of functions,
+    one per column."""
 
     grid: QuadGrid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.N,):
+        if not _fits(v, self.grid):
             raise ValueError(f"values shape {v.shape} does not match grid size {self.grid.N}")
         if not np.all(np.isfinite(v)):
             raise ValueError("grid function contains non-finite values")
@@ -49,7 +55,7 @@ class GridFunction:
 
 
 def as_values(f, grid: QuadGrid) -> np.ndarray:
-    """Accept a GridFunction or an array of node values."""
+    """Accept a GridFunction or an array of node values, (N,) or (N, T)."""
     if isinstance(f, GridFunction):
         same = f.grid is grid or (np.array_equal(f.grid.x, grid.x)
                                   and np.array_equal(f.grid.w, grid.w))
@@ -57,7 +63,7 @@ def as_values(f, grid: QuadGrid) -> np.ndarray:
             raise ValueError("grid mismatch")
         return f.values
     v = np.asarray(f, dtype=float)
-    if v.shape != (grid.N,):
+    if not _fits(v, grid):
         raise ValueError("grid mismatch")
     return v
 
@@ -230,31 +236,37 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
 
 def parity_parts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """y_top + J y_bot and y_top - J y_bot, the even and odd parts of values
-    on a mirrored grid, each on the left half-grid."""
+    on a mirrored grid, each on the left half-grid; along axis 0, so each
+    column of a block is split."""
     n = len(y) // 2
     top, bot = y[:n], y[:n - 1:-1]
     return top + bot, top - bot
 
 
 def apply_G0(dk: DiscreteKernel, f) -> GridFunction:
-    """u_i = sum_j K_ij w_j f_j, the discrete Green's operator action.
+    """u_i = sum_j K_ij w_j f_j, the discrete Green's operator action, on one
+    function or on each column of a block in one pass over K.
 
-    On a mirrored grid, with a and b the parity parts of y = w f, K y is
+    The block is multiplied as rows, y^T K, one row per function, which
+    BLAS streams faster than K y for a few columns; K is symmetric.  On a
+    mirrored grid, with a and b the parity parts of y = w f, K y is
     (E a + O b)/2 on top and J (E a - O b)/2 below: two half-grid products.
     """
     grid = dk.grid
-    y = grid.w * as_values(f, grid)
+    v = as_values(f, grid)
+    y = grid.w * np.atleast_2d(v.T)
     if len(dk.blocks) == 1:
-        return GridFunction(grid, dk.blocks[0][0] @ y)
-    (E, _), (O, _) = dk.blocks
-    a, b = parity_parts(y)
-    ea, ob = E @ a, O @ b
-    n = grid.N // 2
-    u = np.empty(grid.N)
-    np.add(ea, ob, out=u[:n])
-    np.subtract(ea, ob, out=u[:n - 1:-1])
-    u *= 0.5
-    return GridFunction(grid, u)
+        u = y @ dk.blocks[0][0]
+    else:
+        (E, _), (O, _) = dk.blocks
+        a, b = parity_parts(y.T)
+        ea, ob = a.T @ E, b.T @ O
+        n = grid.N // 2
+        u = np.empty(y.shape)
+        np.add(ea, ob, out=u[:, :n])
+        np.subtract(ea, ob, out=u[:, :n - 1:-1])
+        u *= 0.5
+    return GridFunction(grid, u.T.reshape(v.shape))
 
 
 def weighted_norm(f, grid: QuadGrid, alpha: float) -> float:

@@ -58,35 +58,42 @@ def _data(op: OperatorSpec, sd: SpectralData, g, h) -> tuple[np.ndarray, np.ndar
     return gv, v_h
 
 
-def _solve(ctx: LambdaContext, rhs: np.ndarray, c_rhs: np.ndarray, v_h: np.ndarray,
-           split_at: int, K_frac: float) -> SolveReport:
-    """v = v_h + G_lambda(rhs) on ctx's spectrum, rhs = g + lambda v_h with
-    coefficients c_rhs, split into the explicit part on the modes below
-    split_at and the complement u_perp."""
-    sd = ctx.sd
+def _solve(ctxs: list[LambdaContext], rhs: np.ndarray, c_rhs: np.ndarray, v_h: np.ndarray,
+           split_at: int, K_frac: float) -> list[SolveReport]:
+    """v = v_h + G_lambda(rhs) for a block of rungs on one spectrum, one lambda
+    context per column: rhs = g + lambda v_h of shape (N, T) with coefficients
+    c_rhs of shape (m, T), split into the explicit part on the modes below
+    split_at and the complement u_perp.  Each product takes one pass over
+    phi or K for the whole block."""
+    sd = ctxs[0].sd
     grid = sd.grid
-    c = c_rhs / (sd.lam - ctx.lam)
+    lams = np.array([ctx.lam for ctx in ctxs])
+    c = c_rhs / (sd.lam[:, None] - lams)
     explicit = sd.synth(c[:split_at], slice(split_at)).values
     perp = sd.synth(c[split_at:], slice(split_at, None)).values
-    total = v_h + explicit + perp
+    total = v_h[:, None] + explicit + perp
     u = explicit + perp  # = G_lambda(rhs)
-    # Green identity u = G_0(rhs + lambda u), one matvec
-    u_green = apply_G0(sd.dk, rhs + ctx.lam * u).values
-    green_res = np.sqrt(np.sum(grid.w * (u - u_green) ** 2))
+    # Green identity u = G_0(rhs + lambda u), one block matvec
+    u_green = apply_G0(sd.dk, rhs + lams * u).values
     mask = grid.compact_mask(K_frac)
     gam = sd.dk.op.gamma
-    norms = {
-        "v_L1_dgamma": weighted_norm(total, grid, gam),
-        "uperp_L1_dgamma": weighted_norm(perp, grid, gam),
-        "sup_K": float(np.max(np.abs(total[mask]))),
-        "inf_Omega": float(np.min(total)),
-    }
-    return SolveReport(lam=ctx.lam, I=ctx.I,
-                       v_h=GridFunction(grid, v_h),
-                       explicit=GridFunction(grid, explicit),
-                       u_perp=GridFunction(grid, perp),
-                       v_total=GridFunction(grid, total),
-                       norms=norms, green_residual=float(green_res))
+    vh = GridFunction(grid, v_h)
+    reports = []
+    for t, ctx in enumerate(ctxs):
+        tot, up = total[:, t], perp[:, t]
+        norms = {
+            "v_L1_dgamma": weighted_norm(tot, grid, gam),
+            "uperp_L1_dgamma": weighted_norm(up, grid, gam),
+            "sup_K": float(np.max(np.abs(tot[mask]))),
+            "inf_Omega": float(np.min(tot)),
+        }
+        green_res = np.sqrt(np.sum(grid.w * (u[:, t] - u_green[:, t]) ** 2))
+        reports.append(SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh,
+                                   explicit=GridFunction(grid, explicit[:, t]),
+                                   u_perp=GridFunction(grid, up),
+                                   v_total=GridFunction(grid, tot),
+                                   norms=norms, green_residual=float(green_res)))
+    return reports
 
 
 def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
@@ -99,8 +106,8 @@ def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
     if ctx.sd is not sd:
         raise ValueError("the lambda context belongs to another spectrum")
     gv, v_h = _data(op, sd, g, h)
-    rhs = gv + ctx.lam * v_h
-    return _solve(ctx, rhs, sd.coeffs(rhs), v_h, ctx.I, K_frac)
+    rhs = (gv + ctx.lam * v_h)[:, None]
+    return _solve([ctx], rhs, sd.coeffs(rhs), v_h, ctx.I, K_frac)[0]
 
 
 @dataclass(frozen=True)
@@ -172,11 +179,11 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     explicit part carries the 1/(lambda_i - lambda) blow-up.  lam_list
     None is the ladder lambda_i (1 - SWEEP_OFFSETS); a lambda on the
     spectrum raises SpectralHit.  <g + lambda v_h, phi_j> is linear in
-    lambda, so the coefficients of g and v_h are taken once for every rung.
+    lambda, so the coefficients of g and v_h are taken once, in one
+    two-column pass, and the whole ladder is solved as one block.
     """
     grid = sd.grid
     gv, v_h = _data(op, sd, g, h)
-    c_g, c_h = sd.coeffs(gv), sd.coeffs(v_h)
     fred = _fredholm(sd, gv, v_h, i)
     lam_i = fred.lam_i
     grp = sd.group(i)
@@ -184,17 +191,20 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     if lam_list is None:
         lam_list = lam_i * (1.0 - np.array(SWEEP_OFFSETS))
     lam_list = np.asarray(lam_list, dtype=float)
+    if lam_list.ndim != 1 or len(lam_list) == 0:
+        raise ValueError(f"lam_list must be a nonempty list of lambdas, got {lam_list!r}")
+    ctxs = [lambda_context(sd, lam) for lam in lam_list]
+    c = sd.coeffs(np.stack([gv, v_h], axis=1))
+    reports = _solve(ctxs, gv[:, None] + lam_list * v_h[:, None],
+                     c[:, :1] + lam_list * c[:, 1:], v_h, split_at, K_frac)
     mask = grid.compact_mask(K_frac)
     maskA = np.zeros(grid.N, dtype=bool)
     maskA[fred.A_plus] = True
     maskKA = mask & maskA
 
-    reports, supK, supKA, infO, up_norm, proj = [], [], [], [], [], []
-    for lam in lam_list:
-        rep = _solve(lambda_context(sd, lam), gv + lam * v_h, c_g + lam * c_h, v_h,
-                     split_at, K_frac)
+    supK, supKA, infO, up_norm, proj = [], [], [], [], []
+    for rep in reports:
         total = rep.v_total.values
-        reports.append(rep)
         supK.append(rep.norms["sup_K"])
         supKA.append(float(np.max(np.abs(total[maskKA]))) if np.any(maskKA) else np.nan)
         infO.append(rep.norms["inf_Omega"])
@@ -225,47 +235,43 @@ class TrialReport:
         return self.n_failures == 0
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def check_max_principle(ctx: LambdaContext, trials: int = 100, seed: int = 0) -> TrialReport:
     """Solutions with f >= 0 and lambda < lambda_1 must be nonnegative.
 
-    Random nonnegative data, including delta-weighted unbounded samples;
-    a trial fails when min u < -1e-8 * max u.
+    Random nonnegative data, including delta-weighted unbounded samples
+    (every third trial), solved as one block; a trial fails when
+    min u < -1e-8 * max u.
     """
     sd = ctx.sd
     if ctx.lam >= sd.lam[0]:
         raise ValueError("maximum principle requires lambda < lambda_1")
-    rng = np.random.default_rng(seed)
+    _check_trials(trials)
     grid = sd.grid
-    failures = 0
-    worst = np.inf
-    for t in range(trials):
-        f = rng.uniform(0.0, 1.0, grid.N)
-        if t % 3 == 2:
-            f = f * grid.delta ** (-0.5)
-        u = apply_Glambda(ctx, f).values
-        margin = np.min(u) / max(np.max(u), 1e-300)
-        worst = min(worst, margin)
-        if margin < -1e-8:
-            failures += 1
-    return TrialReport(n_failures=failures, worst_margin=float(worst))
+    # row t holds the same numbers as the t-th of `trials` draws of size N
+    f = np.random.default_rng(seed).uniform(0.0, 1.0, (trials, grid.N))
+    f[2::3] *= grid.delta ** (-0.5)
+    u = apply_Glambda(ctx, f.T).values
+    margin = np.min(u, axis=0) / np.maximum(np.max(u, axis=0), 1e-300)
+    return TrialReport(n_failures=int(np.sum(margin < -1e-8)),
+                       worst_margin=float(np.min(margin)))
 
 
 def check_poincare(sd: SpectralData, trials: int = 100, seed: int = 0) -> TrialReport:
-    """lambda_1 <phi, G_0 phi>_W <= <phi, phi>_W for every phi, G_0 the kernel of sd."""
-    rng = np.random.default_rng(seed)
+    """lambda_1 <phi, G_0 phi>_W <= <phi, phi>_W for every phi, G_0 the kernel of sd;
+    the random phi are applied as one block."""
+    _check_trials(trials)
     grid = sd.grid
-    lam1 = sd.lam[0]
-    failures = 0
-    worst = -np.inf
-    for _ in range(trials):
-        phi = rng.standard_normal(grid.N)
-        lhs = lam1 * np.sum(grid.w * phi * apply_G0(sd.dk, phi).values)
-        rhs = np.sum(grid.w * phi * phi)
-        ratio = lhs / rhs
-        worst = max(worst, ratio)
-        if ratio > 1.0 + 1e-8:
-            failures += 1
-    return TrialReport(n_failures=failures, worst_margin=float(worst))
+    phi = np.random.default_rng(seed).standard_normal((trials, grid.N))
+    wphi = grid.w * phi
+    lhs = sd.lam[0] * np.sum(wphi * apply_G0(sd.dk, phi.T).values.T, axis=1)
+    ratio = lhs / np.sum(wphi * phi, axis=1)
+    return TrialReport(n_failures=int(np.sum(ratio > 1.0 + 1e-8)),
+                       worst_margin=float(np.max(ratio)))
 
 
 def check_notions(ctx: LambdaContext, f, u=None) -> dict:
@@ -283,5 +289,6 @@ def check_notions(ctx: LambdaContext, f, u=None) -> dict:
     w = grid.w
     r1 = np.sqrt(np.sum(w * (uv - u_ref) ** 2))
     r5 = np.sqrt(np.sum(w * (uv - apply_G0(sd.dk, fv + ctx.lam * uv).values) ** 2))
-    r6 = np.max(np.abs((sd.lam - ctx.lam) * sd.coeffs(uv) - sd.coeffs(fv)))
+    c = sd.coeffs(np.stack([uv, fv], axis=1))
+    r6 = np.max(np.abs((sd.lam - ctx.lam) * c[:, 0] - c[:, 1]))
     return {"r1": float(r1), "r5": float(r5), "r6": float(r6)}

@@ -50,30 +50,41 @@ class SpectralData:
         return len(self.lam)
 
     def coeffs(self, f) -> np.ndarray:
-        """Weighted spectral coefficients <f, phi_j>_W.
+        """Weighted spectral coefficients <f, phi_j>_W, shape (m,) for one
+        function and (m, T) for a block of T columns, in one pass over phi.
 
-        With parities, phi's bottom half is the mirror image of its top half
-        times the parity, so each mode pairs the top half with the even or
-        the odd part of y = w f: one product on the half grid.
+        The block is multiplied as rows, one per function, as in
+        ``apply_G0``.  With parities, phi's bottom half is the mirror image
+        of its top half times the parity, so each mode pairs the top half
+        with the even or the odd part of y = w f: one product on the half
+        grid, against the even parts of every function and their odd parts.
         """
-        y = self.grid.w * as_values(f, self.grid)
-        if not self.parity.any():
-            return self.phi.T @ y
-        n = self.grid.N // 2
-        c = self.phi[:n].T @ np.stack(parity_parts(y), axis=1)
-        return np.where(self.parity > 0, c[:, 0], c[:, 1])
+        v = as_values(f, self.grid)
+        y = self.grid.w * np.atleast_2d(v.T)
+        if self.parity.any():
+            n, T = self.grid.N // 2, len(y)
+            a, b = parity_parts(y.T)
+            c = np.concatenate([a.T, b.T]) @ self.phi[:n]
+            c = np.where(self.parity > 0, c[:T], c[T:])
+        else:
+            c = y @ self.phi
+        return c.T.reshape(c.shape[1:] + v.shape[1:])
 
     def synth(self, c: np.ndarray, modes=slice(None)) -> GridFunction:
-        """sum_j c_j phi_j over the selected modes (all by default).
+        """sum_j c_j phi_j over the selected modes (all by default), for
+        coefficients of shape (k,) or, one function per column, (k, T).
 
         With parities, the top half is sum_j c_j phi_j[:n] and the bottom
         half the mirror image of sum_j parity_j c_j phi_j[:n].
         """
-        if not self.parity.any():
-            return GridFunction(self.grid, self.phi[:, modes] @ c)
-        n = self.grid.N // 2
-        t = self.phi[:n, modes] @ np.stack([c, self.parity[modes] * c], axis=1)
-        return GridFunction(self.grid, np.concatenate([t[:, 0], t[::-1, 1]]))
+        b = np.atleast_2d(c.T)
+        if self.parity.any():
+            n, T = self.grid.N // 2, len(b)
+            t = np.concatenate([b, b * self.parity[modes]]) @ self.phi[:n, modes].T
+            u = np.concatenate([t[:T], t[T:, ::-1]], axis=1)
+        else:
+            u = b @ self.phi[:, modes].T
+        return GridFunction(self.grid, u.T.reshape(u.shape[1:] + c.shape[1:]))
 
     @cached_property
     def groups(self) -> list[np.ndarray]:
@@ -184,9 +195,10 @@ def lambda_context(sd: SpectralData, lam: float) -> LambdaContext:
 
 
 def apply_Glambda(ctx: LambdaContext, f) -> GridFunction:
-    """Spectral solution operator of (L - lambda) on ctx's spectrum: all retained modes."""
+    """Spectral solution operator of (L - lambda) on ctx's spectrum: all retained
+    modes, on one function or on each column of a block."""
     sd = ctx.sd
-    return sd.synth(sd.coeffs(f) / (sd.lam - ctx.lam))
+    return sd.synth((sd.coeffs(f).T / (sd.lam - ctx.lam)).T)
 
 
 def apply_Glambda_neumann(ctx: LambdaContext, f) -> GridFunction:

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nonlocal_eigen import solver
 from nonlocal_eigen.boundary import martin_apply
-from nonlocal_eigen.discretize import assemble_green_matrix
+from nonlocal_eigen.discretize import apply_G0, assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import make_operator
 from nonlocal_eigen.solver import (
@@ -15,7 +16,7 @@ from nonlocal_eigen.solver import (
     solve_large,
     sweep_lambda,
 )
-from nonlocal_eigen.spectral import eigendecompose, lambda_context
+from nonlocal_eigen.spectral import SpectralData, apply_Glambda, eigendecompose, lambda_context
 
 DOM = make_domain("interval", 1, 1.0)
 
@@ -96,6 +97,50 @@ def test_sweep_rejects_spectrum_touch(setup):
     op, grid, dk, sd = setup
     with pytest.raises(ValueError):
         sweep_lambda(op, sd, None, 1.0, 1, [sd.lam[0]])
+    with pytest.raises(ValueError, match="nonempty"):
+        sweep_lambda(op, sd, None, 1.0, 1, [])
+
+
+@pytest.mark.parametrize("offsets", [None, [-1e-2, -1e-3, -1e-4]])
+def test_sweep_rungs_are_the_solves_at_their_lambdas(setup, offsets):
+    # the ladder is solved as one block; each rung must be solve_large at
+    # its lambda.  Above lambda_1 both split at E = group 1, so every part
+    # agrees; below it solve_large splits at the modes below lambda, and the
+    # parts may differ while their sum may not
+    op, grid, dk, sd = setup
+    g, h = np.cos(grid.x), (1.0, 2.0)
+    lams = None if offsets is None else sd.lam[0] * (1.0 - np.array(offsets))
+    sw = sweep_lambda(op, sd, g, h, 1, lams)
+    parts = ("v_total",) if offsets is None else ("explicit", "u_perp", "v_total")
+    for lam, rep in zip(sw.lam_list, sw.reports):
+        ref = solve_large(op, sd, lambda_context(sd, lam), g, h)
+        assert rep.lam == ref.lam and rep.I == ref.I
+        for name in parts:
+            a, b = getattr(rep, name).values, getattr(ref, name).values
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+        # the residual scales with u, whose W-norm reaches 1.5e6 on the
+        # default ladder; measured at most 7.6e-16 of it
+        u = rep.explicit.values + rep.u_perp.values
+        assert rep.green_residual <= 1e-12 * np.sqrt(np.sum(grid.w * u * u))
+
+
+def test_default_sweep_takes_one_block_product(setup, monkeypatch):
+    # one K product for the whole ladder, and two coefficient passes: g and
+    # v_h together, and the Fredholm projection
+    op, grid, dk, sd = setup
+    calls = {"apply_G0": 0, "coeffs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "apply_G0", counted("apply_G0", solver.apply_G0))
+    monkeypatch.setattr(SpectralData, "coeffs", counted("coeffs", SpectralData.coeffs))
+    sw = sweep_lambda(op, sd, np.ones(grid.N), (1.0, 2.0), 2)
+    assert len(sw.reports) == len(solver.SWEEP_OFFSETS)
+    assert calls == {"apply_G0": 1, "coeffs": 2}
 
 
 def test_max_principle(setup):
@@ -112,6 +157,43 @@ def test_poincare(setup):
     rep = check_poincare(sd, trials=30, seed=1)
     assert rep.passed
     assert rep.worst_margin <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monte_carlo_checks_need_a_trial(setup, trials):
+    op, grid, dk, sd = setup
+    with pytest.raises(ValueError, match="trials"):
+        check_max_principle(lambda_context(sd, 0.5 * sd.lam[0]), trials=trials)
+    with pytest.raises(ValueError, match="trials"):
+        check_poincare(sd, trials=trials)
+
+
+def test_monte_carlo_checks_draw_the_trials_of_one_draw_each(setup):
+    # the block of trials holds the numbers that `trials` draws of size N
+    # give in turn; the loops below are the per-trial reference, and the
+    # block products agree with them to roundoff
+    op, grid, dk, sd = setup
+    ctx = lambda_context(sd, 0.9 * sd.lam[0])
+    rng = np.random.default_rng(3)
+    margins = []
+    for t in range(8):
+        f = rng.uniform(0.0, 1.0, grid.N)
+        if t % 3 == 2:
+            f = f * grid.delta ** (-0.5)
+        u = apply_Glambda(ctx, f).values
+        margins.append(np.min(u) / np.max(u))
+    rep = check_max_principle(ctx, trials=8, seed=3)
+    assert rep.n_failures == 0
+    assert rep.worst_margin == pytest.approx(min(margins), rel=0, abs=1e-13)
+    rng = np.random.default_rng(3)
+    ratios = []
+    for _ in range(8):
+        phi = rng.standard_normal(grid.N)
+        lhs = sd.lam[0] * np.sum(grid.w * phi * apply_G0(dk, phi).values)
+        ratios.append(lhs / np.sum(grid.w * phi * phi))
+    rep = check_poincare(sd, trials=8, seed=3)
+    assert rep.n_failures == 0
+    assert rep.worst_margin == pytest.approx(max(ratios), rel=1e-13)
 
 
 def test_check_notions_and_negative_control(setup):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from kernel_oracles import full_matrix
 
-from nonlocal_eigen.discretize import DiscreteKernel, assemble_green_matrix
+from nonlocal_eigen.discretize import DiscreteKernel, apply_G0, assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import make_operator
 from nonlocal_eigen.spectral import (
@@ -144,6 +144,38 @@ def test_coeffs_and_synth_are_the_full_products(N):
         c = rng.standard_normal(len(np.arange(sd.m)[modes]))
         ref = sd.phi[:, modes] @ c
         assert np.max(np.abs(sd.synth(c, modes).values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+BLOCK_CASES = [("rfl", 0.5, DOM, 64, {}), ("sfl", 0.75, DOM, 64, {"sfl_truncation": 256}),
+               ("classical", 1.0, DOM, 64, {}), ("rfl", 0.75, DOM, 63, {}),
+               ("rfl", 0.75, make_domain("ball", 2, 1.0), 24, {})]
+
+
+@pytest.mark.parametrize("kind,s,domain,N,kw", BLOCK_CASES)
+def test_block_products_are_the_column_products(kind, s, domain, N, kw):
+    # an (N, T) block takes one pass over phi or K; each of its columns must
+    # be the product of that column alone, to 1e-14 of the column's scale
+    grid = build_grid(domain, N)
+    sd = eigendecompose(assemble_green_matrix(make_operator(kind, s, domain, **kw), grid))
+    ctx = lambda_context(sd, 0.5 * sd.lam[0])
+    rng = np.random.default_rng(6)
+
+    def columns_agree(product, block):
+        out = product(block)
+        assert out.shape[1:] == block.shape[1:]
+        for col, v in zip(out.T, block.T):
+            ref = product(v)
+            assert col.shape == ref.shape
+            assert np.max(np.abs(col - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    V = rng.standard_normal((N, 5))
+    columns_agree(sd.coeffs, V)
+    columns_agree(lambda v: apply_G0(sd.dk, v).values, V)
+    columns_agree(lambda v: apply_Glambda(ctx, v).values, V)
+    columns_agree(lambda v: apply_G0(sd.dk, v).values, V[:, :1])
+    for modes in (slice(None), slice(7), slice(7, None), np.array([9, 2, 4])):
+        C = rng.standard_normal((len(np.arange(sd.m)[modes]), 5))
+        columns_agree(lambda c: sd.synth(c, modes).values, C)
 
 
 def _decompose(kind, s, N, grading, **kw):
