@@ -119,9 +119,16 @@ def rfl_green_radial(op: OperatorSpec, delta_x, delta_y, d) -> np.ndarray:
     return total * sphere_area(n - 1) / sphere_area(n)
 
 
-def _sfl_gram(op: OperatorSpec, x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """B B^T with B_ik = mu_k^{-s/2} e_k(x_i), the SFL series over the modes k."""
-    B = sfl_eigenfunction(op.domain, k[None, :], x[:, None])
+def _sfl_gram(op: OperatorSpec, grid: QuadGrid, n: int, k: np.ndarray) -> np.ndarray:
+    """B B^T with B_ik = mu_k^{-s/2} e_k(x_i), the SFL series over the modes k
+    at the first n nodes.
+
+    e_k is read from boundary distances, never from x, which rounds to -+r
+    at a strong grading: e_k(-r + delta) left of 0, and on the right
+    e_k(r - delta) = (-1)^(k+1) e_k(-r + delta).
+    """
+    B = sfl_eigenfunction(op.domain, k[None, :], grid.delta[:n, None])
+    B[grid.x[:n] > 0] *= (-1.0) ** (k + 1)
     B *= sfl_eigenvalue(op.domain, k) ** (-op.s / 2)
     return B @ B.T
 
@@ -188,12 +195,12 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
             # K12 J are the odd-k Gram plus and minus the even-k Gram: E is
             # twice the odd-k Gram and O twice the even-k Gram
             n = grid.N // 2
-            blocks = tuple((_sfl_gram(op, grid.x[:n], k[p::2]), sign)
+            blocks = tuple((_sfl_gram(op, grid, n, k[p::2]), sign)
                            for p, sign in ((0, 1), (1, -1)))
             for B, _ in blocks:
                 B *= 2.0
         else:
-            blocks = ((_sfl_gram(op, grid.x, k), 0),)
+            blocks = ((_sfl_gram(op, grid, grid.N, k), 0),)
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
         M = op.sfl_truncation

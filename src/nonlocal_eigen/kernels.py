@@ -202,12 +202,14 @@ def sfl_eigenvalue(domain: DomainSpec, k) -> np.ndarray:
     return (k * pi / (2.0 * domain.r)) ** 2
 
 
-def sfl_eigenfunction(domain: DomainSpec, k, x) -> np.ndarray:
-    """L^2-normalized sine modes sin(k pi (x+r) / 2r) / sqrt(r)."""
+def sfl_eigenfunction(domain: DomainSpec, k, plus) -> np.ndarray:
+    """L^2-normalized sine modes sin(k pi (r + x) / 2r) / sqrt(r), from
+    plus = r + x, the distance to the left end -r.  A caller near -r passes
+    the boundary distance there, since r + x formed from x loses its digits."""
     r = domain.r
     k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t = np.asarray(k * pi * (x + r) / (2.0 * r))
+    plus = np.asarray(plus, dtype=float)
+    t = np.asarray(k * pi * plus / (2.0 * r))
     np.sin(t, out=t)
     t /= np.sqrt(r)
     return t

@@ -36,8 +36,9 @@ def sfl_green_interval(op, x, y):
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     k = np.arange(1, op.sfl_truncation + 1)
     weights = sfl_eigenvalue(op.domain, k) ** (-op.s)
-    px = sfl_eigenfunction(op.domain, k, x[..., None])
-    py = sfl_eigenfunction(op.domain, k, y[..., None])
+    r = op.domain.r
+    px = sfl_eigenfunction(op.domain, k, x[..., None] + r)
+    py = sfl_eigenfunction(op.domain, k, y[..., None] + r)
     return np.sum(weights * px * py, axis=-1)
 
 
@@ -55,7 +56,7 @@ def sfl_martin_series_abel(op, z: float, y, q: float) -> np.ndarray:
     if z > 0:
         d_k = d_k * (-1.0) ** (k + 1)
     weights = d_k * sfl_eigenvalue(op.domain, k) ** (-s) * q ** k
-    return np.sum(weights * sfl_eigenfunction(op.domain, k, y[:, None]), axis=1)
+    return np.sum(weights * sfl_eigenfunction(op.domain, k, y[:, None] + r), axis=1)
 
 
 def green_function(op, x, y):

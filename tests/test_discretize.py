@@ -260,7 +260,8 @@ def test_sfl_half_grid_matrix_is_the_full_series(N, M):
     op = make_operator("sfl", 0.75, DOM, sfl_truncation=M)
     K = full_matrix(assemble_green_matrix(op, grid))
     k = np.arange(1, M + 1)
-    B = sfl_eigenfunction(DOM, k[None, :], grid.x[:, None]) * sfl_eigenvalue(DOM, k) ** (-0.375)
+    plus = grid.sides[0]
+    B = sfl_eigenfunction(DOM, k[None, :], plus[:, None]) * sfl_eigenvalue(DOM, k) ** (-0.375)
     full = B @ B.T
     assert grid.mirrored
     assert np.max(np.abs(K - full)) <= 1e-13 * np.max(np.abs(full))
@@ -442,6 +443,28 @@ def test_classical_offdiagonal_near_the_boundary_matches_mpmath():
         i, j = np.triu_indices(grid.N, 1)
         ref = np.array([float(plus[a] * minus[b] / 2) for a, b in zip(i, j)])
     np.testing.assert_allclose(K[i, j], ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("N", [1024, 1023])
+def test_sfl_matrix_near_the_boundary_matches_mpmath(N):
+    # grading 4: x_0 rounds to -r and x_{N-1} to r, where modes read from x
+    # vanished and the outermost rows of K were exactly 0.  The entries of
+    # the outermost nodes on each side, on the mirrored grid (N = 1024) and
+    # on a one-block grid (N = 1023), against the series over M modes with
+    # e_k(x) = sin(k pi (x + r) / 2r) and x + r formed from delta at 40 digits
+    M = 256
+    grid = build_grid(DOM, N, grading=4.0)
+    assert grid.x[0] == -1.0 and grid.x[-1] == 1.0
+    K = full_matrix(assemble_green_matrix(make_operator("sfl", 0.75, DOM, sfl_truncation=M), grid))
+    with mpmath.workdps(40):
+        def e(k, i):
+            d = mpmath.mpf(grid.delta[i])
+            return mpmath.sin(k * mpmath.pi * (d if grid.x[i] < 0 else 2 - d) / 2)
+
+        for i, j in ((0, 0), (0, 1), (0, 2), (N - 1, N - 1), (N - 1, N - 2), (N - 1, N - 3)):
+            ref = mpmath.fsum((k * mpmath.pi / 2) ** -1.5 * e(k, i) * e(k, j)
+                              for k in range(1, M + 1))
+            assert K[i, j] == pytest.approx(float(ref), rel=1e-12, abs=0), (i, j)
 
 
 @pytest.mark.parametrize("s", [0.5, 0.75])
