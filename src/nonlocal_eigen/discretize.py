@@ -276,6 +276,9 @@ def apply_G0(dk: DiscreteKernel, f) -> GridFunction:
     return GridFunction(grid, u.T.reshape(v.shape))
 
 
-def weighted_norm(f, grid: QuadGrid, alpha: float) -> float:
-    """The boundary-weighted L1 norm sum w |f| delta^alpha."""
-    return float(np.sum(grid.w * np.abs(as_values(f, grid)) * grid.delta**alpha))
+def weighted_norm(f, grid: QuadGrid, alpha: float):
+    """The boundary-weighted L1 norm sum w |f| delta^alpha: a float for one
+    function, an array of T for a block of T columns."""
+    v = as_values(f, grid)
+    norm = np.sum(grid.w * np.abs(v).T * grid.delta**alpha, axis=-1)
+    return float(norm) if v.ndim == 1 else norm

@@ -75,25 +75,21 @@ def _solve(ctxs: list[LambdaContext], rhs: np.ndarray, c_rhs: np.ndarray, v_h: n
     u = explicit + perp  # = G_lambda(rhs)
     # Green identity u = G_0(rhs + lambda u), one block matvec
     u_green = apply_G0(sd.dk, rhs + lams * u).values
-    mask = grid.compact_mask(K_frac)
+    green_res = np.sqrt(np.sum(grid.w * ((u - u_green) ** 2).T, axis=-1))
     gam = sd.dk.op.gamma
+    v_norm, up_norm = weighted_norm(total, grid, gam), weighted_norm(perp, grid, gam)
+    sup_K = np.max(np.abs(total[grid.compact_mask(K_frac)]), axis=0)
+    inf_Omega = np.min(total, axis=0)
     vh = GridFunction(grid, v_h)
-    reports = []
-    for t, ctx in enumerate(ctxs):
-        tot, up = total[:, t], perp[:, t]
-        norms = {
-            "v_L1_dgamma": weighted_norm(tot, grid, gam),
-            "uperp_L1_dgamma": weighted_norm(up, grid, gam),
-            "sup_K": float(np.max(np.abs(tot[mask]))),
-            "inf_Omega": float(np.min(tot)),
-        }
-        green_res = np.sqrt(np.sum(grid.w * (u[:, t] - u_green[:, t]) ** 2))
-        reports.append(SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh,
-                                   explicit=GridFunction(grid, explicit[:, t]),
-                                   u_perp=GridFunction(grid, up),
-                                   v_total=GridFunction(grid, tot),
-                                   norms=norms, green_residual=float(green_res)))
-    return reports
+    return [SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh,
+                        explicit=GridFunction(grid, explicit[:, t]),
+                        u_perp=GridFunction(grid, perp[:, t]),
+                        v_total=GridFunction(grid, total[:, t]),
+                        norms={"v_L1_dgamma": float(v_norm[t]),
+                               "uperp_L1_dgamma": float(up_norm[t]),
+                               "sup_K": float(sup_K[t]), "inf_Omega": float(inf_Omega[t])},
+                        green_residual=float(green_res[t]))
+            for t, ctx in enumerate(ctxs)]
 
 
 def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,

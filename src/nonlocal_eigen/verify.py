@@ -254,7 +254,7 @@ class VerifySuite:
         f = project_perp(sd, 3, f).values
         u = _resolvents(sd, [frac * sd.lam[0] for frac in (0.5, 0.9, 0.99, 0.999)], f)
         up = project_perp(sd, 1, u).values
-        norms = [weighted_norm(col, self.grid, sd.dk.op.gamma) for col in up.T]
+        norms = weighted_norm(up, self.grid, sd.dk.op.gamma)
         ratio = max(norms) / min(norms)
         return _res("uniform_Eperp_estimate", ratio, 1.1, cmp="le",
                     detail="||u_perp delta^gamma||_L1 max/min over the lambda ladder")
@@ -300,7 +300,7 @@ class VerifySuite:
         gp = project_perp(sd, 1, g)
         ref = apply_Glambda_perp(sd, 1, sd.lam[0], gp).values
         v = _resolvents(sd, [sd.lam[0] * (1.0 + sign * 1e-4) for sign in (-1.0, 1.0)], gp)
-        dists = [weighted_norm(col - ref, self.grid, sd.dk.op.gamma) for col in v.T]
+        dists = weighted_norm(v - ref[:, None], self.grid, sd.dk.op.gamma)
         return _res("fredholm_case_a_convergence", max(dists), 1e-4,
                     f"L1(delta^gamma) distance to the limit from below/above: "
                     f"{dists[0]:.2e} / {dists[1]:.2e}")

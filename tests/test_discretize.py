@@ -281,6 +281,11 @@ def test_weighted_norms(grid):
     assert weighted_norm(f, grid, 0.0) == pytest.approx(2.0)
     assert weighted_norm(f, grid, 1.0) == pytest.approx(1.0)
     assert weighted_norm(f, grid, -0.5) == pytest.approx(4.0, rel=1e-10)
+    assert isinstance(weighted_norm(f, grid, 1.0), float)
+    # a block: one norm per column, each that column's own
+    block = np.random.default_rng(2).standard_normal((grid.N, 3))
+    ref = [weighted_norm(col, grid, 0.5) for col in block.T]
+    np.testing.assert_allclose(weighted_norm(block, grid, 0.5), ref, rtol=1e-14, atol=0)
     with pytest.raises(ValueError, match="grid mismatch"):
         weighted_norm(np.ones(3), grid, 0.0)
 
