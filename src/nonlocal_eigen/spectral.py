@@ -7,7 +7,9 @@ and lambda_j = 1/mu_j those of the differential operator.  On a mirrored
 interval grid A commutes with the flip x -> -x and is diagonalized as
 its two half-size parity blocks, one for the even modes and one for the
 odd modes; each mode carries its parity, and the coefficient and
-synthesis products run on the half grid.  All solve/project operations
+synthesis products run on the half grid.  Every product takes one
+function or a block of them, one per column, in one pass over phi.
+All solve/project operations
 act through the retained eigenpairs, so the resolvent formula
 u = sum <f, phi_j> phi_j / (lambda_j - lambda) is exact in the discrete
 model.
