@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .discretize import GridFunction, as_values
+from .discretize import GridFunction, one_function
 from .geometry import DomainKind, QuadGrid, sphere_area
 from .kernels import OperatorSpec, martin_from_gaps
 
@@ -46,24 +46,28 @@ def _martin_columns(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.nd
     return cols
 
 
-def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
-    """Large harmonic function v_h = integral of the Martin kernel against h.
+def boundary_values(op: OperatorSpec, h) -> np.ndarray:
+    """Boundary data h, validated, as one value per end: (h(-r), h(r)) on the
+    interval, where one value serves both ends, and one constant on the ball."""
+    ends = 2 if op.domain.kind is DomainKind.INTERVAL else 1
+    h = np.atleast_1d(np.asarray(h, dtype=float))
+    if h.shape not in ((1,), (ends,)) or not np.all(np.isfinite(h)):
+        raise ValueError(f"expected one finite boundary value per end ({ends}) or one for all, got {h}")
+    return np.broadcast_to(h, (ends,))
 
-    h is finite: the values (h(-r), h(r)) on the interval, where one value
-    serves both ends, or one constant on the ball.
+
+def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
+    """Large harmonic function v_h = integral of the Martin kernel against h,
+    with h as ``boundary_values`` takes it.
 
     Its transpose is the gamma-normal derivative of G_0 in the very weak
     formulation: <M(h), f>_W = sum_z h(z) D_gamma G_0 f(z), so on the interval
     D_gamma G_0 f(z) = <M(e_z), f>_W, with e_z the datum 1 at z and 0 at the
     other end, and on the ball it is <M(1), f>_W / |dB_r| for radial f.
     """
-    ends = 2 if op.domain.kind is DomainKind.INTERVAL else 1
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    if h.shape not in ((1,), (ends,)) or not np.all(np.isfinite(h)):
-        raise ValueError(f"expected one finite boundary value per end ({ends}) or one for all, got {h}")
-    h = np.broadcast_to(h, (ends,))
+    h = boundary_values(op, h)
     a, b = _martin_columns(op, grid)
-    if ends == 2:
+    if len(h) == 2:
         return GridFunction(grid, h[0] * a + h[1] * b)
     # ball, constant data: the kernel times |z - y|^n, against the sphere integral
     return GridFunction(grid, h[0] * a * b)
@@ -97,7 +101,7 @@ def _extrapolate_to_zero(d: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid) -> TraceReport:
     """Weighted boundary trace at z: u / M(1) at ``grid.boundary_nodes(z)``,
     extrapolated along the grid."""
-    v = as_values(u, grid)
+    v = one_function(u, grid, "u")
     order = grid.boundary_nodes(z)
     d = grid.delta[order]
     m1 = martin_apply(op, grid, 1.0).values

@@ -68,6 +68,16 @@ def as_values(f, grid: QuadGrid) -> np.ndarray:
     return v
 
 
+def one_function(f, grid: QuadGrid, name: str = "f") -> np.ndarray:
+    """Node values of one function, shape (N,), for the routes that take no
+    block; a block raises ValueError naming it."""
+    v = as_values(f, grid)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be one function of shape ({grid.N},), "
+                         f"got a block of shape {v.shape}")
+    return v
+
+
 @dataclass(frozen=True)
 class DiscreteKernel:
     """Symmetric Nystrom matrix K for the Green's operator on a grid, kept as

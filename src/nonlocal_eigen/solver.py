@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import martin_apply
-from .discretize import GridFunction, apply_G0, as_values, weighted_norm
+from .boundary import boundary_values, martin_apply
+from .discretize import GridFunction, apply_G0, one_function
 from .geometry import K_FRACTION
 from .kernels import OperatorSpec
 from .spectral import LambdaContext, SpectralData, apply_Glambda, lambda_context
@@ -45,51 +45,62 @@ class SolveReport:
                 "v_total": list(self.v_total.values)}
 
 
-def _data(op: OperatorSpec, sd: SpectralData, g, h) -> tuple[np.ndarray, np.ndarray]:
-    """Node values of the interior datum g and of v_h = M(h); None is zero data.
+def _data(op: OperatorSpec, sd: SpectralData, g, h):
+    """g and v_h = M(h) at the nodes, and their weighted coefficients c_g and
+    c_h; None is zero data.
 
-    op must be the operator of the spectrum sd, whose Martin kernel lifts h.
+    g + lambda v_h then has the coefficients c_g + lambda c_h.  c_h is
+    C_M h, from the Martin basis's coefficients cached on the spectrum, so
+    only g takes a pass over phi, and zero g none.  op must be the operator
+    of the spectrum sd, whose Martin kernel lifts h; g is one function.
     """
     if op != sd.dk.op:
         raise ValueError(f"operator {op} is not the operator of the spectrum, {sd.dk.op}")
     grid = sd.grid
-    gv = as_values(g, grid) if g is not None else np.zeros(grid.N)
-    v_h = martin_apply(op, grid, h).values if h is not None else np.zeros(grid.N)
-    return gv, v_h
+    gv = one_function(g, grid, "g") if g is not None else np.zeros(grid.N)
+    c_g = sd.coeffs(gv) if gv.any() else np.zeros(sd.m)
+    if h is None:
+        return gv, np.zeros(grid.N), c_g, np.zeros(sd.m)
+    h = boundary_values(op, h)
+    return gv, martin_apply(op, grid, h).values, c_g, sd.martin_coeffs @ h
 
 
-def _solve(ctxs: list[LambdaContext], rhs: np.ndarray, c_rhs: np.ndarray, v_h: np.ndarray,
-           split_at: int, K_frac: float) -> list[SolveReport]:
-    """v = v_h + G_lambda(rhs) for a block of rungs on one spectrum, one lambda
-    context per column: rhs = g + lambda v_h of shape (N, T) with coefficients
-    c_rhs of shape (m, T), split into the explicit part on the modes below
-    split_at and the complement u_perp.  Each product takes one pass over
-    phi or K for the whole block."""
+def _solve(ctxs: list[LambdaContext], data, split_at: int,
+           mask: np.ndarray) -> tuple[list[SolveReport], np.ndarray]:
+    """v = v_h + G_lambda(g + lambda v_h) for a block of rungs on one spectrum,
+    one lambda context per column, from ``_data``'s (g, v_h, c_g, c_h): split
+    into the explicit part on the modes below split_at and the complement
+    u_perp, with sup_K over the nodes of mask.  Returns the reports and the
+    (N, T) block of v.  One synthesis and one apply_G0 serve the whole
+    block, and w delta^gamma is formed once."""
     sd = ctxs[0].sd
     grid = sd.grid
+    gv, v_h, c_g, c_h = data
     lams = np.array([ctx.lam for ctx in ctxs])
-    c = c_rhs / (sd.lam[:, None] - lams)
+    c = (c_g[:, None] + lams * c_h[:, None]) / (sd.lam[:, None] - lams)
     explicit = sd.synth(c[:split_at], slice(split_at)).values
     perp = sd.synth(c[split_at:], slice(split_at, None)).values
     total = v_h[:, None] + explicit + perp
     u = explicit + perp  # = G_lambda(rhs)
-    # Green identity u = G_0(rhs + lambda u), one block matvec
+    # Green identity u = G_0(rhs + lambda u), rhs = g + lambda v_h, one block matvec
+    rhs = gv[:, None] + lams * v_h[:, None]
     u_green = apply_G0(sd.dk, rhs + lams * u).values
     green_res = np.sqrt(np.sum(grid.w * ((u - u_green) ** 2).T, axis=-1))
-    gam = sd.dk.op.gamma
-    v_norm, up_norm = weighted_norm(total, grid, gam), weighted_norm(perp, grid, gam)
-    sup_K = np.max(np.abs(total[grid.compact_mask(K_frac)]), axis=0)
+    wd = grid.w * grid.delta ** sd.dk.op.gamma
+    v_norm, up_norm = wd @ np.abs(total), wd @ np.abs(perp)
+    sup_K = np.max(np.abs(total[mask]), axis=0)
     inf_Omega = np.min(total, axis=0)
     vh = GridFunction(grid, v_h)
-    return [SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh,
-                        explicit=GridFunction(grid, explicit[:, t]),
-                        u_perp=GridFunction(grid, perp[:, t]),
-                        v_total=GridFunction(grid, total[:, t]),
-                        norms={"v_L1_dgamma": float(v_norm[t]),
-                               "uperp_L1_dgamma": float(up_norm[t]),
-                               "sup_K": float(sup_K[t]), "inf_Omega": float(inf_Omega[t])},
-                        green_residual=float(green_res[t]))
-            for t, ctx in enumerate(ctxs)]
+    reports = [SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh,
+                           explicit=GridFunction(grid, explicit[:, t]),
+                           u_perp=GridFunction(grid, perp[:, t]),
+                           v_total=GridFunction(grid, total[:, t]),
+                           norms={"v_L1_dgamma": float(v_norm[t]),
+                                  "uperp_L1_dgamma": float(up_norm[t]),
+                                  "sup_K": float(sup_K[t]), "inf_Omega": float(inf_Omega[t])},
+                           green_residual=float(green_res[t]))
+               for t, ctx in enumerate(ctxs)]
+    return reports, total
 
 
 def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
@@ -97,13 +108,13 @@ def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
     """Singular boundary data: v = v_h + G_lambda(g + lambda v_h).
 
     h None is the Dirichlet solve v = G_lambda(g), decomposed over E/E-perp.
-    op must be sd's operator and ctx a context of sd.
+    op must be sd's operator and ctx a context of sd.  The coefficients of
+    g + lambda v_h take one single-column pass over phi, and none for zero g.
     """
     if ctx.sd is not sd:
         raise ValueError("the lambda context belongs to another spectrum")
-    gv, v_h = _data(op, sd, g, h)
-    rhs = (gv + ctx.lam * v_h)[:, None]
-    return _solve([ctx], rhs, sd.coeffs(rhs), v_h, ctx.I, K_frac)[0]
+    data = _data(op, sd, g, h)
+    return _solve([ctx], data, ctx.I, sd.grid.compact_mask(K_frac))[0][0]
 
 
 @dataclass(frozen=True)
@@ -127,24 +138,26 @@ def fredholm_diagnose(sd: SpectralData, op: OperatorSpec, g, h, i: int) -> Fredh
 
     i is 1-based.  The sign sets A+ and A- hold the nodes where the
     projection lies above eps or below -eps, with eps = 1e-3 times its
-    sup, which keeps them nonempty in the blow-up case.
+    sup, which keeps them nonempty in the blow-up case.  The projection
+    takes one single-column pass over phi, for g, and none for zero g.
     """
-    return _fredholm(sd, *_data(op, sd, g, h), i)
+    return _fredholm(sd, _data(op, sd, g, h), i)
 
 
-def _fredholm(sd: SpectralData, gv: np.ndarray, v_h: np.ndarray, i: int) -> FredholmReport:
+def _fredholm(sd: SpectralData, data, i: int) -> FredholmReport:
+    """The projection of g + lambda_i v_h onto E_i, from ``_data``'s
+    coefficients c_g + lambda_i c_h: a synthesis over the group, no pass."""
     grp = sd.group(i)
     lam_i = float(sd.lam[grp[0]])
-    grid = sd.grid
-    rhs = gv + lam_i * v_h
-    proj = sd.synth(sd.coeffs(rhs)[grp], grp).values
+    gv, v_h, c_g, c_h = data
+    proj = sd.synth((c_g + lam_i * c_h)[grp], grp).values
     sup = float(np.max(np.abs(proj)))
     # floored at the data scale so a projection that vanishes up to
     # roundoff yields empty sign sets (the degenerate case)
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
+    scale = max(float(np.max(np.abs(gv + lam_i * v_h))), 1e-300)
     eps = max(1e-3 * sup, 1e-10 * scale)
     return FredholmReport(lam_i=lam_i,
-                          projection=GridFunction(grid, proj),
+                          projection=GridFunction(sd.grid, proj),
                           eps=eps,
                           A_plus=np.nonzero(proj > eps)[0],
                           A_minus=np.nonzero(proj < -eps)[0])
@@ -174,13 +187,14 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     and including group i, so u_perp stays uniformly bounded while the
     explicit part carries the 1/(lambda_i - lambda) blow-up.  lam_list
     None is the ladder lambda_i (1 - SWEEP_OFFSETS); a lambda on the
-    spectrum raises SpectralHit.  <g + lambda v_h, phi_j> is linear in
-    lambda, so the coefficients of g and v_h are taken once, in one
-    two-column pass, and the whole ladder is solved as one block.
+    spectrum raises SpectralHit.  <g + lambda v_h, phi_j> is c_g + lambda c_h,
+    so the Fredholm projection and every rung come from one single-column
+    pass for g (none for zero g), and the whole ladder is solved as one
+    block; proj_i and sup_K_Aplus are one product and one reduction of it.
     """
     grid = sd.grid
-    gv, v_h = _data(op, sd, g, h)
-    fred = _fredholm(sd, gv, v_h, i)
+    data = _data(op, sd, g, h)
+    fred = _fredholm(sd, data, i)
     lam_i = fred.lam_i
     grp = sd.group(i)
     split_at = int(grp[-1]) + 1
@@ -190,33 +204,30 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     if lam_list.ndim != 1 or len(lam_list) == 0:
         raise ValueError(f"lam_list must be a nonempty list of lambdas, got {lam_list!r}")
     ctxs = [lambda_context(sd, lam) for lam in lam_list]
-    c = sd.coeffs(np.stack([gv, v_h], axis=1))
-    reports = _solve(ctxs, gv[:, None] + lam_list * v_h[:, None],
-                     c[:, :1] + lam_list * c[:, 1:], v_h, split_at, K_frac)
     mask = grid.compact_mask(K_frac)
-    maskA = np.zeros(grid.N, dtype=bool)
-    maskA[fred.A_plus] = True
-    maskKA = mask & maskA
+    reports, total = _solve(ctxs, data, split_at, mask)
 
-    supK, supKA, infO, up_norm, proj = [], [], [], [], []
-    for rep in reports:
-        total = rep.v_total.values
-        supK.append(rep.norms["sup_K"])
-        supKA.append(float(np.max(np.abs(total[maskKA]))) if np.any(maskKA) else np.nan)
-        infO.append(rep.norms["inf_Omega"])
-        up_norm.append(rep.norms["uperp_L1_dgamma"])
-        proj.append(float(np.sum(grid.w * total * sd.phi[:, grp[0]])))
-
-    supKA = np.array(supKA)
+    maskKA = np.zeros(grid.N, dtype=bool)
+    maskKA[fred.A_plus] = True
+    maskKA &= mask
+    if maskKA.any():
+        supKA = np.max(np.abs(total[maskKA]), axis=0)
+    else:
+        supKA = np.full(len(lam_list), np.nan)
+    proj = (grid.w * sd.phi[:, grp[0]]) @ total
     products = supKA * np.abs(lam_i - lam_list)
     if np.all(np.isfinite(products)) and np.mean(products) > 0:
         fitted = float(np.mean(products))
         spread = float((np.max(products) - np.min(products)) / fitted)
     else:
         fitted, spread = np.nan, np.nan
-    return SweepReport(lam_i=lam_i, lam_list=lam_list, sup_K=np.array(supK),
-                       sup_K_Aplus=supKA, inf_Omega=np.array(infO),
-                       uperp_L1_dgamma=np.array(up_norm), proj_i=np.array(proj),
+
+    def column(key):
+        return np.array([rep.norms[key] for rep in reports])
+
+    return SweepReport(lam_i=lam_i, lam_list=lam_list, sup_K=column("sup_K"),
+                       sup_K_Aplus=supKA, inf_Omega=column("inf_Omega"),
+                       uperp_L1_dgamma=column("uperp_L1_dgamma"), proj_i=proj,
                        fitted_constant=fitted, fitted_spread=spread,
                        reports=reports)
 
@@ -279,9 +290,9 @@ def check_notions(ctx: LambdaContext, f, u=None) -> dict:
     """
     sd = ctx.sd
     grid = sd.grid
-    fv = as_values(f, grid)
+    fv = one_function(f, grid)
     u_ref = apply_Glambda(ctx, fv).values
-    uv = as_values(u, grid) if u is not None else u_ref
+    uv = one_function(u, grid, "u") if u is not None else u_ref
     w = grid.w
     r1 = np.sqrt(np.sum(w * (uv - u_ref) ** 2))
     r5 = np.sqrt(np.sum(w * (uv - apply_G0(sd.dk, fv + ctx.lam * uv).values) ** 2))

@@ -9,7 +9,8 @@ its two half-size parity blocks, one for the even modes and one for the
 odd modes; each mode carries its parity, and the coefficient and
 synthesis products run on the half grid.  Every product takes one
 function or a block of them, one per column, in one pass over phi.
-All solve/project operations
+The coefficients of the Martin basis are taken once per spectrum, so
+those of boundary data M(h) need no pass.  All solve/project operations
 act through the retained eigenpairs, so the resolvent formula
 u = sum <f, phi_j> phi_j / (lambda_j - lambda) is exact in the discrete
 model.
@@ -22,8 +23,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretize import DiscreteKernel, GridFunction, apply_G0, as_values, parity_parts
-from .geometry import QuadGrid
+from .boundary import martin_apply
+from .discretize import (
+    DiscreteKernel,
+    GridFunction,
+    apply_G0,
+    as_values,
+    one_function,
+    parity_parts,
+)
+from .geometry import DomainKind, QuadGrid
 
 # relative distance that puts lambda on the spectrum and joins eigenvalues into a group
 TAU_MULT = 1e-6
@@ -87,6 +96,22 @@ class SpectralData:
         else:
             u = b @ self.phi[:, modes].T
         return GridFunction(self.grid, u.T.reshape(u.shape[1:] + c.shape[1:]))
+
+    @cached_property
+    def martin_coeffs(self) -> np.ndarray:
+        """<M(e_z), phi_j>_W = mu_j D_gamma phi_j(z), the weighted coefficients of
+        the Martin basis, read-only, taken once per spectrum in one pass.
+
+        (m, 2) on the interval, one column per end z = -r, r, with e_z the
+        datum 1 at z and 0 at the other end; (m, 1) on the ball, M(1).  The
+        coefficients of M(h) are then ``martin_coeffs @ boundary_values(op, h)``.
+        """
+        op, grid = self.dk.op, self.grid
+        ends = 2 if grid.domain.kind is DomainKind.INTERVAL else 1
+        basis = np.stack([martin_apply(op, grid, e).values for e in np.eye(ends)], axis=1)
+        c = self.coeffs(basis)
+        c.setflags(write=False)
+        return c
 
     @cached_property
     def groups(self) -> list[np.ndarray]:
@@ -207,14 +232,15 @@ def apply_Glambda_neumann(ctx: LambdaContext, f) -> GridFunction:
     """Fixed-point route u <- lambda G_0 u + G_0 f with the kernel of ctx's
     spectrum; contracts for |lambda| < lambda_1.
 
-    Stops at a weighted residual of 1e-12, within 10000 steps.
+    f is one function; a block raises ValueError.  Stops at a weighted
+    residual of 1e-12, within 10000 steps.
     """
     sd, lam = ctx.sd, ctx.lam
     if abs(lam) >= sd.lam[0]:
         raise ValueError(f"Neumann iteration requires |lambda| < lambda_1 = {sd.lam[0]}")
     dk = sd.dk
     w = dk.grid.w
-    G0f = apply_G0(dk, f).values
+    G0f = apply_G0(dk, one_function(f, dk.grid)).values
     u = lam * apply_G0(dk, G0f).values + G0f
     for _ in range(10_000):
         # the matvec that measures u's residual also makes the next iterate
@@ -239,14 +265,14 @@ def apply_Glambda_perp(sd: SpectralData, i: int, lam: float, f_perp) -> GridFunc
 
     Well-defined and uniformly bounded as lambda approaches the top of E,
     up to lambda_i itself, since only the modes above E act; lambda must stay
-    TAU_MULT below the first eigenvalue above E.  The input must be
+    TAU_MULT below the first eigenvalue above E.  The input is one function,
     orthogonal to E up to 1e-8 of its weighted L2 norm.
     """
     I = int(sd.group(i)[-1]) + 1
     if I < sd.m and lam >= sd.lam[I] * (1.0 - TAU_MULT):
         raise SpectralHit(f"lambda={lam} reaches lambda_{I + 1}={sd.lam[I]}, "
                           f"the first eigenvalue above E")
-    v = as_values(f_perp, sd.grid)
+    v = one_function(f_perp, sd.grid, "f_perp")
     c = sd.coeffs(v)
     scale = np.sqrt(np.sum(sd.grid.w * v**2))
     if scale > 0 and np.max(np.abs(c[:I])) > 1e-8 * scale:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonlocal_eigen import solver
-from nonlocal_eigen.boundary import martin_apply
+from nonlocal_eigen.boundary import martin_apply, weighted_trace
 from nonlocal_eigen.discretize import apply_G0, assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import make_operator
@@ -16,7 +16,14 @@ from nonlocal_eigen.solver import (
     solve_large,
     sweep_lambda,
 )
-from nonlocal_eigen.spectral import SpectralData, apply_Glambda, eigendecompose, lambda_context
+from nonlocal_eigen.spectral import (
+    SpectralData,
+    apply_Glambda,
+    apply_Glambda_neumann,
+    apply_Glambda_perp,
+    eigendecompose,
+    lambda_context,
+)
 
 DOM = make_domain("interval", 1, 1.0)
 
@@ -124,10 +131,9 @@ def test_sweep_rungs_are_the_solves_at_their_lambdas(setup, offsets):
         assert rep.green_residual <= 1e-12 * np.sqrt(np.sum(grid.w * u * u))
 
 
-def test_default_sweep_takes_one_block_product(setup, monkeypatch):
-    # one K product for the whole ladder, and two coefficient passes: g and
-    # v_h together, and the Fredholm projection
-    op, grid, dk, sd = setup
+def _count_passes(monkeypatch):
+    """Count apply_G0 in the solver and coefficient passes over phi; the
+    Martin coefficients must be cached before counting starts."""
     calls = {"apply_G0": 0, "coeffs": 0}
 
     def counted(name, fn):
@@ -138,9 +144,85 @@ def test_default_sweep_takes_one_block_product(setup, monkeypatch):
 
     monkeypatch.setattr(solver, "apply_G0", counted("apply_G0", solver.apply_G0))
     monkeypatch.setattr(SpectralData, "coeffs", counted("coeffs", SpectralData.coeffs))
-    sw = sweep_lambda(op, sd, np.ones(grid.N), (1.0, 2.0), 2)
-    assert len(sw.reports) == len(solver.SWEEP_OFFSETS)
-    assert calls == {"apply_G0": 1, "coeffs": 2}
+    return calls
+
+
+def test_default_sweep_takes_one_block_product(setup, monkeypatch):
+    # one K product for the whole ladder, and one coefficient pass, for g:
+    # v_h's coefficients come from the spectrum's cached Martin coefficients
+    # and the Fredholm projection from c_g + lambda_i c_h; zero g takes none
+    op, grid, dk, sd = setup
+    sd.martin_coeffs
+    calls = _count_passes(monkeypatch)
+    for g, passes in ((np.ones(grid.N), 1), (np.zeros(grid.N), 0), (None, 0)):
+        calls.update(apply_G0=0, coeffs=0)
+        sw = sweep_lambda(op, sd, g, (1.0, 2.0), 2)
+        assert len(sw.reports) == len(solver.SWEEP_OFFSETS)
+        assert calls == {"apply_G0": 1, "coeffs": passes}
+
+
+@pytest.mark.parametrize("g", ["one", "zero", None])
+def test_fredholm_and_solve_take_a_pass_for_g_only(setup, monkeypatch, g):
+    # fredholm_diagnose makes no K product and, with zero g, no coefficient pass
+    op, grid, dk, sd = setup
+    sd.martin_coeffs
+    ctx = lambda_context(sd, 3.0)
+    calls = _count_passes(monkeypatch)
+    gv = {"one": np.ones(grid.N), "zero": np.zeros(grid.N), None: None}[g]
+    fredholm_diagnose(sd, op, gv, (1.0, 2.0), 2)
+    assert calls == {"apply_G0": 0, "coeffs": 1 if g == "one" else 0}
+    solve_large(op, sd, ctx, gv, (1.0, 2.0))
+    assert calls == {"apply_G0": 1, "coeffs": 2 if g == "one" else 0}
+
+
+@pytest.mark.parametrize("kind,s,domain,N,kw,hs", [
+    ("sfl", 0.75, DOM, 96, {"sfl_truncation": 256}, [1.5, (0.5, 2.0)]),   # mirrored
+    ("rfl", 0.6, DOM, 95, {}, [1.5, (0.5, 2.0)]),                          # one block
+    ("rfl", 0.75, make_domain("ball", 3, 1.0), 24, {}, [1.5, (1.5,)]),     # one value only
+])
+def test_request_coefficients_are_the_coefficients_of_the_data(kind, s, domain, N, kw, hs):
+    # a request forms the coefficients of g + lambda M(h) as c_g + lambda C_M h,
+    # with C_M the spectrum's cached Martin coefficients.  Measured at most
+    # 5.5e-16 of the largest coefficient over these cases and lambdas; the
+    # tolerance 1e-14 is a margin of 18
+    grid = build_grid(domain, N)
+    op = make_operator(kind, s, domain, **kw)
+    sd = eigendecompose(assemble_green_matrix(op, grid))
+    g = np.random.default_rng(2).uniform(-1.0, 1.0, N)
+    for h in hs:
+        _, _, c_g, c_h = solver._data(op, sd, g, h)
+        for lam in (0.5 * sd.lam[0], -3.0 * sd.lam[0], 0.5 * (sd.lam[2] + sd.lam[3])):
+            ref = sd.coeffs(g + lam * martin_apply(op, grid, h).values)
+            assert np.max(np.abs(c_g + lam * c_h - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert sd.martin_coeffs.shape == (sd.m, 2 if domain.kind.value == "interval" else 1)
+    assert not sd.martin_coeffs.flags.writeable
+
+
+ROUTES = {
+    "solve_large": lambda op, sd, ctx, B: solve_large(op, sd, ctx, B, 1.0),
+    "sweep_lambda": lambda op, sd, ctx, B: sweep_lambda(op, sd, B, 1.0, 1),
+    "fredholm_diagnose": lambda op, sd, ctx, B: fredholm_diagnose(sd, op, B, 1.0, 1),
+    "apply_Glambda_perp": lambda op, sd, ctx, B: apply_Glambda_perp(sd, 1, ctx.lam, B),
+    "apply_Glambda_neumann": lambda op, sd, ctx, B: apply_Glambda_neumann(ctx, B),
+    "check_notions": lambda op, sd, ctx, B: check_notions(ctx, B),
+    "check_notions_u": lambda op, sd, ctx, B: check_notions(ctx, B[:, 0], B),
+    "weighted_trace": lambda op, sd, ctx, B: weighted_trace(op, B, 1.0, sd.grid),
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES))
+@pytest.mark.parametrize("T", [3, 64])
+def test_single_function_routes_reject_a_block_by_name(route, T):
+    # these routes take one function; an (N, T) block raises a ValueError that
+    # names it, also the (N, N) block at T = N, which would otherwise broadcast
+    N = 64
+    grid = build_grid(DOM, N, grading=2.0)
+    op = make_operator("sfl", 0.75, DOM, sfl_truncation=128)
+    sd = eigendecompose(assemble_green_matrix(op, grid))
+    ctx = lambda_context(sd, 0.5 * sd.lam[0])
+    B = np.random.default_rng(4).standard_normal((N, T))
+    with pytest.raises(ValueError, match=f"block of shape \\({N}, {T}\\)"):
+        ROUTES[route](op, sd, ctx, B)
 
 
 def test_max_principle(setup):
