@@ -68,33 +68,34 @@ def _data(op: OperatorSpec, sd: SpectralData, g, h):
 def _solve(ctxs: list[LambdaContext], data, split_at: int,
            mask: np.ndarray) -> tuple[list[SolveReport], np.ndarray]:
     """v = v_h + G_lambda(g + lambda v_h) for a block of rungs on one spectrum,
-    one lambda context per column, from ``_data``'s (g, v_h, c_g, c_h): split
-    into the explicit part on the modes below split_at and the complement
-    u_perp, with sup_K over the nodes of mask.  Returns the reports and the
-    (N, T) block of v.  One synthesis and one apply_G0 serve the whole
-    block, and w delta^gamma is formed once."""
+    one lambda context each, from ``_data``'s (g, v_h, c_g, c_h): split into
+    the explicit part on the modes below split_at and the complement u_perp,
+    with sup_K over the nodes of mask.  Returns the reports and v as a (T, N)
+    block, one row per rung.  One synthesis and one apply_G0 serve the whole
+    block, and w delta^gamma is formed once; each rung is a contiguous row."""
     sd = ctxs[0].sd
     grid = sd.grid
     gv, v_h, c_g, c_h = data
-    lams = np.array([ctx.lam for ctx in ctxs])
-    c = (c_g[:, None] + lams * c_h[:, None]) / (sd.lam[:, None] - lams)
-    explicit = sd.synth(c[:split_at], slice(split_at)).values
-    perp = sd.synth(c[split_at:], slice(split_at, None)).values
-    total = v_h[:, None] + explicit + perp
+    lams = np.array([[ctx.lam] for ctx in ctxs])
+    c = (c_g + lams * c_h) / (sd.lam - lams)
+    explicit = sd.synth(c[:, :split_at].T, slice(split_at)).values.T
+    perp = sd.synth(c[:, split_at:].T, slice(split_at, None)).values.T
+    total = v_h + explicit + perp
     u = explicit + perp  # = G_lambda(rhs)
     # Green identity u = G_0(rhs + lambda u), rhs = g + lambda v_h, one block matvec
-    rhs = gv[:, None] + lams * v_h[:, None]
-    u_green = apply_G0(sd.dk, rhs + lams * u).values
-    green_res = np.sqrt(np.sum(grid.w * ((u - u_green) ** 2).T, axis=-1))
+    rhs = gv + lams * v_h
+    u_green = apply_G0(sd.dk, (rhs + lams * u).T).values.T
+    green_res = np.sqrt(np.sum(grid.w * (u - u_green) ** 2, axis=-1))
     wd = grid.w * grid.delta ** sd.dk.op.gamma
-    v_norm, up_norm = wd @ np.abs(total), wd @ np.abs(perp)
-    sup_K = np.max(np.abs(total[mask]), axis=0)
-    inf_Omega = np.min(total, axis=0)
+    abs_total = np.abs(total)
+    v_norm, up_norm = abs_total @ wd, np.abs(perp) @ wd
+    sup_K = np.max(abs_total[:, mask], axis=1)
+    inf_Omega = np.min(total, axis=1)
     vh = GridFunction(grid, v_h)
     reports = [SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh,
-                           explicit=GridFunction(grid, explicit[:, t]),
-                           u_perp=GridFunction(grid, perp[:, t]),
-                           v_total=GridFunction(grid, total[:, t]),
+                           explicit=GridFunction(grid, explicit[t]),
+                           u_perp=GridFunction(grid, perp[t]),
+                           v_total=GridFunction(grid, total[t]),
                            norms={"v_L1_dgamma": float(v_norm[t]),
                                   "uperp_L1_dgamma": float(up_norm[t]),
                                   "sup_K": float(sup_K[t]), "inf_Omega": float(inf_Omega[t])},
@@ -211,10 +212,10 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     maskKA[fred.A_plus] = True
     maskKA &= mask
     if maskKA.any():
-        supKA = np.max(np.abs(total[maskKA]), axis=0)
+        supKA = np.max(np.abs(total[:, maskKA]), axis=1)
     else:
         supKA = np.full(len(lam_list), np.nan)
-    proj = (grid.w * sd.phi[:, grp[0]]) @ total
+    proj = total @ (grid.w * sd.phi[:, grp[0]])
     products = supKA * np.abs(lam_i - lam_list)
     if np.all(np.isfinite(products)) and np.mean(products) > 0:
         fitted = float(np.mean(products))
