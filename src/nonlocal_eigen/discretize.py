@@ -49,7 +49,7 @@ class GridFunction:
         v = np.asarray(self.values, dtype=float)
         if not _fits(v, self.grid):
             raise ValueError(f"values shape {v.shape} does not match grid size {self.grid.N}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("grid function contains non-finite values")
         object.__setattr__(self, "values", v)
 

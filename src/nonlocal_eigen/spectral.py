@@ -18,6 +18,7 @@ model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -210,15 +211,15 @@ def lambda_context(sd: SpectralData, lam: float) -> LambdaContext:
     of an eigenvalue, and ValueError when it is not finite.
     """
     lam = float(lam)
-    if not np.isfinite(lam):
+    if not math.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam}")
     d = np.abs(sd.lam - lam)
-    d_sigma = float(np.min(d))
+    d_sigma = float(d.min())
     if d_sigma <= TAU_MULT * max(abs(lam), sd.lam[0]):
         j = int(np.argmin(d))
         raise SpectralHit(f"lambda={lam} is within TAU_MULT of eigenvalue "
                           f"lambda_{j + 1}={sd.lam[j]}; regular context demanded")
-    return LambdaContext(sd=sd, lam=lam, I=int(np.sum(sd.lam <= lam)), d_sigma=d_sigma)
+    return LambdaContext(sd=sd, lam=lam, I=int(np.count_nonzero(sd.lam <= lam)), d_sigma=d_sigma)
 
 
 def apply_Glambda(ctx: LambdaContext, f) -> GridFunction:
