@@ -53,6 +53,17 @@ class GridFunction:
             raise ValueError("grid function contains non-finite values")
         object.__setattr__(self, "values", v)
 
+    def columns(self) -> list[GridFunction]:
+        """The functions of a block, one per column, as views; the block's
+        check covers them, so none is checked again."""
+        out = []
+        for col in np.atleast_2d(self.values.T):
+            f = object.__new__(GridFunction)
+            object.__setattr__(f, "grid", self.grid)
+            object.__setattr__(f, "values", col)
+            out.append(f)
+        return out
+
 
 def as_values(f, grid: QuadGrid) -> np.ndarray:
     """Accept a GridFunction or an array of node values, (N,) or (N, T)."""

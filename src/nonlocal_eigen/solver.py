@@ -78,29 +78,30 @@ def _solve(ctxs: list[LambdaContext], data, split_at: int,
     gv, v_h, c_g, c_h = data
     lams = np.array([[ctx.lam] for ctx in ctxs])
     c = (c_g + lams * c_h) / (sd.lam - lams)
-    explicit = sd.synth(c[:, :split_at].T, slice(split_at)).values.T
-    perp = sd.synth(c[:, split_at:].T, slice(split_at, None)).values.T
+    explicit_gf = sd.synth(c[:, :split_at].T, slice(split_at))
+    perp_gf = sd.synth(c[:, split_at:].T, slice(split_at, None))
+    explicit, perp = explicit_gf.values.T, perp_gf.values.T
     total = v_h + explicit + perp
+    total_gf = GridFunction(grid, total.T)
     u = explicit + perp  # = G_lambda(rhs)
     # Green identity u = G_0(rhs + lambda u), rhs = g + lambda v_h, one block matvec
     rhs = gv + lams * v_h
     u_green = apply_G0(sd.dk, (rhs + lams * u).T).values.T
-    green_res = np.sqrt(np.sum(grid.w * (u - u_green) ** 2, axis=-1))
+    green_res = np.sqrt((u - u_green) ** 2 @ grid.w)
     wd = grid.w * grid.delta ** sd.dk.op.gamma
     abs_total = np.abs(total)
     v_norm, up_norm = abs_total @ wd, np.abs(perp) @ wd
-    sup_K = np.max(abs_total[:, mask], axis=1)
+    # |v| >= 0 and mask holds a node, so the initial 0 is never the sup
+    sup_K = np.max(abs_total, axis=1, where=mask, initial=0.0)
     inf_Omega = np.min(total, axis=1)
     vh = GridFunction(grid, v_h)
-    reports = [SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh,
-                           explicit=GridFunction(grid, explicit[t]),
-                           u_perp=GridFunction(grid, perp[t]),
-                           v_total=GridFunction(grid, total[t]),
+    parts = zip(ctxs, explicit_gf.columns(), perp_gf.columns(), total_gf.columns())
+    reports = [SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh, explicit=e, u_perp=p, v_total=v,
                            norms={"v_L1_dgamma": float(v_norm[t]),
                                   "uperp_L1_dgamma": float(up_norm[t]),
                                   "sup_K": float(sup_K[t]), "inf_Omega": float(inf_Omega[t])},
                            green_residual=float(green_res[t]))
-               for t, ctx in enumerate(ctxs)]
+               for t, (ctx, e, p, v) in enumerate(parts)]
     return reports, total
 
 
@@ -151,7 +152,7 @@ def _fredholm(sd: SpectralData, data, i: int) -> FredholmReport:
     grp = sd.group(i)
     lam_i = float(sd.lam[grp[0]])
     gv, v_h, c_g, c_h = data
-    proj = sd.synth((c_g + lam_i * c_h)[grp], grp).values
+    proj = sd.synth(c_g[grp] + lam_i * c_h[grp], grp).values
     sup = float(np.max(np.abs(proj)))
     # floored at the data scale so a projection that vanishes up to
     # roundoff yields empty sign sets (the degenerate case)
@@ -212,7 +213,7 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     maskKA[fred.A_plus] = True
     maskKA &= mask
     if maskKA.any():
-        supKA = np.max(np.abs(total[:, maskKA]), axis=1)
+        supKA = np.max(np.abs(total), axis=1, where=maskKA, initial=0.0)
     else:
         supKA = np.full(len(lam_list), np.nan)
     proj = total @ (grid.w * sd.phi[:, grp[0]])

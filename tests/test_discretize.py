@@ -55,6 +55,18 @@ def test_grid_function_validation(grid):
             GridFunction(grid, bad)
 
 
+def test_grid_function_columns_are_the_block_columns(grid):
+    # a checked block splits into one GridFunction per column, as views
+    V = np.arange(grid.N * 3, dtype=float).reshape(grid.N, 3)
+    cols = GridFunction(grid, V).columns()
+    assert len(cols) == 3
+    for t, col in enumerate(cols):
+        assert col.grid is grid and np.shares_memory(col.values, V)
+        np.testing.assert_array_equal(col.values, V[:, t])
+    one = GridFunction(grid, V[:, 1]).columns()
+    assert len(one) == 1 and np.array_equal(one[0].values, V[:, 1])
+
+
 def test_as_values_rejects_other_grid_of_same_size(grid):
     other = build_grid(DOM, grid.N, grading=1.0)
     with pytest.raises(ValueError, match="grid mismatch"):
