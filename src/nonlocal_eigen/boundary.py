@@ -15,7 +15,6 @@ lim delta^{1-s} M(1) = 1 / B(delta^{s-1}).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,26 +23,20 @@ from .geometry import DomainKind, QuadGrid, sphere_area
 from .kernels import OperatorSpec, martin_from_gaps
 
 
-@lru_cache(maxsize=16)
-def _martin_columns(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The Martin kernel at the grid nodes, read-only, computed once per (op, grid).
-
-    Interval: M(-r, .) and M(r, .), the kernels of the two ends.
-    Ball: the kernel times |z - y|^n and the sphere integral |S^{n-1}| r / gap,
-    whose product is M(1).  Raises ValueError when op and grid live on
-    different domains.
+def martin_basis(op: OperatorSpec, grid: QuadGrid) -> np.ndarray:
+    """The Martin basis at the grid nodes, one row per end: M(e_-r) and M(e_r)
+    on the interval, with e_z the datum 1 at z and 0 at the other end, and
+    M(1) on the ball, the kernel times |z - y|^n against the sphere integral
+    |S^{n-1}| r / gap.  Raises ValueError when op and grid live on different
+    domains.
     """
     if op.domain != grid.domain:
         raise ValueError("operator and grid live on different domains")
     plus, minus = grid.sides
     gap = plus * minus
     if op.domain.kind is DomainKind.INTERVAL:
-        cols = martin_from_gaps(op, gap, plus), martin_from_gaps(op, gap, minus)
-    else:
-        cols = (martin_from_gaps(op, gap, 1.0), sphere_area(op.domain.n) * op.domain.r / gap)
-    for c in cols:
-        c.setflags(write=False)
-    return cols
+        return np.stack([martin_from_gaps(op, gap, plus), martin_from_gaps(op, gap, minus)])
+    return (martin_from_gaps(op, gap, 1.0) * (sphere_area(op.domain.n) * op.domain.r / gap))[None]
 
 
 def boundary_values(op: OperatorSpec, h) -> np.ndarray:
@@ -65,12 +58,9 @@ def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
     D_gamma G_0 f(z) = <M(e_z), f>_W, with e_z the datum 1 at z and 0 at the
     other end, and on the ball it is <M(1), f>_W / |dB_r| for radial f.
     """
-    h = boundary_values(op, h)
-    a, b = _martin_columns(op, grid)
-    if len(h) == 2:
-        return GridFunction(grid, h[0] * a + h[1] * b)
-    # ball, constant data: the kernel times |z - y|^n, against the sphere integral
-    return GridFunction(grid, h[0] * a * b)
+    # sum_z h(z) M(e_z), as h[0] M(e_-r) + h[1] M(e_r) bit for bit; a BLAS
+    # product rounds otherwise
+    return GridFunction(grid, np.einsum("j,ji->i", boundary_values(op, h), martin_basis(op, grid)))
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,8 @@ def resolve_g(spec: str, grid, sd, op):
             raise ConfigError(f"cannot read g table {arg!r}: {exc}") from exc
         if data.shape[1] != 2:
             raise ConfigError("custom table must have two columns: x, value")
+        if not np.all(np.diff(data[:, 0]) > 0):
+            raise ConfigError("custom table's x column must strictly increase")
         return np.interp(grid.x, data[:, 0], data[:, 1])
     raise ConfigError(f"unknown g profile {spec!r}")
 

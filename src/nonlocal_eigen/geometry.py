@@ -68,7 +68,8 @@ class QuadGrid:
 
     ``x`` holds interval coordinates, or radii for the ball.  Weights
     include the full volume element (spherical factor for the ball).
-    Grids compare and hash by identity, so they can key per-grid caches.
+    ``eq=False``: array fields have no scalar ``==``, so grids compare and
+    hash by identity.
     """
 
     domain: DomainSpec

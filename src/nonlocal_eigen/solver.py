@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import boundary_values, martin_apply
+from .boundary import boundary_values
 from .discretize import GridFunction, apply_G0, one_function
 from .geometry import K_FRACTION
 from .kernels import OperatorSpec
@@ -49,10 +49,10 @@ def _data(op: OperatorSpec, sd: SpectralData, g, h):
     """g and v_h = M(h) at the nodes, and their weighted coefficients c_g and
     c_h; None is zero data.
 
-    g + lambda v_h then has the coefficients c_g + lambda c_h.  c_h is
-    C_M h, from the Martin basis's coefficients cached on the spectrum, so
-    only g takes a pass over phi, and zero g none.  op must be the operator
-    of the spectrum sd, whose Martin kernel lifts h; g is one function.
+    g + lambda v_h then has the coefficients c_g + lambda c_h.  v_h and c_h
+    lift the validated h by the Martin basis and its coefficients C_M, both
+    cached on the spectrum, so only g takes a pass over phi, and zero g none.
+    op must be the operator of the spectrum sd; g is one function.
     """
     if op != sd.dk.op:
         raise ValueError(f"operator {op} is not the operator of the spectrum, {sd.dk.op}")
@@ -62,17 +62,19 @@ def _data(op: OperatorSpec, sd: SpectralData, g, h):
     if h is None:
         return gv, np.zeros(grid.N), c_g, np.zeros(sd.m)
     h = boundary_values(op, h)
-    return gv, martin_apply(op, grid, h).values, c_g, sd.martin_coeffs @ h
+    # as boundary.martin_apply lifts h, bit for bit
+    return gv, np.einsum("j,ji->i", h, sd.martin_basis), c_g, sd.martin_coeffs @ h
 
 
 def _solve(ctxs: list[LambdaContext], data, split_at: int,
-           mask: np.ndarray) -> tuple[list[SolveReport], np.ndarray]:
+           mask: np.ndarray) -> tuple[list[SolveReport], np.ndarray, dict]:
     """v = v_h + G_lambda(g + lambda v_h) for a block of rungs on one spectrum,
     one lambda context each, from ``_data``'s (g, v_h, c_g, c_h): split into
     the explicit part on the modes below split_at and the complement u_perp,
-    with sup_K over the nodes of mask.  Returns the reports and v as a (T, N)
-    block, one row per rung.  One synthesis and one apply_G0 serve the whole
-    block, and w delta^gamma is formed once; each rung is a contiguous row."""
+    with sup_K over the nodes of mask.  Returns the reports, v as a (T, N)
+    block, one row per rung, and the four norms as arrays, one entry per
+    rung.  One synthesis and one apply_G0 serve the whole block, and
+    w delta^gamma is formed once; each rung is a contiguous row."""
     sd = ctxs[0].sd
     grid = sd.grid
     gv, v_h, c_g, c_h = data
@@ -90,19 +92,17 @@ def _solve(ctxs: list[LambdaContext], data, split_at: int,
     green_res = np.sqrt((u - u_green) ** 2 @ grid.w)
     wd = grid.w * grid.delta ** sd.dk.op.gamma
     abs_total = np.abs(total)
-    v_norm, up_norm = abs_total @ wd, np.abs(perp) @ wd
     # |v| >= 0 and mask holds a node, so the initial 0 is never the sup
-    sup_K = np.max(abs_total, axis=1, where=mask, initial=0.0)
-    inf_Omega = np.min(total, axis=1)
+    norms = {"v_L1_dgamma": abs_total @ wd, "uperp_L1_dgamma": np.abs(perp) @ wd,
+             "sup_K": np.max(abs_total, axis=1, where=mask, initial=0.0),
+             "inf_Omega": np.min(total, axis=1)}
     vh = GridFunction(grid, v_h)
     parts = zip(ctxs, explicit_gf.columns(), perp_gf.columns(), total_gf.columns())
     reports = [SolveReport(lam=ctx.lam, I=ctx.I, v_h=vh, explicit=e, u_perp=p, v_total=v,
-                           norms={"v_L1_dgamma": float(v_norm[t]),
-                                  "uperp_L1_dgamma": float(up_norm[t]),
-                                  "sup_K": float(sup_K[t]), "inf_Omega": float(inf_Omega[t])},
+                           norms={k: float(a[t]) for k, a in norms.items()},
                            green_residual=float(green_res[t]))
                for t, (ctx, e, p, v) in enumerate(parts)]
-    return reports, total
+    return reports, total, norms
 
 
 def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
@@ -207,7 +207,7 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
         raise ValueError(f"lam_list must be a nonempty list of lambdas, got {lam_list!r}")
     ctxs = [lambda_context(sd, lam) for lam in lam_list]
     mask = grid.compact_mask(K_frac)
-    reports, total = _solve(ctxs, data, split_at, mask)
+    reports, total, norms = _solve(ctxs, data, split_at, mask)
 
     maskKA = np.zeros(grid.N, dtype=bool)
     maskKA[fred.A_plus] = True
@@ -223,13 +223,9 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
         spread = float((np.max(products) - np.min(products)) / fitted)
     else:
         fitted, spread = np.nan, np.nan
-
-    def column(key):
-        return np.array([rep.norms[key] for rep in reports])
-
-    return SweepReport(lam_i=lam_i, lam_list=lam_list, sup_K=column("sup_K"),
-                       sup_K_Aplus=supKA, inf_Omega=column("inf_Omega"),
-                       uperp_L1_dgamma=column("uperp_L1_dgamma"), proj_i=proj,
+    return SweepReport(lam_i=lam_i, lam_list=lam_list, sup_K=norms["sup_K"],
+                       sup_K_Aplus=supKA, inf_Omega=norms["inf_Omega"],
+                       uperp_L1_dgamma=norms["uperp_L1_dgamma"], proj_i=proj,
                        fitted_constant=fitted, fitted_spread=spread,
                        reports=reports)
 

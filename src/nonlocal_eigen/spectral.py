@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import martin_apply
+from .boundary import martin_basis
 from .discretize import (
     DiscreteKernel,
     GridFunction,
@@ -33,7 +33,7 @@ from .discretize import (
     one_function,
     parity_parts,
 )
-from .geometry import DomainKind, QuadGrid
+from .geometry import QuadGrid
 
 # relative distance that puts lambda on the spectrum and joins eigenvalues into a group
 TAU_MULT = 1e-6
@@ -99,18 +99,21 @@ class SpectralData:
         return GridFunction(self.grid, u.T.reshape(u.shape[1:] + c.shape[1:]))
 
     @cached_property
+    def martin_basis(self) -> np.ndarray:
+        """``boundary.martin_basis`` of the spectrum's operator and grid, read-only,
+        evaluated once per spectrum: one row M(e_z) per end z."""
+        B = martin_basis(self.dk.op, self.grid)
+        B.setflags(write=False)
+        return B
+
+    @cached_property
     def martin_coeffs(self) -> np.ndarray:
         """<M(e_z), phi_j>_W = mu_j D_gamma phi_j(z), the weighted coefficients of
-        the Martin basis, read-only, taken once per spectrum in one pass.
-
-        (m, 2) on the interval, one column per end z = -r, r, with e_z the
-        datum 1 at z and 0 at the other end; (m, 1) on the ball, M(1).  The
+        the Martin basis, read-only, taken once per spectrum in one pass: (m, 2)
+        on the interval, one column per end, and (m, 1) on the ball.  The
         coefficients of M(h) are then ``martin_coeffs @ boundary_values(op, h)``.
         """
-        op, grid = self.dk.op, self.grid
-        ends = 2 if grid.domain.kind is DomainKind.INTERVAL else 1
-        basis = np.stack([martin_apply(op, grid, e).values for e in np.eye(ends)], axis=1)
-        c = self.coeffs(basis)
+        c = self.coeffs(self.martin_basis.T)
         c.setflags(write=False)
         return c
 

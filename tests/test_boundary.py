@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from nonlocal_eigen import boundary
-from nonlocal_eigen.boundary import martin_apply, weighted_trace
+from nonlocal_eigen import boundary, solver
+from nonlocal_eigen.boundary import boundary_values, martin_apply, weighted_trace
 from nonlocal_eigen.discretize import apply_G0, assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain, sphere_area
 from nonlocal_eigen.kernels import OperatorKind, make_operator, martin_from_gaps
+from nonlocal_eigen.solver import fredholm_diagnose, solve_large, sweep_lambda
+from nonlocal_eigen.spectral import eigendecompose, lambda_context
 
 DOM = make_domain("interval", 1, 1.0)
 
@@ -62,27 +64,62 @@ def test_martin_blowup_exponent(grid):
     assert slope == pytest.approx(-op.b, abs=1e-3)
 
 
-def test_martin_columns_computed_once_per_op_and_grid(monkeypatch):
+def test_one_spectrum_evaluates_its_martin_basis_once(monkeypatch):
+    # boundary keeps no cache: the spectrum's read-only Martin basis serves
+    # every request on it, one kernel evaluation per end
     calls = []
 
     def counted(*args):
         calls.append(args)
         return martin_from_gaps(*args)
 
+    grid = build_grid(DOM, 64, grading=2.0)
+    op = make_operator("sfl", 0.75, DOM, sfl_truncation=64)
+    sd = eigendecompose(assemble_green_matrix(op, grid))
     monkeypatch.setattr(boundary, "martin_from_gaps", counted)
-    fresh = build_grid(DOM, 64, grading=2.0)
-    op = make_operator("sfl", 0.75, DOM)
+    g = np.ones(grid.N)
     for k in range(10):
-        martin_apply(op, fresh, (1.0, float(k)))
-    weighted_trace(op, martin_apply(op, fresh, (2.0, 5.0)), 1.0, fresh)
+        h = (1.0, float(k))
+        if k % 3 == 0:
+            solve_large(op, sd, lambda_context(sd, 0.5 * sd.lam[0]), g, h)
+        elif k % 3 == 1:
+            sweep_lambda(op, sd, g, h, 1)
+        else:
+            fredholm_diagnose(sd, op, g, h, 2)
     assert len(calls) == 2
-    martin_apply(op, build_grid(DOM, 64, grading=2.0), 1.0)
+    with pytest.raises(ValueError):
+        sd.martin_basis[0, 0] = 0.0
+    # a direct martin_apply evaluates the basis afresh
+    martin_apply(op, grid, 1.0)
     assert len(calls) == 4
-    martin_apply(make_operator("sfl", 0.8, DOM), fresh, 1.0)
-    assert len(calls) == 6
-    for col in boundary._martin_columns(op, fresh):
-        with pytest.raises(ValueError):
-            col[0] = 0.0
+
+
+@pytest.mark.parametrize("kind,s,dom,N,kw", [
+    ("sfl", 0.75, DOM, 96, {"sfl_truncation": 256}),        # mirrored interval
+    ("rfl", 0.6, DOM, 95, {}),                              # odd N
+    ("rfl", 0.75, make_domain("ball", 3, 1.0), 24, {}),     # the 3-ball, M(1) only
+])
+def test_spectrum_martin_basis_is_martin_apply_of_each_end(monkeypatch, kind, s, dom, N, kw):
+    # row z of the cached basis is M(e_z) bit for bit, and a request validates
+    # h once and lifts it from that basis, to the bits of martin_apply
+    grid = build_grid(dom, N)
+    op = make_operator(kind, s, dom, **kw)
+    sd = eigendecompose(assemble_green_matrix(op, grid))
+    assert sd.martin_basis.shape == (2 if dom.n == 1 else 1, N)
+    for row, e in zip(sd.martin_basis, np.eye(len(sd.martin_basis))):
+        assert np.array_equal(row, martin_apply(op, grid, e).values)
+    calls = []
+
+    def counted(op, h):
+        calls.append(h)
+        return boundary_values(op, h)
+
+    monkeypatch.setattr(boundary, "boundary_values", counted)
+    monkeypatch.setattr(solver, "boundary_values", counted)
+    h = 1.5
+    rep = solve_large(op, sd, lambda_context(sd, 0.5 * sd.lam[0]), None, h)
+    assert len(calls) == 1
+    assert np.array_equal(rep.v_h.values, martin_apply(op, grid, h).values)
 
 
 @pytest.mark.parametrize("kind,s,dom", [("rfl", 0.75, DOM), ("sfl", 0.75, DOM), ("classical", 1.0, DOM),
@@ -97,7 +134,7 @@ def test_martin_apply_equals_the_uncached_kernel(kind, s, dom):
         expect = h[0] * martin_from_gaps(op, gap, plus) + h[1] * martin_from_gaps(op, gap, minus)
     else:
         h = 3.0
-        expect = h * martin_from_gaps(op, gap, 1.0) * (sphere_area(dom.n) * dom.r / gap)
+        expect = h * (martin_from_gaps(op, gap, 1.0) * (sphere_area(dom.n) * dom.r / gap))
     assert np.array_equal(martin_apply(op, grid, h).values, expect)
 
 

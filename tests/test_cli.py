@@ -63,10 +63,14 @@ def test_exit_codes(tmp_path, capsys):
     out = str(tmp_path)
     # bad config
     assert run_cli(["eigen", "--N", "4", "--out", out]) == 2
-    # a lambda that is not finite, an unreadable g table, a K with no node, no modes
+    # a lambda that is not finite, an unreadable or unsorted g table, a K with
+    # no node, no modes; np.interp read the unsorted table as a 0/5 step
+    unsorted = tmp_path / "unsorted.csv"
+    unsorted.write_text("1,0\n-1,2\n0,5\n")
     for argv, msg in ((["solve", "--lambda", "inf"], "lambda must be finite"),
                       (["solve", "--lambda", "nan"], "lambda must be finite"),
                       (["solve", "--g", f"table:{tmp_path / 'missing.csv'}"], "cannot read"),
+                      (["solve", "--g", f"table:{unsorted}"], "strictly increase"),
                       (["solve", "--K-frac", "1.5"], "K fraction"),
                       (["eigen", "--j-max", "-1"], "--j-max"),
                       (["eigen", "--grade", "inf"], "grading exponent"),
