@@ -32,8 +32,8 @@ class DomainSpec:
     def __post_init__(self):
         if not 0 < self.r < inf:
             raise ValueError(f"radius must be positive and finite, got {self.r}")
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        if not (self.n >= 1 and self.n % 1 == 0):
+            raise ValueError(f"dimension must be an integer >= 1, got {self.n}")
         if (self.kind is DomainKind.INTERVAL) != (self.n == 1):
             raise ValueError("the interval has n = 1 and the ball n >= 2")
 

@@ -268,10 +268,12 @@ def apply_Glambda_perp(sd: SpectralData, i: int, lam: float, f_perp) -> GridFunc
     """Solution operator of (L - lambda) on the complement of E, the groups 1..i.
 
     Well-defined and uniformly bounded as lambda approaches the top of E,
-    up to lambda_i itself, since only the modes above E act; lambda must stay
-    TAU_MULT below the first eigenvalue above E.  The input is one function,
-    orthogonal to E up to 1e-8 of its weighted L2 norm.
+    up to lambda_i itself, since only the modes above E act; lambda must be
+    finite and stay TAU_MULT below the first eigenvalue above E.  The input is
+    one function, orthogonal to E up to 1e-8 of its weighted L2 norm.
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     I = int(sd.group(i)[-1]) + 1
     if I < sd.m and lam >= sd.lam[I] * (1.0 - TAU_MULT):
         raise SpectralHit(f"lambda={lam} reaches lambda_{I + 1}={sd.lam[I]}, "

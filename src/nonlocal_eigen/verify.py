@@ -1,12 +1,12 @@
 """Named verification checks: the full property suite with pinned
 tolerances, shared by the command-line `verify` command and the test
-suite.  Every check returns a CheckResult with the measured value and
-the tolerance it was held against.
+suite.  Every check returns (passed, measured, tolerance, detail), and
+`VerifySuite.run` names its CheckResult after the method, without `check_`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import gamma as gamma_fn
 from math import log, pi, sqrt
@@ -43,10 +43,7 @@ class CheckResult:
     tolerance: float
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": bool(self.passed),
-                "measured": self.measured, "tolerance": self.tolerance,
-                "detail": self.detail}
+    to_dict = asdict
 
 
 def _resolvents(sd, lams, f) -> np.ndarray:
@@ -56,11 +53,8 @@ def _resolvents(sd, lams, f) -> np.ndarray:
     return sd.synth(sd.coeffs(f)[:, None] / (sd.lam[:, None] - lams)).values
 
 
-def _res(name, measured, tol, detail="", cmp="lt"):
-    measured = float(measured)
-    ok = measured < tol if cmp == "lt" else measured <= tol
-    return CheckResult(name=name, passed=ok, measured=measured,
-                       tolerance=float(tol), detail=detail)
+def _res(measured, tol, detail="", cmp="lt"):
+    return (measured < tol if cmp == "lt" else measured <= tol), measured, tol, detail
 
 
 class VerifySuite:
@@ -101,7 +95,7 @@ class VerifySuite:
         op = make_operator("rfl", 0.5, self.dom)
         val = float(rfl_green_ball(op, 0.0, 0.5 * self.dom.r))
         oracle = log(2.0 + sqrt(3.0)) / pi
-        return _res("kernel_exactness", abs(val - oracle), 1e-10,
+        return _res(abs(val - oracle), 1e-10,
                     f"G(0, r/2) = {val!r} vs closed form {oracle!r}")
 
     def check_kernel_symmetry(self):
@@ -113,9 +107,9 @@ class VerifySuite:
         keep = np.abs(x - y) > 1e-6 * r
         res = np.max(np.abs(np.asarray(rfl_green_ball(op, x[keep], y[keep]))
                             - np.asarray(rfl_green_ball(op, y[keep], x[keep]))))
-        return _res("kernel_symmetry", res, 1e-12, f"{int(np.sum(keep))} random pairs")
+        return _res(res, 1e-12, f"{int(np.sum(keep))} random pairs")
 
-    def check_kernel_bounds(self):
+    def check_kernel_K1_bounds(self):
         # boundary distances and |x - y| log-uniform down to 1e-6 r, so that the
         # pairs reach both the boundary and the diagonal
         rng = np.random.default_rng(self.seed)
@@ -131,19 +125,19 @@ class VerifySuite:
                                      x[inside].squeeze(), y[inside].squeeze())
             spreads.append(hi / lo)
         # about twice 3.47, the largest spread over seeds 0-19 (seed 0, the 3-ball)
-        return _res("kernel_K1_bounds", max(spreads), 7.0, cmp="le",
+        return _res(max(spreads), 7.0, cmp="le",
                     detail="max/min of G_0 over its (K1) comparison at s = 0.25, 0.5 "
                            "(log case) on the interval and s = 0.75 on the 3-ball: "
                            + ", ".join(f"{q:.3f}" for q in spreads))
 
     # -- criterion 2: Martin/harmonic identity --------------------------
-    def check_martin_harmonic(self):
+    def check_martin_harmonic_identity(self):
         op = make_operator("rfl", 0.75, self.dom)
         m1 = martin_apply(op, self.grid, 1.0).values
         plus, minus = self.grid.sides
         prof = m1 * (plus * minus) ** (1.0 - op.s)
         cv = float(np.std(prof) / np.mean(prof))
-        return _res("martin_harmonic_identity", cv, 1e-8,
+        return _res(cv, 1e-8,
                     "coefficient of variation of M(1) * (r^2-x^2)^{1-s}, r -+ x from delta")
 
     # -- criterion 3: SFL spectrum --------------------------------------
@@ -152,7 +146,7 @@ class VerifySuite:
         k = np.arange(1, 11)
         exact = sfl_eigenvalue(self.dom, k) ** sd.dk.op.s
         rel = np.max(np.abs(sd.lam[:10] - exact) / exact)
-        return _res("sfl_spectrum", rel, 1e-6,
+        return _res(rel, 1e-6,
                     f"lambda_1..10 vs ((k pi/2r)^2)^s, M = N = {self.N}")
 
     # -- criterion 4: orthonormality and positivity ---------------------
@@ -160,12 +154,12 @@ class VerifySuite:
         sd = self.rfl_sd
         G = sd.phi.T @ (self.grid.w[:, None] * sd.phi)
         res = np.max(np.abs(G - np.eye(sd.m)))
-        return _res("gram_residual", res, 1e-8, f"{sd.m} retained modes")
+        return _res(res, 1e-8, f"{sd.m} retained modes")
 
-    def check_phi1_nonneg(self):
+    def check_phi1_nonnegative(self):
         sd = self.rfl_sd
         phi1 = sd.phi[:, 0]
-        return _res("phi1_nonnegative", -np.min(phi1), 1e-8 * np.max(phi1),
+        return _res(-np.min(phi1), 1e-8 * np.max(phi1),
                     cmp="le", detail="min phi_1 vs -1e-8 max phi_1")
 
     def check_phi1_delta_bracket(self):
@@ -175,12 +169,12 @@ class VerifySuite:
             brackets.append(float(np.max(q) / np.min(q)))
         b1, b2 = brackets
         change = abs(b2 - b1) / b1
-        return _res("phi1_delta_bracket", change, 0.25,
+        return _res(change, 0.25,
                     f"max/min of phi_1/delta^gamma: {b1:.6f} (N={self.N}) "
                     f"vs {b2:.6f} (N={2 * self.N})")
 
     # -- criterion 5: operator identities -------------------------------
-    def check_by_parts(self):
+    def check_integration_by_parts(self):
         ctx = self.ctx_half
         # pair t is rows 2t and 2t + 1, drawn in the order of 100 pairs of draws
         fg = np.random.default_rng(self.seed).standard_normal((200, self.grid.N))
@@ -188,27 +182,27 @@ class VerifySuite:
         wf, wg = self.grid.w * fg[0::2], self.grid.w * fg[1::2]
         num = np.abs(np.sum(wf * G[1::2], axis=1) - np.sum(wg * G[0::2], axis=1))
         den = np.sqrt(np.sum(wf * fg[0::2], axis=1)) * np.sqrt(np.sum(wg * fg[1::2], axis=1))
-        return _res("integration_by_parts", np.max(num / den), 1e-9, "100 random pairs")
+        return _res(np.max(num / den), 1e-9, "100 random pairs")
 
-    def check_route_agreement(self):
+    def check_neumann_vs_spectral(self):
         ctx = self.ctx_half
         rng = np.random.default_rng(self.seed)
         f = rng.standard_normal(self.grid.N)
         un = apply_Glambda_neumann(ctx, f).values
         us = apply_Glambda(ctx, f).values
         res = np.sqrt(np.sum(self.grid.w * (un - us) ** 2))
-        return _res("neumann_vs_spectral", res, 1e-8, "lambda = 0.5 lambda_1")
+        return _res(res, 1e-8, "lambda = 0.5 lambda_1")
 
-    def check_notions(self):
+    def check_notion_equivalence(self):
         rng = np.random.default_rng(self.seed)
         f = rng.standard_normal(self.grid.N)
         res = solver_mod.check_notions(self.ctx_half, f)
         worst = max(res.values())
-        return _res("notion_equivalence", worst, 1e-8,
+        return _res(worst, 1e-8,
                     f"r1={res['r1']:.2e} r5={res['r5']:.2e} r6={res['r6']:.2e}")
 
     # -- criterion 6: maximum principle ---------------------------------
-    def check_max_principle(self):
+    def check_maximum_principle(self):
         sd = self.rfl_sd
         lam1 = sd.lam[0]
         worst = np.inf
@@ -218,34 +212,33 @@ class VerifySuite:
             rep = solver_mod.check_max_principle(ctx, trials=100, seed=self.seed)
             worst = min(worst, rep.worst_margin)
             fails += rep.n_failures
-        return CheckResult("maximum_principle", fails == 0, float(worst), -1e-8,
-                           "400 trials over lambda in {-5, 0, 0.9, 0.99 lambda_1}; "
-                           "measured = worst min u / max u")
+        return (fails == 0, worst, -1e-8,
+                "400 trials over lambda in {-5, 0, 0.9, 0.99 lambda_1}; "
+                "measured = worst min u / max u")
 
     def check_max_principle_negative_control(self):
         sd = self.rfl_sd
         ctx = lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1]))
         u = apply_Glambda(ctx, sd.phi[:, 0]).values
-        return CheckResult("max_principle_negative_control", np.min(u) < 0,
-                           float(np.min(u)), 0.0,
-                           "lambda in (lambda_1, lambda_2), f = phi_1 must go negative")
+        return (np.min(u) < 0, np.min(u), 0.0,
+                "lambda in (lambda_1, lambda_2), f = phi_1 must go negative")
 
     # -- criterion 7: Poincare ------------------------------------------
     def check_poincare(self):
         rep = solver_mod.check_poincare(self.rfl_sd, trials=100, seed=self.seed)
-        return _res("poincare", rep.worst_margin, 1.0 + 1e-8,
+        return _res(rep.worst_margin, 1.0 + 1e-8,
                     "worst lambda_1 <phi, G0 phi> / <phi, phi> over 100 random phi")
 
-    def check_poincare_equality(self):
+    def check_poincare_equality_phi1(self):
         sd = self.rfl_sd
         w = self.grid.w
         phi1 = sd.phi[:, 0]
         lhs = sd.lam[0] * np.sum(w * phi1 * apply_G0(sd.dk, phi1).values)
         rhs = np.sum(w * phi1 * phi1)
-        return _res("poincare_equality_phi1", abs(lhs / rhs - 1.0), 1e-8)
+        return _res(abs(lhs / rhs - 1.0), 1e-8)
 
     # -- criterion 8: uniform E-perp estimate ---------------------------
-    def check_uniform_Eperp(self):
+    def check_uniform_Eperp_estimate(self):
         sd = self.sfl_sd
         rng = np.random.default_rng(self.seed)
         f = rng.uniform(0.5, 1.5, self.grid.N)
@@ -256,7 +249,7 @@ class VerifySuite:
         up = project_perp(sd, 1, u).values
         norms = weighted_norm(up, self.grid, sd.dk.op.gamma)
         ratio = max(norms) / min(norms)
-        return _res("uniform_Eperp_estimate", ratio, 1.1, cmp="le",
+        return _res(ratio, 1.1, cmp="le",
                     detail="||u_perp delta^gamma||_L1 max/min over the lambda ladder")
 
     # -- criterion 9: Fredholm blow-up rate and global blow-up ----------
@@ -264,7 +257,7 @@ class VerifySuite:
     def _sweep(self):
         return solver_mod.sweep_lambda(self.sfl_sd.dk.op, self.sfl_sd, None, (1.0, 1.0), 1)
 
-    def check_fredholm_rate(self):
+    def check_fredholm_blowup_rate(self):
         sd = self.sfl_sd
         lam1 = sd.lam[0]
         lam = 0.999 * lam1
@@ -274,26 +267,22 @@ class VerifySuite:
         proj = abs(np.sum(self.grid.w * rep.v_total.values * sd.phi[:, 0]))
         target = abs(lam1 * np.sum(self.grid.w * v_h * sd.phi[:, 0]))
         rel = abs(proj * (lam1 - lam) - target) / target
-        return _res("fredholm_blowup_rate", rel, 1e-3,
+        return _res(rel, 1e-3,
                     "|<v, phi_1>| (lambda_1 - lambda) vs lambda_1 <v_h, phi_1> "
                     "at lambda = 0.999 lambda_1")
 
-    def check_blowup_monotone(self):
+    def check_blowup_sup_monotone(self):
         sw = self._sweep
-        ok = bool(np.all(np.diff(sw.sup_K_Aplus) > 0))
-        return CheckResult("blowup_sup_monotone", ok, float(sw.sup_K_Aplus[-1]),
-                           0.0, "sup over K cap A+ strictly increasing along the sweep")
+        return (np.all(np.diff(sw.sup_K_Aplus) > 0), sw.sup_K_Aplus[-1], 0.0,
+                "sup over K cap A+ strictly increasing along the sweep")
 
     def check_global_blowup(self):
         inf_seq = self._sweep.inf_Omega
-        i10 = np.argmax(inf_seq > 10.0) if np.any(inf_seq > 10.0) else -1
-        ok = (np.any(inf_seq > 10.0) and np.any(inf_seq > 100.0)
-              and i10 <= int(np.argmax(inf_seq > 100.0)))
-        return CheckResult("global_blowup", ok, float(inf_seq[-1]), 100.0,
-                           f"inf over all nodes along sweep: {np.array2string(inf_seq, precision=2)}")
+        return (np.any(inf_seq > 100.0), inf_seq[-1], 100.0,
+                f"inf over all nodes along sweep: {np.array2string(inf_seq, precision=2)}")
 
     # -- criterion 10: Fredholm convergence, degenerate case ------------
-    def check_fredholm_case_a(self):
+    def check_fredholm_case_a_convergence(self):
         sd = self.sfl_sd
         rng = np.random.default_rng(self.seed)
         g = rng.uniform(0.5, 1.5, self.grid.N)
@@ -301,12 +290,12 @@ class VerifySuite:
         ref = apply_Glambda_perp(sd, 1, sd.lam[0], gp).values
         v = _resolvents(sd, [sd.lam[0] * (1.0 + sign * 1e-4) for sign in (-1.0, 1.0)], gp)
         dists = weighted_norm(v - ref[:, None], self.grid, sd.dk.op.gamma)
-        return _res("fredholm_case_a_convergence", max(dists), 1e-4,
+        return _res(max(dists), 1e-4,
                     f"L1(delta^gamma) distance to the limit from below/above: "
                     f"{dists[0]:.2e} / {dists[1]:.2e}")
 
     # -- criterion 11: s -> 1 -------------------------------------------
-    def check_ball_martin_poisson(self):
+    def check_ball_martin_to_poisson(self):
         dom3 = make_domain("ball", 3, self.dom.r)
         op, op1 = make_operator("rfl", 0.995, dom3), make_operator("classical", 1.0, dom3)
         rng = np.random.default_rng(self.seed)
@@ -317,35 +306,31 @@ class VerifySuite:
             ds = float(martin_kernel(op, z, y))
             d1 = float(martin_kernel(op1, z, y))
             worst = max(worst, abs(ds - d1) / d1)
-        return _res("ball_martin_to_poisson", worst, 0.02,
+        return _res(worst, 0.02,
                     "relative kernel distance at s = 0.995, n = 3, interior samples")
 
     def check_sfl_lambda1_monotone(self):
         rep = spectral_convergence_s("sfl", [0.6, 0.7, 0.8, 0.9, 0.95, 0.99], 3,
                                      self.grid_u, sfl_truncation=self.N)
         errs = np.abs(rep["lam1"] - (pi / (2.0 * self.dom.r)) ** 2)
-        ok = bool(np.all(np.diff(errs) < 0))
-        return CheckResult("sfl_lambda1_monotone", ok, float(errs[-1]), 0.0,
-                           "|lambda_1(s) - pi^2/4r^2| strictly decreasing along the ladder")
+        return (np.all(np.diff(errs) < 0), errs[-1], 0.0,
+                "|lambda_1(s) - pi^2/4r^2| strictly decreasing along the ladder")
 
     @cached_property
     def _large_ladder(self):
         return large_solution_limit_s("rfl", [0.7, 0.9, 0.99], 0.0, (1.0, 1.0), self.grid)
 
-    def check_boundary_exponent(self):
+    def check_boundary_exponent_vanishes(self):
         rep = self._large_ladder
         fit = rep["boundary_fit"]
-        ok = bool(rep.monotone["fit_to_zero"]) and abs(fit[-1]) < 0.02
-        return CheckResult("boundary_exponent_vanishes", ok, float(abs(fit[-1])), 0.02,
-                           f"log|v| vs log delta slopes: {np.array2string(fit, precision=4)}")
+        return (rep.monotone["fit_to_zero"] and abs(fit[-1]) < 0.02, abs(fit[-1]), 0.02,
+                f"log|v| vs log delta slopes: {np.array2string(fit, precision=4)}")
 
-    def check_large_solution_limit(self):
+    def check_large_solution_classical_limit(self):
         rep = self._large_ladder
-        return CheckResult("large_solution_classical_limit",
-                           bool(rep.monotone["sol_dist_decreasing"]),
-                           float(rep["sol_dist"][-1]), 0.0,
-                           f"L1(K) distances to the classical solution: "
-                           f"{np.array2string(rep['sol_dist'], precision=4)}")
+        return (rep.monotone["sol_dist_decreasing"], rep["sol_dist"][-1], 0.0,
+                f"L1(K) distances to the classical solution: "
+                f"{np.array2string(rep['sol_dist'], precision=4)}")
 
     # -- criterion 12: weighted trace -----------------------------------
     def check_trace_reproduces_h(self):
@@ -357,7 +342,7 @@ class VerifySuite:
         for z, hz in zip((-self.dom.r, self.dom.r), h):
             tr = weighted_trace(op, vh, z, grid)
             errs.append(abs(tr.value - hz) / abs(hz))
-        return _res("trace_reproduces_h", max(errs), 1e-3,
+        return _res(max(errs), 1e-3,
                     f"B(M((2,5))) at both endpoints, N = {2 * self.N}")
 
     def check_martin_constant(self):
@@ -366,7 +351,7 @@ class VerifySuite:
         s, r = op.s, self.dom.r
         measured = 1.0 / weighted_trace(op, self.grid.delta ** (s - 1), r, self.grid).value
         oracle = 1.0 / (s * gamma_fn(s) ** 2 * r)
-        return _res("martin_constant", abs(measured - oracle) / oracle, 1e-8,
+        return _res(abs(measured - oracle) / oracle, 1e-8,
                     f"lim delta^(1-s) M(1) = {measured!r} vs kernel candidate "
                     f"1/(s Gamma(s)^2 r) = {oracle!r}")
 
@@ -374,17 +359,19 @@ class VerifySuite:
     # every check_* method, in definition order
     CHECKS = [name for name in list(locals()) if name.startswith("check_")]
 
+    def run(self, check: str) -> CheckResult:
+        """Run one check method, named after it without `check_`; a crash is
+        a failed check under that same name, not a crash."""
+        name = check.removeprefix("check_")
+        try:
+            passed, measured, tol, detail = getattr(self, check)()
+        except Exception as exc:
+            return CheckResult(name, False, float("nan"), float("nan"),
+                               f"raised {type(exc).__name__}: {exc}")
+        return CheckResult(name, bool(passed), float(measured), float(tol), detail)
+
     def run_all(self) -> list[CheckResult]:
-        results = []
-        for name in self.CHECKS:
-            try:
-                results.append(getattr(self, name)())
-            except Exception as exc:  # a crash is a failed check, not a crash
-                results.append(CheckResult(name=name.removeprefix("check_"),
-                                           passed=False, measured=float("nan"),
-                                           tolerance=float("nan"),
-                                           detail=f"raised {type(exc).__name__}: {exc}"))
-        return results
+        return [self.run(check) for check in self.CHECKS]
 
 
 def run_verification(N: int = 256, seed: int = 0) -> list[CheckResult]:

@@ -25,6 +25,8 @@ def test_domain_validation():
         make_domain("interval", 2, 1.0)
     with pytest.raises(ValueError, match="ball n >= 2"):
         make_domain("ball", 1, 1.0)
+    with pytest.raises(ValueError, match="an integer"):
+        make_domain("ball", 2.5, 1.0)
     ball = make_domain("ball", 3, 2.0)
     assert ball.volume == pytest.approx(4.0 / 3.0 * np.pi * 8.0)
 

@@ -103,6 +103,9 @@ def test_project_perp_and_perp_solve(sfl):
         apply_Glambda_perp(sd, 2, lam, f)  # not orthogonal
     with pytest.raises(SpectralHit):
         apply_Glambda_perp(sd, 2, sd.lam[2], fp)  # the first eigenvalue above E
+    for lam in (-np.inf, np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            apply_Glambda_perp(sd, 2, lam, fp)
 
 
 def test_perp_solve_bounded_at_singular_lambda(sfl):
