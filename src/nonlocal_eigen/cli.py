@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,26 +35,49 @@ class ConfigError(ValueError):
     pass
 
 
+_GRID = ("eigen", "solve", "sweep", "limit-s")
+_DATA = ("solve", "sweep", "limit-s")
+
+
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _setting(default, *commands, flag=None, choices=None):
+    """A RunConfig field read by `commands`, under `flag` (by default `--` and
+    the field name with `-` for `_`); a list default parses comma-separated floats."""
+    kind = _floats if isinstance(default, list) else type(default)
+    meta = {"commands": commands, "flag": flag, "argparse": {"type": kind, "choices": choices}}
+    if kind is _floats:
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+def _flag(f) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
 @dataclass
 class RunConfig:
-    op: str = "rfl"
-    s: float = 0.75
-    domain: str = "interval"
-    n: int = 1
-    r: float = 1.0
-    N: int = 256
-    grade: float = 2.0
-    M: int = SFL_TRUNCATION
-    lam: float = 0.0
-    lam_list: list = field(default_factory=list)
-    g: str = "zero"
-    h: list = field(default_factory=lambda: [1.0])
-    K_frac: float = K_FRACTION
-    out: str = "."
-    seed: int = 0
-    group: int = 1
-    j_max: int = 10
-    s_list: list = field(default_factory=lambda: [0.7, 0.8, 0.9, 0.95, 0.99])
+    """Each setting once; a flag not given keeps its default, so sidecars echo the full config."""
+    op: str = _setting("rfl", *_GRID, choices=("rfl", "sfl", "classical"))
+    s: float = _setting(0.75, "eigen", "solve", "sweep")
+    domain: str = _setting("interval", *_GRID, choices=("interval", "ball"))
+    n: int = _setting(1, *_GRID)
+    r: float = _setting(1.0, *_GRID)
+    N: int = _setting(256, *_GRID, "verify")
+    grade: float = _setting(2.0, *_GRID)
+    M: int = _setting(SFL_TRUNCATION, *_GRID)
+    lam: float = _setting(0.0, "solve", "limit-s", flag="--lambda")
+    lam_list: list = _setting([], "sweep", flag="--lambda-list")
+    g: str = _setting("zero", *_DATA)
+    h: list = _setting([1.0], *_DATA)
+    K_frac: float = _setting(K_FRACTION, *_DATA)
+    out: str = _setting(".", *_GRID, "verify")
+    seed: int = _setting(0, "verify")
+    group: int = _setting(1, "sweep")
+    j_max: int = _setting(10, "eigen")
+    s_list: list = _setting([0.7, 0.8, 0.9, 0.95, 0.99], "limit-s")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -66,7 +89,6 @@ def _fmt(x) -> str:
 
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -106,6 +128,8 @@ def resolve_g(spec: str, grid, sd, op):
         return np.ones(grid.N)
     if name == "delta_pow":
         alpha = float(arg)
+        if not np.isfinite(alpha):
+            raise ConfigError(f"delta_pow exponent must be finite, got {arg!r}")
         if alpha <= -1.0 - op.gamma:
             raise ConfigError(f"delta_pow exponent {alpha} outside the admissible range")
         return grid.delta**alpha
@@ -123,39 +147,42 @@ def resolve_g(spec: str, grid, sd, op):
             raise ConfigError(f"cannot read g table {arg!r}: {exc}") from exc
         if data.shape[1] != 2:
             raise ConfigError("custom table must have two columns: x, value")
+        if not np.all(np.isfinite(data)):
+            raise ConfigError(f"custom table {arg!r} has non-finite values")
         if not np.all(np.diff(data[:, 0]) > 0):
             raise ConfigError("custom table's x column must strictly increase")
         return np.interp(grid.x, data[:, 0], data[:, 1])
     raise ConfigError(f"unknown g profile {spec!r}")
 
 
-def _setup(cfg: RunConfig):
-    domain = make_domain(cfg.domain, cfg.n, cfg.r)
-    op = make_operator(cfg.op, cfg.s, domain, cfg.M)
-    grid = build_grid(domain, cfg.N, cfg.grade)
-    return domain, op, grid
-
-
-def _check_request(cfg: RunConfig, grid):
-    """Reject a lambda that is not finite, with lambda_context's message, or a
-    K fraction that compact_mask refuses on grid, before any assembly."""
+def _grid(cfg: RunConfig):
+    """The grid, after rejecting a lambda that is not finite, with lambda_context's
+    message, or a K fraction that compact_mask refuses on it, before any assembly."""
     for lam in (cfg.lam, *cfg.lam_list):
         if not np.isfinite(lam):
             raise ConfigError(f"lambda must be finite, got {lam}")
+    grid = build_grid(make_domain(cfg.domain, cfg.n, cfg.r), cfg.N, cfg.grade)
     grid.compact_mask(cfg.K_frac)
+    return grid
+
+
+def _spectrum(cfg: RunConfig):
+    """The checked request's spectrum; it carries the operator and the grid."""
+    grid = _grid(cfg)
+    op = make_operator(cfg.op, cfg.s, grid.domain, cfg.M)
+    return eigendecompose(assemble_green_matrix(op, grid))
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
     if cfg.j_max < 1:
         raise ConfigError(f"--j-max must be at least 1, got {cfg.j_max}")
-    _, op, grid = _setup(cfg)
-    sd = eigendecompose(assemble_green_matrix(op, grid))
+    sd = _spectrum(cfg)
     j_max = min(cfg.j_max, sd.m)
     rows = [[j + 1, sd.lam[j], *sd.phi[:, j]] for j in range(j_max)]
-    header = ["j", "lambda"] + [f"phi_x{i}" for i in range(grid.N)]
+    header = ["j", "lambda"] + [f"phi_x{i}" for i in range(sd.grid.N)]
     path = os.path.join(cfg.out, "eigen.csv")
     write_csv(path, header, rows)
-    q = sd.phi[:, 0] / grid.delta**op.gamma
+    q = sd.phi[:, 0] / sd.grid.delta**sd.dk.op.gamma
     write_json(os.path.join(cfg.out, "eigen.json"), {
         "config": cfg.to_dict(),
         "lambda_1": sd.lam[0],
@@ -168,9 +195,8 @@ def cmd_eigen(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    _, op, grid = _setup(cfg)
-    _check_request(cfg, grid)
-    sd = eigendecompose(assemble_green_matrix(op, grid))
+    sd = _spectrum(cfg)
+    op, grid = sd.dk.op, sd.grid
     ctx = lambda_context(sd, cfg.lam)
     g = resolve_g(cfg.g, grid, sd, op)
     rep = solver_mod.solve_large(op, sd, ctx, g, cfg.h, cfg.K_frac)
@@ -185,9 +211,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    _, op, grid = _setup(cfg)
-    _check_request(cfg, grid)
-    sd = eigendecompose(assemble_green_matrix(op, grid))
+    sd = _spectrum(cfg)
+    op, grid = sd.dk.op, sd.grid
     g = resolve_g(cfg.g, grid, sd, op)
     sw = solver_mod.sweep_lambda(op, sd, g, cfg.h, cfg.group, cfg.lam_list or None, cfg.K_frac)
     path = os.path.join(cfg.out, "sweep.csv")
@@ -204,14 +229,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_limit_s(cfg: RunConfig) -> int:
-    domain = make_domain(cfg.domain, cfg.n, cfg.r)
-    grid = build_grid(domain, cfg.N, cfg.grade)
-    _check_request(cfg, grid)
+    grid = _grid(cfg)
     if cfg.g == "zero":
         rep = large_solution_limit_s(cfg.op, cfg.s_list, cfg.lam, cfg.h, grid, cfg.K_frac, cfg.M)
     else:
         # the lowest rung has the smallest gamma, so it admits the least data
-        lowest = make_operator(cfg.op, min(cfg.s_list), domain, cfg.M)
+        lowest = make_operator(cfg.op, min(cfg.s_list), grid.domain, cfg.M)
         g = resolve_g(cfg.g, grid, None, lowest)
         rep = resolvent_convergence_s(cfg.op, cfg.s_list, cfg.lam, g, grid, cfg.M)
     rows = rep.rows()
@@ -237,38 +260,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 _COMMANDS = {"eigen": cmd_eigen, "solve": cmd_solve, "sweep": cmd_sweep,
              "limit-s": cmd_limit_s, "verify": cmd_verify}
-
-_GRID = ("eigen", "solve", "sweep", "limit-s")
-_DATA = ("solve", "sweep", "limit-s")
-
-# one row per flag: (flag, RunConfig field, argparse keywords, subcommands that read it);
-# a field whose flag is not given keeps its RunConfig default, so sidecars echo the full config
-_FLAGS = [
-    ("--op", "op", {"choices": ["rfl", "sfl", "classical"]}, _GRID),
-    ("--s", "s", {"type": float}, ("eigen", "solve", "sweep")),
-    ("--domain", "domain", {"choices": ["interval", "ball"]}, _GRID),
-    ("--n", "n", {"type": int}, _GRID),
-    ("--r", "r", {"type": float}, _GRID),
-    ("--N", "N", {"type": int}, _GRID + ("verify",)),
-    ("--grade", "grade", {"type": float}, _GRID),
-    ("--M", "M", {"type": int}, _GRID),
-    ("--lambda", "lam", {"type": float}, ("solve", "limit-s")),
-    ("--lambda-list", "lam_list", {"type": _floats}, ("sweep",)),
-    ("--g", "g", {}, _DATA),
-    ("--h", "h", {"type": _floats}, _DATA),
-    ("--K-frac", "K_frac", {"type": float}, _DATA),
-    ("--out", "out", {}, tuple(_COMMANDS)),
-    ("--seed", "seed", {"type": int}, ("verify",)),
-    ("--group", "group", {"type": int}, ("sweep",)),
-    ("--j-max", "j_max", {"type": int}, ("eigen",)),
-    ("--s-list", "s_list", {"type": _floats}, ("limit-s",)),
-]
 
 
 def _parse_args(argv) -> tuple[str, RunConfig]:
@@ -281,9 +274,9 @@ def _parse_args(argv) -> tuple[str, RunConfig]:
     parsers = {name: sub.add_parser(name, allow_abbrev=False,
                                     argument_default=argparse.SUPPRESS)
                for name in _COMMANDS}
-    for flag, dest, kw, commands in _FLAGS:
-        for name in commands:
-            parsers[name].add_argument(flag, dest=dest, **kw)
+    for f in fields(RunConfig):
+        for name in f.metadata["commands"]:
+            parsers[name].add_argument(_flag(f), dest=f.name, **f.metadata["argparse"])
     a = vars(p.parse_args(argv))
     command = a.pop("command")
     if a.get("s_list") == []:
@@ -301,6 +294,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, which matches the contract
         return int(exc.code or 0)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+        tempfile.TemporaryFile(dir=cfg.out).close()
+    except OSError as exc:
+        print(f"configuration error: cannot write {cfg.out!r}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return _COMMANDS[command](cfg)
     except SpectralHit as exc:

@@ -16,7 +16,7 @@ import numpy as np
 from . import solver as solver_mod
 from .boundary import martin_apply, weighted_trace
 from .discretize import apply_G0, assemble_green_matrix, weighted_norm
-from .geometry import build_grid, make_domain
+from .geometry import BOUNDARY_NODES, build_grid, make_domain
 from .kernels import (
     check_K1_bounds,
     make_operator,
@@ -61,6 +61,11 @@ class VerifySuite:
     """Builds the shared discretizations once and runs every named check."""
 
     def __init__(self, N: int = 256, seed: int = 0):
+        if seed < 0:
+            raise ValueError(f"verify seed must be non-negative, got {seed}")
+        if N < 2 * BOUNDARY_NODES:
+            # each boundary fit and trace takes BOUNDARY_NODES nodes on its side
+            raise ValueError(f"verify needs N >= {2 * BOUNDARY_NODES}, got {N}")
         self.N = N
         self.seed = seed
         self.dom = make_domain("interval", 1, 1.0)

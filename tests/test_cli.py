@@ -64,9 +64,15 @@ def test_exit_codes(tmp_path, capsys):
     # bad config
     assert run_cli(["eigen", "--N", "4", "--out", out]) == 2
     # a lambda that is not finite, an unreadable or unsorted g table, a K with
-    # no node, no modes; np.interp read the unsorted table as a 0/5 step
+    # no node, no modes; np.interp read the unsorted table as a 0/5 step;
+    # g data that is not finite (delta_pow:inf once ran as g = 0); an --out
+    # that cannot be made; a verify seed or N that crashed checks (exit 1)
     unsorted = tmp_path / "unsorted.csv"
     unsorted.write_text("1,0\n-1,2\n0,5\n")
+    nan_table = tmp_path / "nan.csv"
+    nan_table.write_text("-1,0\n0.5,nan\n1,0\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
     for argv, msg in ((["solve", "--lambda", "inf"], "lambda must be finite"),
                       (["solve", "--lambda", "nan"], "lambda must be finite"),
                       (["solve", "--g", f"table:{tmp_path / 'missing.csv'}"], "cannot read"),
@@ -76,8 +82,17 @@ def test_exit_codes(tmp_path, capsys):
                       (["eigen", "--grade", "inf"], "grading exponent"),
                       (["eigen", "--grade", "nan"], "grading exponent"),
                       (["eigen", "--r", "nan"], "radius"),
-                      (["eigen", "--r", "inf"], "radius")):
-        assert run_cli(argv + ["--N", "32", "--out", out]) == 2, argv
+                      (["eigen", "--r", "inf"], "radius"),
+                      (["solve", "--g", "delta_pow:inf"], "delta_pow exponent must be finite"),
+                      (["solve", "--g", "delta_pow:1e400"], "delta_pow exponent must be finite"),
+                      (["solve", "--g", "delta_pow:nan"], "delta_pow exponent must be finite"),
+                      (["solve", "--g", f"table:{nan_table}"], "non-finite values"),
+                      (["eigen", "--out", str(blocker / "out")], "cannot write"),
+                      (["verify", "--out", str(blocker / "out")], "cannot write"),
+                      (["verify", "--seed", "-1"], "seed must be non-negative"),
+                      (["verify", "--N", "9"], "verify needs N >= 10")):
+        # the input's own --N and --out follow, and win
+        assert run_cli([argv[0], "--N", "32", "--out", out, *argv[1:]]) == 2, argv
         assert msg in capsys.readouterr().err, argv
     assert run_cli(["solve", "--op", "sfl", "--s", "0.3", "--out", out]) == 2
     assert run_cli(["solve", "--g", "nonsense", "--N", "64", "--out", out]) == 2
@@ -120,6 +135,8 @@ def test_bad_lambda_and_K_fraction_rejected_before_assembly(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "assemble_green_matrix", assemble)
     monkeypatch.setattr(limits, "assemble_green_matrix", assemble)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
     for argv, msg in ((["solve", "--lambda", "inf"], "lambda must be finite"),
                       (["solve", "--K-frac", "1.5"], "K fraction"),
                       (["sweep", "--lambda-list", "1,nan"], "lambda must be finite"),
@@ -127,8 +144,9 @@ def test_bad_lambda_and_K_fraction_rejected_before_assembly(tmp_path, monkeypatc
                       # inside (0, 1), but no node has delta >= 0.9999 r
                       (["solve", "--K-frac", "0.9999"], "K fraction"),
                       (["limit-s", "--lambda=-inf"], "lambda must be finite"),
-                      (["limit-s", "--K-frac", "1"], "K fraction")):
-        assert run_cli(argv + ["--N", "32", "--out", str(tmp_path)]) == 2, argv
+                      (["limit-s", "--K-frac", "1"], "K fraction"),
+                      (["eigen", "--out", str(blocker / "out")], "cannot write")):
+        assert run_cli([argv[0], "--N", "32", "--out", str(tmp_path), *argv[1:]]) == 2, argv
         assert msg in capsys.readouterr().err, argv
 
 
