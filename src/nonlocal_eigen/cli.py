@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import solver as solver_mod
+from .boundary import boundary_values
 from .discretize import assemble_green_matrix
-from .geometry import K_FRACTION, build_grid, make_domain
+from .geometry import build_grid, make_domain
 from .kernels import SFL_TRUNCATION, make_operator
 from .limits import large_solution_limit_s, resolvent_convergence_s
 from .spectral import SpectralHit, eigendecompose, lambda_context
@@ -72,7 +73,6 @@ class RunConfig:
     lam_list: list = _setting([], "sweep", flag="--lambda-list")
     g: str = _setting("zero", *_DATA)
     h: list = _setting([1.0], *_DATA)
-    K_frac: float = _setting(K_FRACTION, *_DATA)
     out: str = _setting(".", *_GRID, "verify")
     seed: int = _setting(0, "verify")
     group: int = _setting(1, "sweep")
@@ -118,28 +118,31 @@ def write_sidecar(csv_path: str, cfg: RunConfig):
 
 
 def resolve_g(spec: str, grid, sd, op):
-    """Named data profiles: zero, one, delta_pow:alpha, eigmode:j, table:file."""
+    """Named data profiles: zero, one, delta_pow:alpha, eigmode:j, table:file;
+    only eigmode reads the spectrum sd, and with sd None it parses j and returns None."""
     spec = spec.strip()
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
+    try:
+        value = {"delta_pow": float, "eigmode": int}.get(name, str)(arg)
+    except ValueError:
+        raise ConfigError(f"cannot parse the argument {arg!r} of g profile {spec!r}") from None
     if name == "zero":
         return np.zeros(grid.N)
     if name == "one":
         return np.ones(grid.N)
     if name == "delta_pow":
-        alpha = float(arg)
-        if not np.isfinite(alpha):
+        if not np.isfinite(value):
             raise ConfigError(f"delta_pow exponent must be finite, got {arg!r}")
-        if alpha <= -1.0 - op.gamma:
-            raise ConfigError(f"delta_pow exponent {alpha} outside the admissible range")
-        return grid.delta**alpha
+        if value <= -1.0 - op.gamma:
+            raise ConfigError(f"delta_pow exponent {value} outside the admissible range")
+        return grid.delta**value
     if name == "eigmode":
         if sd is None:
-            raise ConfigError("eigmode data needs a spectrum; this command computes none")
-        j = int(arg)
-        if not 1 <= j <= sd.m:
-            raise ConfigError(f"eigmode index {j} out of range 1..{sd.m}")
-        return sd.phi[:, j - 1].copy()
+            return None
+        if not 1 <= value <= sd.m:
+            raise ConfigError(f"eigmode index {value} out of range 1..{sd.m}")
+        return sd.phi[:, value - 1].copy()
     if name == "table":
         try:
             data = np.loadtxt(arg, delimiter=",", ndmin=2)
@@ -157,26 +160,29 @@ def resolve_g(spec: str, grid, sd, op):
 
 def _grid(cfg: RunConfig):
     """The grid, after rejecting a lambda that is not finite, with lambda_context's
-    message, or a K fraction that compact_mask refuses on it, before any assembly."""
+    message, before any assembly."""
     for lam in (cfg.lam, *cfg.lam_list):
         if not np.isfinite(lam):
             raise ConfigError(f"lambda must be finite, got {lam}")
-    grid = build_grid(make_domain(cfg.domain, cfg.n, cfg.r), cfg.N, cfg.grade)
-    grid.compact_mask(cfg.K_frac)
-    return grid
+    return build_grid(make_domain(cfg.domain, cfg.n, cfg.r), cfg.N, cfg.grade)
 
 
 def _spectrum(cfg: RunConfig):
-    """The checked request's spectrum; it carries the operator and the grid."""
+    """The checked request's spectrum, which carries the operator and the grid,
+    and its g. h and g are checked before assembly, an eigmode index after;
+    eigen reads neither and keeps their defaults."""
     grid = _grid(cfg)
     op = make_operator(cfg.op, cfg.s, grid.domain, cfg.M)
-    return eigendecompose(assemble_green_matrix(op, grid))
+    boundary_values(op, cfg.h)
+    g = resolve_g(cfg.g, grid, None, op)
+    sd = eigendecompose(assemble_green_matrix(op, grid))
+    return sd, resolve_g(cfg.g, grid, sd, op) if g is None else g
 
 
 def cmd_eigen(cfg: RunConfig) -> int:
     if cfg.j_max < 1:
         raise ConfigError(f"--j-max must be at least 1, got {cfg.j_max}")
-    sd = _spectrum(cfg)
+    sd, _ = _spectrum(cfg)
     j_max = min(cfg.j_max, sd.m)
     rows = [[j + 1, sd.lam[j], *sd.phi[:, j]] for j in range(j_max)]
     header = ["j", "lambda"] + [f"phi_x{i}" for i in range(sd.grid.N)]
@@ -195,11 +201,10 @@ def cmd_eigen(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    sd = _spectrum(cfg)
-    op, grid = sd.dk.op, sd.grid
+    sd, g = _spectrum(cfg)
+    grid = sd.grid
     ctx = lambda_context(sd, cfg.lam)
-    g = resolve_g(cfg.g, grid, sd, op)
-    rep = solver_mod.solve_large(op, sd, ctx, g, cfg.h, cfg.K_frac)
+    rep = solver_mod.solve_large(sd.dk.op, sd, ctx, g, cfg.h)
     path = os.path.join(cfg.out, "profile.csv")
     write_csv(path, ["x", "delta", "v_h", "explicit", "u_perp", "v_lambda"],
               zip(grid.x, grid.delta, rep.v_h.values, rep.explicit.values,
@@ -211,10 +216,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    sd = _spectrum(cfg)
-    op, grid = sd.dk.op, sd.grid
-    g = resolve_g(cfg.g, grid, sd, op)
-    sw = solver_mod.sweep_lambda(op, sd, g, cfg.h, cfg.group, cfg.lam_list or None, cfg.K_frac)
+    sd, g = _spectrum(cfg)
+    sw = solver_mod.sweep_lambda(sd.dk.op, sd, g, cfg.h, cfg.group, cfg.lam_list or None)
     path = os.path.join(cfg.out, "sweep.csv")
     write_csv(path,
               ["lambda", "sup_K", "sup_K_Aplus", "inf_Omega",
@@ -231,11 +234,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_limit_s(cfg: RunConfig) -> int:
     grid = _grid(cfg)
     if cfg.g == "zero":
-        rep = large_solution_limit_s(cfg.op, cfg.s_list, cfg.lam, cfg.h, grid, cfg.K_frac, cfg.M)
+        rep = large_solution_limit_s(cfg.op, cfg.s_list, cfg.lam, cfg.h, grid, cfg.M)
     else:
         # the lowest rung has the smallest gamma, so it admits the least data
         lowest = make_operator(cfg.op, min(cfg.s_list), grid.domain, cfg.M)
         g = resolve_g(cfg.g, grid, None, lowest)
+        if g is None:
+            raise ConfigError("eigmode data needs a spectrum; limit-s computes none")
         rep = resolvent_convergence_s(cfg.op, cfg.s_list, cfg.lam, g, grid, cfg.M)
     rows = rep.rows()
     header = list(rows[0].keys())
@@ -282,9 +287,8 @@ def _parse_args(argv) -> tuple[str, RunConfig]:
     if a.get("s_list") == []:
         del a["s_list"]  # an empty --s-list keeps the default ladder
     cfg = RunConfig(**a)
-    if command == "limit-s" and cfg.g != "zero" and {"h", "K_frac"} & a.keys():
-        parsers[command].error("--h and --K-frac are read only by the large-solution "
-                               "ladder (--g zero)")
+    if command == "limit-s" and cfg.g != "zero" and "h" in a:
+        parsers[command].error("--h is read only by the large-solution ladder (--g zero)")
     return command, cfg
 
 

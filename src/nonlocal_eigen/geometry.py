@@ -112,11 +112,11 @@ class QuadGrid:
             raise ValueError(f"fewer than {BOUNDARY_NODES} nodes near z = {z}")
         return near[np.argsort(self.delta[near])[:BOUNDARY_NODES]]
 
-    def compact_mask(self, frac: float = K_FRACTION) -> np.ndarray:
-        """Nodes with delta >= frac * r (the interior compact set K), for frac in (0, 1)."""
-        mask = self.delta >= frac * self.domain.r
-        if not 0.0 < frac < 1.0 or not np.any(mask):
-            raise ValueError(f"K fraction {frac} must lie in (0, 1) and leave a node in K")
+    def compact_mask(self) -> np.ndarray:
+        """The nodes with delta >= K_FRACTION r, the compact set K; ValueError if none."""
+        mask = self.delta >= K_FRACTION * self.domain.r
+        if not np.any(mask):
+            raise ValueError(f"the compact set K (delta >= {K_FRACTION} r) holds no node")
         return mask
 
 

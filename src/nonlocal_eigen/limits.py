@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import as_values, assemble_green_matrix
-from .geometry import K_FRACTION, QuadGrid
+from .geometry import QuadGrid
 from .kernels import SFL_TRUNCATION, OperatorKind, make_operator
 from .solver import solve_large
 from .spectral import SpectralData, eigendecompose, lambda_context, apply_Glambda
@@ -111,8 +111,7 @@ def resolvent_convergence_s(kind: OperatorKind | str, s_list, lam: float, f, gri
 
 
 def large_solution_limit_s(kind: OperatorKind | str, s_list, lam: float, h,
-                           grid: QuadGrid, K_frac: float = K_FRACTION,
-                           sfl_truncation: int = SFL_TRUNCATION) -> SLimitReport:
+                           grid: QuadGrid, sfl_truncation: int = SFL_TRUNCATION) -> SLimitReport:
     """Convergence of large solutions to the classical Dirichlet solution.
 
     The classical endpoint v_1 = M_1(h) + lambda G_lambda M_1(h) uses the
@@ -122,20 +121,21 @@ def large_solution_limit_s(kind: OperatorKind | str, s_list, lam: float, h,
     recorded.
     """
     def solve(sd):
-        return solve_large(sd.dk.op, sd, lambda_context(sd, lam), None, h, K_frac).v_total.values
+        return solve_large(sd.dk.op, sd, lambda_context(sd, lam), None, h)
 
     ladder = _ladder(kind, s_list, grid, sfl_truncation)
     sd1 = next(ladder)
-    v1 = solve(sd1)
-    mask = grid.compact_mask(K_frac)
+    v1 = solve(sd1).v_total.values
+    mask = grid.compact_mask()
     near = grid.boundary_nodes(grid.domain.r)
     rungs = []
     for sd in ladder:
-        v = solve(sd)
+        rep = solve(sd)
+        v = rep.v_total.values
         rungs.append((sd.dk.op, sd.lam[0], {
             "sol_dist": np.sum(grid.w[mask] * np.abs(v - v1)[mask]),
             "boundary_fit": boundary_exponent_fit(v, grid),
-            "sup_K": np.max(np.abs(v[mask])),
+            "sup_K": rep.norms["sup_K"],
             "near_boundary_amp": np.max(np.abs(v[near]) * grid.delta[near] ** sd.dk.op.b),
         }))
     return _report(sd1, rungs, sol_dist_decreasing="sol_dist", fit_to_zero="boundary_fit")

@@ -15,12 +15,14 @@ import numpy as np
 
 from .boundary import boundary_values
 from .discretize import GridFunction, apply_G0, one_function
-from .geometry import K_FRACTION
 from .kernels import OperatorSpec
 from .spectral import LambdaContext, SpectralData, apply_Glambda, lambda_context
 
 # relative offsets below lambda_i of the default sweep ladder
 SWEEP_OFFSETS = [1e-2, 1e-3, 1e-4, 1e-5, 2e-6]
+
+# random draws of each Monte-Carlo check
+TRIALS = 100
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ def _solve(ctxs: list[LambdaContext], data, split_at: int,
 
 
 def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
-                g, h, K_frac: float = K_FRACTION) -> SolveReport:
+                g, h) -> SolveReport:
     """Singular boundary data: v = v_h + G_lambda(g + lambda v_h).
 
     h None is the Dirichlet solve v = G_lambda(g), decomposed over E/E-perp.
@@ -116,7 +118,7 @@ def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
     if ctx.sd is not sd:
         raise ValueError("the lambda context belongs to another spectrum")
     data = _data(op, sd, g, h)
-    return _solve([ctx], data, ctx.I, sd.grid.compact_mask(K_frac))[0][0]
+    return _solve([ctx], data, ctx.I, sd.grid.compact_mask())[0][0]
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ class SweepReport:
 
 
 def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
-                 lam_list=None, K_frac: float = K_FRACTION) -> SweepReport:
+                 lam_list=None) -> SweepReport:
     """Sweep lambda toward the i-th eigenvalue, recording blow-up data.
 
     The E/E-perp split is taken relative to the eigenvalue groups up to
@@ -206,7 +208,7 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     if lam_list.ndim != 1 or len(lam_list) == 0:
         raise ValueError(f"lam_list must be a nonempty list of lambdas, got {lam_list!r}")
     ctxs = [lambda_context(sd, lam) for lam in lam_list]
-    mask = grid.compact_mask(K_frac)
+    mask = grid.compact_mask()
     reports, total, norms = _solve(ctxs, data, split_at, mask)
 
     maskKA = np.zeros(grid.N, dtype=bool)
@@ -240,25 +242,19 @@ class TrialReport:
         return self.n_failures == 0
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-
-
-def check_max_principle(ctx: LambdaContext, trials: int = 100, seed: int = 0) -> TrialReport:
+def check_max_principle(ctx: LambdaContext, seed: int = 0) -> TrialReport:
     """Solutions with f >= 0 and lambda < lambda_1 must be nonnegative.
 
-    Random nonnegative data, including delta-weighted unbounded samples
-    (every third trial), solved as one block; a trial fails when
+    TRIALS random nonnegative data, including delta-weighted unbounded
+    samples (every third trial), solved as one block; a trial fails when
     min u < -1e-8 * max u.
     """
     sd = ctx.sd
     if ctx.lam >= sd.lam[0]:
         raise ValueError("maximum principle requires lambda < lambda_1")
-    _check_trials(trials)
     grid = sd.grid
-    # row t holds the same numbers as the t-th of `trials` draws of size N
-    f = np.random.default_rng(seed).uniform(0.0, 1.0, (trials, grid.N))
+    # row t holds the same numbers as the t-th of TRIALS draws of size N
+    f = np.random.default_rng(seed).uniform(0.0, 1.0, (TRIALS, grid.N))
     f[2::3] *= grid.delta ** (-0.5)
     u = apply_Glambda(ctx, f.T).values
     margin = np.min(u, axis=0) / np.maximum(np.max(u, axis=0), 1e-300)
@@ -266,12 +262,11 @@ def check_max_principle(ctx: LambdaContext, trials: int = 100, seed: int = 0) ->
                        worst_margin=float(np.min(margin)))
 
 
-def check_poincare(sd: SpectralData, trials: int = 100, seed: int = 0) -> TrialReport:
+def check_poincare(sd: SpectralData, seed: int = 0) -> TrialReport:
     """lambda_1 <phi, G_0 phi>_W <= <phi, phi>_W for every phi, G_0 the kernel of sd;
-    the random phi are applied as one block."""
-    _check_trials(trials)
+    the TRIALS random phi are applied as one block."""
     grid = sd.grid
-    phi = np.random.default_rng(seed).standard_normal((trials, grid.N))
+    phi = np.random.default_rng(seed).standard_normal((TRIALS, grid.N))
     wphi = grid.w * phi
     lhs = sd.lam[0] * np.sum(wphi * apply_G0(sd.dk, phi.T).values.T, axis=1)
     ratio = lhs / np.sum(wphi * phi, axis=1)

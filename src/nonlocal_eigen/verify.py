@@ -212,14 +212,15 @@ class VerifySuite:
         lam1 = sd.lam[0]
         worst = np.inf
         fails = 0
-        for lam in (-5.0, 0.0, 0.9 * lam1, 0.99 * lam1):
+        lams = (-5.0, 0.0, 0.9 * lam1, 0.99 * lam1)
+        for lam in lams:
             ctx = lambda_context(sd, lam)
-            rep = solver_mod.check_max_principle(ctx, trials=100, seed=self.seed)
+            rep = solver_mod.check_max_principle(ctx, seed=self.seed)
             worst = min(worst, rep.worst_margin)
             fails += rep.n_failures
         return (fails == 0, worst, -1e-8,
-                "400 trials over lambda in {-5, 0, 0.9, 0.99 lambda_1}; "
-                "measured = worst min u / max u")
+                f"{len(lams) * solver_mod.TRIALS} trials over lambda in "
+                "{-5, 0, 0.9, 0.99 lambda_1}; measured = worst min u / max u")
 
     def check_max_principle_negative_control(self):
         sd = self.rfl_sd
@@ -230,9 +231,10 @@ class VerifySuite:
 
     # -- criterion 7: Poincare ------------------------------------------
     def check_poincare(self):
-        rep = solver_mod.check_poincare(self.rfl_sd, trials=100, seed=self.seed)
+        rep = solver_mod.check_poincare(self.rfl_sd, seed=self.seed)
         return _res(rep.worst_margin, 1.0 + 1e-8,
-                    "worst lambda_1 <phi, G0 phi> / <phi, phi> over 100 random phi")
+                    "worst lambda_1 <phi, G0 phi> / <phi, phi> over "
+                    f"{solver_mod.TRIALS} random phi")
 
     def check_poincare_equality_phi1(self):
         sd = self.rfl_sd

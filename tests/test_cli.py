@@ -63,10 +63,13 @@ def test_exit_codes(tmp_path, capsys):
     out = str(tmp_path)
     # bad config
     assert run_cli(["eigen", "--N", "4", "--out", out]) == 2
-    # a lambda that is not finite, an unreadable or unsorted g table, a K with
-    # no node, no modes; np.interp read the unsorted table as a 0/5 step;
-    # g data that is not finite (delta_pow:inf once ran as g = 0); an --out
-    # that cannot be made; a verify seed or N that crashed checks (exit 1)
+    # a lambda that is not finite, an unreadable or unsorted g table, no
+    # modes; np.interp read the unsorted table as a 0/5 step; g data that is
+    # not finite (delta_pow:inf once ran as g = 0) or a profile argument that
+    # does not parse; an --out that cannot be made; a verify seed or N that
+    # crashed checks (exit 1); a compact set K with no node, for the
+    # subcommands that read K (at grading 20 every node of the N = 8 grid
+    # has delta < r / 4)
     unsorted = tmp_path / "unsorted.csv"
     unsorted.write_text("1,0\n-1,2\n0,5\n")
     nan_table = tmp_path / "nan.csv"
@@ -77,7 +80,6 @@ def test_exit_codes(tmp_path, capsys):
                       (["solve", "--lambda", "nan"], "lambda must be finite"),
                       (["solve", "--g", f"table:{tmp_path / 'missing.csv'}"], "cannot read"),
                       (["solve", "--g", f"table:{unsorted}"], "strictly increase"),
-                      (["solve", "--K-frac", "1.5"], "K fraction"),
                       (["eigen", "--j-max", "-1"], "--j-max"),
                       (["eigen", "--grade", "inf"], "grading exponent"),
                       (["eigen", "--grade", "nan"], "grading exponent"),
@@ -87,13 +89,21 @@ def test_exit_codes(tmp_path, capsys):
                       (["solve", "--g", "delta_pow:1e400"], "delta_pow exponent must be finite"),
                       (["solve", "--g", "delta_pow:nan"], "delta_pow exponent must be finite"),
                       (["solve", "--g", f"table:{nan_table}"], "non-finite values"),
+                      (["solve", "--g", "delta_pow:"], "g profile 'delta_pow:'"),
+                      (["solve", "--g", "eigmode:1.5"], "g profile 'eigmode:1.5'"),
                       (["eigen", "--out", str(blocker / "out")], "cannot write"),
                       (["verify", "--out", str(blocker / "out")], "cannot write"),
                       (["verify", "--seed", "-1"], "seed must be non-negative"),
-                      (["verify", "--N", "9"], "verify needs N >= 10")):
+                      (["verify", "--N", "9"], "verify needs N >= 10"),
+                      (["solve", "--N", "8", "--grade", "20"], "compact set K"),
+                      (["sweep", "--N", "8", "--grade", "20"], "compact set K"),
+                      (["limit-s", "--N", "8", "--grade", "20"], "compact set K")):
         # the input's own --N and --out follow, and win
         assert run_cli([argv[0], "--N", "32", "--out", out, *argv[1:]]) == 2, argv
         assert msg in capsys.readouterr().err, argv
+    # K is read only by solve, sweep and the large-solution ladder
+    assert run_cli(["eigen", "--N", "8", "--grade", "20", "--out", out]) == 0
+    assert run_cli(["limit-s", "--g", "one", "--N", "8", "--grade", "20", "--out", out]) == 0
     assert run_cli(["solve", "--op", "sfl", "--s", "0.3", "--out", out]) == 2
     assert run_cli(["solve", "--g", "nonsense", "--N", "64", "--out", out]) == 2
     # profiles take their argument after a colon only
@@ -120,16 +130,15 @@ def test_exit_codes(tmp_path, capsys):
                         "--group", group, "--out", out]) == 2
     # a flag the subcommand does not read, also as the prefix of one it does;
     # eigmode data needs a spectrum, which limit-s does not compute; only the
-    # large-solution ladder (--g zero) of limit-s reads --h and --K-frac
+    # large-solution ladder (--g zero) of limit-s reads --h
     for argv in (["verify", "--op", "sfl", "--N", "16"], ["eigen", "--lambda", "3"],
                  ["eigen", "--g", "one"], ["sweep", "--lambda", "3"],
                  ["limit-s", "--s", "0.8"], ["limit-s", "--g", "eigmode:1"],
-                 ["limit-s", "--g", "one", "--h", "1"],
-                 ["limit-s", "--g", "one", "--K-frac", "0.3"]):
+                 ["limit-s", "--g", "one", "--h", "1"]):
         assert run_cli(argv + ["--out", out]) == 2, argv
 
 
-def test_bad_lambda_and_K_fraction_rejected_before_assembly(tmp_path, monkeypatch, capsys):
+def test_bad_request_rejected_before_assembly(tmp_path, monkeypatch, capsys):
     def assemble(*_):
         raise AssertionError("assembled before the request was validated")
 
@@ -137,15 +146,16 @@ def test_bad_lambda_and_K_fraction_rejected_before_assembly(tmp_path, monkeypatc
     monkeypatch.setattr(limits, "assemble_green_matrix", assemble)
     blocker = tmp_path / "blocker"
     blocker.write_text("")
+    missing = tmp_path / "missing.csv"
     for argv, msg in ((["solve", "--lambda", "inf"], "lambda must be finite"),
-                      (["solve", "--K-frac", "1.5"], "K fraction"),
                       (["sweep", "--lambda-list", "1,nan"], "lambda must be finite"),
-                      (["sweep", "--K-frac", "0"], "K fraction"),
-                      # inside (0, 1), but no node has delta >= 0.9999 r
-                      (["solve", "--K-frac", "0.9999"], "K fraction"),
                       (["limit-s", "--lambda=-inf"], "lambda must be finite"),
-                      (["limit-s", "--K-frac", "1"], "K fraction"),
-                      (["eigen", "--out", str(blocker / "out")], "cannot write")):
+                      (["eigen", "--out", str(blocker / "out")], "cannot write"),
+                      # only eigmode data reads the spectrum, and only for its range
+                      (["solve", "--g", "delta_pow:inf"], "delta_pow exponent must be finite"),
+                      (["solve", "--h", "1,2,3"], "boundary value"),
+                      (["sweep", "--g", f"table:{missing}"], "cannot read"),
+                      (["solve", "--g", "eigmode:abc"], "g profile 'eigmode:abc'")):
         assert run_cli([argv[0], "--N", "32", "--out", str(tmp_path), *argv[1:]]) == 2, argv
         assert msg in capsys.readouterr().err, argv
 

@@ -98,13 +98,12 @@ def test_boundary_nodes_take_one_boundary_point():
 def test_compact_mask():
     dom = make_domain("interval", 1, 1.0)
     grid = build_grid(dom, 64)
-    mask = grid.compact_mask(0.25)
+    mask = grid.compact_mask()
     assert np.all(grid.delta[mask] >= 0.25)
     assert 0 < np.sum(mask) < grid.N
-    # K is a nonempty set of nodes with frac in (0, 1)
-    for frac in (0.0, 1.5, float("nan"), 1.0 - 1e-9):
-        with pytest.raises(ValueError, match="K fraction"):
-            grid.compact_mask(frac)
+    # at grading 20 every node of the N = 8 interval grid has delta < r / 4
+    with pytest.raises(ValueError, match="compact set K"):
+        build_grid(dom, 8, 20.0).compact_mask()
 
 
 def test_every_even_interval_grid_is_mirrored():

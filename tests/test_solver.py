@@ -9,6 +9,7 @@ from nonlocal_eigen.discretize import apply_G0, assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import make_operator
 from nonlocal_eigen.solver import (
+    TRIALS,
     check_max_principle,
     check_notions,
     check_poincare,
@@ -228,7 +229,7 @@ def test_single_function_routes_reject_a_block_by_name(route, T):
 def test_max_principle(setup):
     op, grid, dk, sd = setup
     ctx = lambda_context(sd, 0.9 * sd.lam[0])
-    rep = check_max_principle(ctx, trials=30, seed=1)
+    rep = check_max_principle(ctx, seed=1)
     assert rep.passed
     with pytest.raises(ValueError):
         check_max_principle(lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1])))
@@ -236,44 +237,35 @@ def test_max_principle(setup):
 
 def test_poincare(setup):
     op, grid, dk, sd = setup
-    rep = check_poincare(sd, trials=30, seed=1)
+    rep = check_poincare(sd, seed=1)
     assert rep.passed
     assert rep.worst_margin <= 1.0 + 1e-10
 
 
-@pytest.mark.parametrize("trials", [0, -3])
-def test_monte_carlo_checks_need_a_trial(setup, trials):
-    op, grid, dk, sd = setup
-    with pytest.raises(ValueError, match="trials"):
-        check_max_principle(lambda_context(sd, 0.5 * sd.lam[0]), trials=trials)
-    with pytest.raises(ValueError, match="trials"):
-        check_poincare(sd, trials=trials)
-
-
 def test_monte_carlo_checks_draw_the_trials_of_one_draw_each(setup):
-    # the block of trials holds the numbers that `trials` draws of size N
+    # the block of trials holds the numbers that TRIALS draws of size N
     # give in turn; the loops below are the per-trial reference, and the
     # block products agree with them to roundoff
     op, grid, dk, sd = setup
     ctx = lambda_context(sd, 0.9 * sd.lam[0])
     rng = np.random.default_rng(3)
     margins = []
-    for t in range(8):
+    for t in range(TRIALS):
         f = rng.uniform(0.0, 1.0, grid.N)
         if t % 3 == 2:
             f = f * grid.delta ** (-0.5)
         u = apply_Glambda(ctx, f).values
         margins.append(np.min(u) / np.max(u))
-    rep = check_max_principle(ctx, trials=8, seed=3)
+    rep = check_max_principle(ctx, seed=3)
     assert rep.n_failures == 0
     assert rep.worst_margin == pytest.approx(min(margins), rel=0, abs=1e-13)
     rng = np.random.default_rng(3)
     ratios = []
-    for _ in range(8):
+    for _ in range(TRIALS):
         phi = rng.standard_normal(grid.N)
         lhs = sd.lam[0] * np.sum(grid.w * phi * apply_G0(dk, phi).values)
         ratios.append(lhs / np.sum(grid.w * phi * phi))
-    rep = check_poincare(sd, trials=8, seed=3)
+    rep = check_poincare(sd, seed=3)
     assert rep.n_failures == 0
     assert rep.worst_margin == pytest.approx(max(ratios), rel=1e-13)
 
