@@ -233,11 +233,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_limit_s(cfg: RunConfig) -> int:
     grid = _grid(cfg)
+    # the lowest rung has the smallest gamma, so it admits the least data
+    lowest = make_operator(cfg.op, min(cfg.s_list), grid.domain, cfg.M)
     if cfg.g == "zero":
+        boundary_values(lowest, cfg.h)
         rep = large_solution_limit_s(cfg.op, cfg.s_list, cfg.lam, cfg.h, grid, cfg.M)
     else:
-        # the lowest rung has the smallest gamma, so it admits the least data
-        lowest = make_operator(cfg.op, min(cfg.s_list), grid.domain, cfg.M)
         g = resolve_g(cfg.g, grid, None, lowest)
         if g is None:
             raise ConfigError("eigmode data needs a spectrum; limit-s computes none")

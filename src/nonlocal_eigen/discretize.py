@@ -92,17 +92,17 @@ def one_function(f, grid: QuadGrid, name: str = "f") -> np.ndarray:
 @dataclass(frozen=True)
 class DiscreteKernel:
     """Symmetric Nystrom matrix K for the Green's operator on a grid, kept as
-    blocks, each with the parity of its modes.
+    blocks.
 
     On a mirrored grid (n = N/2) K commutes with the flip J and is stored as
-    its two n x n parity blocks, E = K11 + K12 J (even modes, +1) and
-    O = K11 - K12 J (odd modes, -1), from the left half's rows; no N x N
-    array is formed.  Any other grid stores one block, (K, 0).
+    its two n x n parity blocks (E, O), E = K11 + K12 J for the even modes
+    and O = K11 - K12 J for the odd ones, from the left half's rows; no
+    N x N array is formed.  Any other grid stores K alone, (K,).
     """
 
     op: OperatorSpec
     grid: QuadGrid
-    blocks: tuple[tuple[np.ndarray, int], ...]
+    blocks: tuple[np.ndarray, ...]
 
 
 # Gauss-Legendre points on [0, 1] for the ball's angular rule
@@ -196,9 +196,9 @@ def _entry_range(blocks) -> tuple[float, float]:
     """The least and greatest entry of K: of K itself, or of K11 = (E + O)/2
     and K12 J = (E - O)/2."""
     if len(blocks) == 1:
-        K = blocks[0][0]
+        K, = blocks
         return float(np.min(K)), float(np.max(K))
-    (E, _), (O, _) = blocks
+    E, O = blocks
     t = E + O
     lo, hi = np.min(t), np.max(t)
     np.subtract(E, O, out=t)
@@ -216,12 +216,9 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
             # K12 J are the odd-k Gram plus and minus the even-k Gram: E is
             # twice the odd-k Gram and O twice the even-k Gram
             n = grid.N // 2
-            blocks = tuple((_sfl_gram(op, grid, n, k[p::2]), sign)
-                           for p, sign in ((0, 1), (1, -1)))
-            for B, _ in blocks:
-                B *= 2.0
+            blocks = tuple(2.0 * _sfl_gram(op, grid, n, k[p::2]) for p in (0, 1))
         else:
-            blocks = ((_sfl_gram(op, grid, grid.N, k), 0),)
+            blocks = (_sfl_gram(op, grid, grid.N, k),)
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
         M = op.sfl_truncation
@@ -242,14 +239,10 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         a, q = s + dim / 2 + 1, (1 + s) * (dim / 2 + s) / (dim / 2)
         u_f = (dl * (2 * r - dl)) ** s / lam0 * (2 - ((a * rho2 - dim / 2) / q + dim / 2) / a)
         wf = grid.w[:n] * (2 - rho2)
-        if C is None:
-            blocks = ((K, 0),)
-        else:
-            E = K + C
-            blocks = ((E, 1), (np.subtract(K, C, out=K), -1))
+        blocks = (K,) if C is None else (K + C, np.subtract(K, C, out=K))
         # f is even, so on a mirrored grid the row sums of K (w f) are E (w f)[:n]
-        d = (u_f - blocks[0][0] @ wf) / wf
-        for B, _ in blocks:
+        d = (u_f - blocks[0] @ wf) / wf
+        for B in blocks:
             B.flat[::n + 1] += d
     else:
         raise ValueError("classical kernel matrices: interval only")
@@ -284,9 +277,9 @@ def apply_G0(dk: DiscreteKernel, f) -> GridFunction:
     v = as_values(f, grid)
     y = grid.w * np.atleast_2d(v.T)
     if len(dk.blocks) == 1:
-        u = y @ dk.blocks[0][0]
+        u = y @ dk.blocks[0]
     else:
-        (E, _), (O, _) = dk.blocks
+        E, O = dk.blocks
         a, b = parity_parts(y.T)
         ea, ob = a.T @ E, b.T @ O
         n = grid.N // 2

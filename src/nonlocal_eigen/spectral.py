@@ -66,14 +66,14 @@ class SpectralData:
         function and (m, T) for a block of T columns, in one pass over phi.
 
         The block is multiplied as rows, one per function, as in
-        ``apply_G0``.  With parities, phi's bottom half is the mirror image
-        of its top half times the parity, so each mode pairs the top half
-        with the even or the odd part of y = w f: one product on the half
-        grid, against the even parts of every function and their odd parts.
+        ``apply_G0``.  With two parity blocks, phi's bottom half is the mirror
+        image of its top half times the parity, so each mode pairs the top half
+        with the even or the odd part of y = w f: one product on the half grid,
+        against the even parts of every function and their odd parts.
         """
         v = as_values(f, self.grid)
         y = self.grid.w * np.atleast_2d(v.T)
-        if self.parity.any():
+        if len(self.dk.blocks) == 2:
             n, T = self.grid.N // 2, len(y)
             a, b = parity_parts(y.T)
             c = np.concatenate([a.T, b.T]) @ self.phi[:n]
@@ -86,11 +86,11 @@ class SpectralData:
         """sum_j c_j phi_j over the selected modes (all by default), for
         coefficients of shape (k,) or, one function per column, (k, T).
 
-        With parities, the top half is sum_j c_j phi_j[:n] and the bottom
-        half the mirror image of sum_j parity_j c_j phi_j[:n].
+        With two parity blocks, the top half is sum_j c_j phi_j[:n] and the
+        bottom half the mirror image of sum_j parity_j c_j phi_j[:n].
         """
         b = np.atleast_2d(c.T)
-        if self.parity.any():
+        if len(self.dk.blocks) == 2:
             n, T = self.grid.N // 2, len(b)
             t = np.concatenate([b, b * self.parity[modes]]) @ self.phi[:n, modes].T
             u = np.concatenate([t[:T], t[T:, ::-1]], axis=1)
@@ -147,31 +147,31 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
 
     A = W^{1/2} K W^{1/2} is diagonalized by LAPACK's ``dsyevd`` (divide and
     conquer, ``numpy.linalg.eigh``, lower triangle), one kernel block at a
-    time.  On a mirrored interval grid these are the parity blocks E and O
-    (J the flip x -> -x), each scaled by W^{1/2} of the left half-grid on
-    both sides; each eigenvector u lifts to [u; +-Ju] / sqrt(2), and
-    ``parity`` records +1 or -1 per mode.  A one-block kernel, with parity
-    0, is any other grid's or one built by hand, and its K must be
-    symmetric to 1e-10.  The spectra merge into one descending mu list.
+    time, and a block's position gives its modes' ``parity``.  On a mirrored
+    interval grid the blocks are (E, O) (J the flip x -> -x), each scaled by
+    W^{1/2} of the left half-grid on both sides; each eigenvector u lifts to
+    [u; +-Ju] / sqrt(2), with parity +1 for E's modes and -1 for O's.  A
+    one-block kernel, with parity 0, is any other grid's or one built by
+    hand, and its K must be symmetric to 1e-10.  The spectra merge into one descending mu list.
     Eigenvalues of A below 1e-14 * mu_max are quadrature noise and are
     discarded.  Signs are fixed in one vectorized pass: phi_1 has
     sum w phi_1 >= 0, and every other phi_j has its first entry above
-    1e-10 max|phi_j| positive.
+    1e-10 max|phi_j| positive; the top half holds that entry.
     """
-    w = dk.grid.w
+    w, N, n = dk.grid.w, dk.grid.N, len(dk.blocks[0])
+    sw = np.sqrt(w[:n])
     blocks = []
-    for K, sign in dk.blocks:
-        sw = np.sqrt(w[:len(K)])
+    for K in dk.blocks:
         A = K * sw[:, None]
         A *= sw
         if not np.all(np.isfinite(A)):
             raise ValueError("symmetrized kernel has non-finite entries")
-        blocks.append((A, sign))
-    scale = max(max(np.max(np.abs(A)) for A, _ in blocks), 1e-300)
+        blocks.append(A)
+    scale = max(max(np.max(np.abs(A)) for A in blocks), 1e-300)
     # each block's spectrum descending, then one stable merge, which keeps a
     # single block in LAPACK's order
-    mus, psis, signs = [], [], []
-    for A, sign in blocks:
+    mus, psis = [], []
+    for A in blocks:
         # a J-symmetric K is symmetric if and only if both its blocks are
         asym = np.max(np.abs(A - A.T)) / scale
         if asym > 1e-10:
@@ -179,16 +179,14 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
         mu_b, psi_b = np.linalg.eigh(A)
         mus.append(mu_b[::-1])
         psis.append(psi_b[:, ::-1])
-        signs.append(np.full(len(mu_b), sign))
     del blocks, A
     mu = np.concatenate(mus)
     order = np.argsort(-mu, kind="stable")
     mu = mu[order]
     # mu descends, so the kept modes are a prefix, and a prefix of each block
     m = int(np.sum(mu > 1e-14 * mu[0]))
-    parity = np.concatenate(signs)[order][:m]
+    parity = np.repeat((1, -1) if len(dk.blocks) == 2 else (0,), n)[order][:m]
     # the column of phi that each block's modes go to; the blocks have equal size
-    N, n = dk.grid.N, len(psis[0])
     phi = np.empty((N, m))
     for cols, psi_b in zip(np.split(np.argsort(order), len(psis)), psis):
         cols = cols[cols < m]
@@ -198,9 +196,9 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     if n < N:
         np.multiply(phi[n - 1::-1], parity, out=phi[n:])
     phi /= (np.sqrt(w) * np.sqrt(N / n))[:, None]
-    # deterministic signs: the first significant entry of each column, and
-    # phi_1's weighted sum
-    a = np.abs(phi)
+    # deterministic signs from phi_1's weighted sum and each column's first
+    # significant entry; the bottom half mirrors the top half up to sign
+    a = np.abs(phi[:n])
     lead = phi[np.argmax(a > 1e-10 * a.max(axis=0), axis=0), np.arange(m)]
     lead[:1] = w @ phi[:, :1]
     phi *= np.where(lead < 0, -1.0, 1.0)

@@ -78,6 +78,6 @@ def full_matrix(dk):
     """The N x N matrix K of a DiscreteKernel: its one block, or from the parity
     blocks E and O, K11 = (E + O)/2 and K12 J = (E - O)/2."""
     if len(dk.blocks) == 1:
-        return dk.blocks[0][0]
-    (E, _), (O, _) = dk.blocks
+        return dk.blocks[0]
+    E, O = dk.blocks
     return mirror_matrix(0.5 * (E + O), 0.5 * (E - O))

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from nonlocal_eigen import cli, limits
+from nonlocal_eigen import cli, limits, verify
 from nonlocal_eigen.cli import main
 
 
@@ -74,10 +74,13 @@ def test_exit_codes(tmp_path, capsys):
     unsorted.write_text("1,0\n-1,2\n0,5\n")
     nan_table = tmp_path / "nan.csv"
     nan_table.write_text("-1,0\n0.5,nan\n1,0\n")
+    three_columns = tmp_path / "three.csv"
+    three_columns.write_text("-1,0,0\n1,0,0\n")
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     for argv, msg in ((["solve", "--lambda", "inf"], "lambda must be finite"),
                       (["solve", "--lambda", "nan"], "lambda must be finite"),
+                      (["solve", "--g", f"table:{three_columns}"], "two columns"),
                       (["solve", "--g", f"table:{tmp_path / 'missing.csv'}"], "cannot read"),
                       (["solve", "--g", f"table:{unsorted}"], "strictly increase"),
                       (["eigen", "--j-max", "-1"], "--j-max"),
@@ -91,6 +94,8 @@ def test_exit_codes(tmp_path, capsys):
                       (["solve", "--g", f"table:{nan_table}"], "non-finite values"),
                       (["solve", "--g", "delta_pow:"], "g profile 'delta_pow:'"),
                       (["solve", "--g", "eigmode:1.5"], "g profile 'eigmode:1.5'"),
+                      # the eigmode range is checked once the spectrum is built
+                      (["solve", "--g", "eigmode:999"], "eigmode index 999 out of range"),
                       (["eigen", "--out", str(blocker / "out")], "cannot write"),
                       (["verify", "--out", str(blocker / "out")], "cannot write"),
                       (["verify", "--seed", "-1"], "seed must be non-negative"),
@@ -154,6 +159,7 @@ def test_bad_request_rejected_before_assembly(tmp_path, monkeypatch, capsys):
                       # only eigmode data reads the spectrum, and only for its range
                       (["solve", "--g", "delta_pow:inf"], "delta_pow exponent must be finite"),
                       (["solve", "--h", "1,2,3"], "boundary value"),
+                      (["limit-s", "--h", "1,2,3"], "boundary value"),
                       (["sweep", "--g", f"table:{missing}"], "cannot read"),
                       (["solve", "--g", "eigmode:abc"], "g profile 'eigmode:abc'")):
         assert run_cli([argv[0], "--N", "32", "--out", str(tmp_path), *argv[1:]]) == 2, argv
@@ -212,15 +218,19 @@ def test_sweep_footer(tmp_path):
 
 
 def test_limit_s_b_column(tmp_path):
-    out = tmp_path / "o"
-    assert run_cli(["limit-s", "--op", "rfl", "--N", "48", "--g", "zero",
-                    "--h", "1", "--lambda", "0",
-                    "--s-list", "0.7,0.9", "--out", str(out)]) == 0
-    lines = (out / "ladder.csv").read_text().splitlines()
-    cols = lines[0].split(",")
-    for line in lines[1:]:
-        row = dict(zip(cols, map(float, line.split(","))))
-        assert row["b"] == pytest.approx(1.0 - row["s"])  # b = 1 - s for RFL
+    # an empty --s-list keeps the default ladder
+    for s_list, ladder in (("0.7,0.9", [0.7, 0.9]), ("", [0.7, 0.8, 0.9, 0.95, 0.99])):
+        out = tmp_path / f"o{len(ladder)}"
+        assert run_cli(["limit-s", "--op", "rfl", "--N", "48", "--g", "zero",
+                        "--h", "1", "--lambda", "0",
+                        "--s-list", s_list, "--out", str(out)]) == 0
+        assert json.loads((out / "ladder.json").read_text())["config"]["s_list"] == ladder
+        lines = (out / "ladder.csv").read_text().splitlines()
+        cols = lines[0].split(",")
+        assert [float(line.split(",")[0]) for line in lines[1:]] == ladder
+        for line in lines[1:]:
+            row = dict(zip(cols, map(float, line.split(","))))
+            assert row["b"] == pytest.approx(1.0 - row["s"])  # b = 1 - s for RFL
 
 
 def test_limit_s_checks_g_against_its_lowest_rung(tmp_path, capsys):
@@ -244,6 +254,30 @@ def test_limit_s_of_zero_data_exits_2(tmp_path, capsys):
     lines = (tmp_path / "one_end" / "ladder.csv").read_text().splitlines()
     row = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
     assert row["boundary_fit"] == pytest.approx(row["s"], abs=1e-2)
+
+
+def test_verify_subcommand_reports_each_check(tmp_path, monkeypatch, capsys):
+    # two cheap checks stand in for the suite; a Boggio kernel shifted by
+    # 1e-6 fails its closed form and stays symmetric
+    monkeypatch.setattr(verify.VerifySuite, "CHECKS",
+                        ["check_kernel_exactness", "check_kernel_symmetry"])
+    names = ["kernel_exactness", "kernel_symmetry"]
+
+    def report(out):
+        return json.loads((out / "verify.json").read_text())
+
+    assert run_cli(["verify", "--N", "16", "--out", str(tmp_path / "pass")]) == 0
+    assert report(tmp_path / "pass")["all_passed"] is True
+    assert [c["name"] for c in report(tmp_path / "pass")["checks"]] == names
+    green = verify.rfl_green_ball
+    monkeypatch.setattr(verify, "rfl_green_ball", lambda op, x, y: green(op, x, y) + 1e-6)
+    capsys.readouterr()
+    assert run_cli(["verify", "--N", "16", "--out", str(tmp_path / "fail")]) == 1
+    rep = report(tmp_path / "fail")
+    assert rep["all_passed"] is False
+    assert [(c["name"], c["passed"]) for c in rep["checks"]] == [(names[0], False), (names[1], True)]
+    stdout = capsys.readouterr().out
+    assert "FAIL kernel_exactness:" in stdout and "PASS kernel_symmetry:" in stdout
 
 
 def test_console_script_invocation(tmp_path):

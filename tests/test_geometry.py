@@ -106,6 +106,15 @@ def test_compact_mask():
         build_grid(dom, 8, 20.0).compact_mask()
 
 
+def _assert_ascending(grid):
+    """x nondecreasing and delta strictly monotone on each side: rising left
+    of 0, falling right of 0 and on the ball."""
+    assert np.all(np.diff(grid.x) >= 0)
+    left = grid.x < 0
+    assert np.all(np.diff(grid.delta[left]) > 0)
+    assert np.all(np.diff(grid.delta[~left]) < 0)
+
+
 def test_every_even_interval_grid_is_mirrored():
     # x, w and delta equal their mirrors bit for bit, so the parity split
     # applies on every even N; odd N and the ball are never mirrored
@@ -118,6 +127,18 @@ def test_every_even_interval_grid_is_mirrored():
         assert grid.mirrored, N
     assert not build_grid(dom, 129).mirrored
     assert not build_grid(make_domain("ball", 2, 1.0), 128).mirrored
+    # nodes are built in ascending order, also where grading 8 rounds two or
+    # more of them on each side to x = -+r (from N = 58 on, four at N = 256)
+    for N in (58, 255, 256):
+        grid = build_grid(dom, N, grading=8.0)
+        assert np.sum(grid.x == -1.0) >= 2 and np.sum(grid.x == 1.0) >= 2, N
+        assert grid.mirrored == (N % 2 == 0), N
+        _assert_ascending(grid)
+    for n in (2, 3):
+        for N, grading in ((64, 2.0), (256, 8.0)):
+            grid = build_grid(make_domain("ball", n, 1.0), N, grading=grading)
+            assert not grid.mirrored
+            _assert_ascending(grid)
 
 
 def test_every_grading_4_grid_builds():

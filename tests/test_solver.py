@@ -321,7 +321,7 @@ def test_requests_on_a_mirrored_grid_allocate_no_full_matrix():
     op = make_operator("sfl", 0.75, DOM, sfl_truncation=1024)
     sd = eigendecompose(assemble_green_matrix(op, grid))
     arrays = [v for v in vars(sd.dk).values() if isinstance(v, np.ndarray)]
-    arrays += [B for B, _ in sd.dk.blocks]
+    arrays += list(sd.dk.blocks)
     assert len(sd.dk.blocks) == 2 and all(a.shape != (N, N) for a in arrays)
     g, h = np.ones(N), (1.0, 2.0)
     solve_large(op, sd, lambda_context(sd, 3.0), g, h)     # fills the Martin cache

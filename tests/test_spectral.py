@@ -227,11 +227,11 @@ def test_nonsymmetric_kernel_rejected(N):
     # kernel reaches the block check, and in the one block at odd N the same
     grid = build_grid(DOM, N)
     dk = assemble_green_matrix(make_operator("rfl", 0.5, DOM), grid)
-    (K, sign), *rest = dk.blocks
+    K, *rest = dk.blocks
     x2 = grid.x[:len(K)] ** 2
     skewed = K + 1e-8 * np.max(K) * np.subtract.outer(x2, x2)
     with pytest.raises(ValueError, match="not symmetric"):
-        eigendecompose(dataclasses.replace(dk, blocks=((skewed, sign), *rest)))
+        eigendecompose(dataclasses.replace(dk, blocks=(skewed, *rest)))
 
 
 def test_nonfinite_kernel_rejected(sfl):
@@ -239,12 +239,12 @@ def test_nonfinite_kernel_rejected(sfl):
     K = full_matrix(dk)
     K[3, 5] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        eigendecompose(DiscreteKernel(op=dk.op, grid=dk.grid, blocks=((K, 0),)))
+        eigendecompose(DiscreteKernel(op=dk.op, grid=dk.grid, blocks=(K,)))
 
 
 def _one_block(dk):
     """The same matrix as one block, which eigendecompose diagonalizes whole."""
-    return eigendecompose(DiscreteKernel(op=dk.op, grid=dk.grid, blocks=((full_matrix(dk), 0),)))
+    return eigendecompose(DiscreteKernel(op=dk.op, grid=dk.grid, blocks=(full_matrix(dk),)))
 
 
 def _eigen_residual(sd):
@@ -321,7 +321,7 @@ def test_matrix_without_mirror_symmetry_takes_one_block():
     v = np.where(grid.x < 0, np.cos(grid.x), 0.0)
     K = full_matrix(dk)
     K = K + 1e-6 * np.max(K) * np.outer(v, v)
-    sd = eigendecompose(DiscreteKernel(op=dk.op, grid=grid, blocks=((K, 0),)))
+    sd = eigendecompose(DiscreteKernel(op=dk.op, grid=grid, blocks=(K,)))
     assert grid.mirrored
     _check_one_block(sd)
     sw = np.sqrt(grid.w)
