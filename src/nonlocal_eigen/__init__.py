@@ -6,7 +6,7 @@ Martin kernels and large boundary-blow-up solutions, the Fredholm
 alternative, maximum principle and the s -> 1 classical limit.
 """
 
-from .boundary import TraceReport, boundary_values, martin_apply, weighted_trace
+from .boundary import boundary_values, martin_apply, weighted_trace
 from .discretize import (
     DiscreteKernel,
     GridFunction,

@@ -14,8 +14,6 @@ lim delta^{1-s} M(1) = 1 / B(delta^{s-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .discretize import GridFunction, one_function
@@ -63,12 +61,6 @@ def martin_apply(op: OperatorSpec, grid: QuadGrid, h) -> GridFunction:
     return GridFunction(grid, np.einsum("j,ji->i", boundary_values(op, h), martin_basis(op, grid)))
 
 
-@dataclass(frozen=True)
-class TraceReport:
-    value: float
-    error: float
-
-
 def _neville_at_zero(d: np.ndarray, v: np.ndarray) -> float:
     t = v.astype(float).copy()
     for k in range(1, len(d)):
@@ -77,25 +69,17 @@ def _neville_at_zero(d: np.ndarray, v: np.ndarray) -> float:
     return float(t[0])
 
 
-def _extrapolate_to_zero(d: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Neville polynomial extrapolation of v(d) to d = 0.
-
-    The error estimate compares against the extrapolation without the
-    farthest node.
-    """
-    full = _neville_at_zero(d, v)
-    reduced = _neville_at_zero(d[:-1], v[:-1])
-    return full, abs(full - reduced)
-
-
-def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid) -> TraceReport:
+def weighted_trace(op: OperatorSpec, u, z: float, grid: QuadGrid) -> float:
     """Weighted boundary trace at z: u / M(1) at ``grid.boundary_nodes(z)``,
-    extrapolated along the grid."""
+    Neville-extrapolated to delta = 0 along the grid.  Raises ValueError when
+    the extrapolation without the farthest node differs from it by more than
+    ten times its value."""
     v = one_function(u, grid, "u")
     order = grid.boundary_nodes(z)
     d = grid.delta[order]
-    m1 = martin_apply(op, grid, 1.0).values
-    value, err = _extrapolate_to_zero(d, v[order] / m1[order])
+    q = v[order] / martin_apply(op, grid, 1.0).values[order]
+    value = _neville_at_zero(d, q)
+    err = abs(value - _neville_at_zero(d[:-1], q[:-1]))
     if not np.isfinite(value) or (abs(value) > 0 and err > 10 * abs(value)):
         raise ValueError("trace extrapolation did not converge")
-    return TraceReport(value=value, error=err)
+    return value

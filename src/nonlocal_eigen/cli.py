@@ -32,10 +32,6 @@ from .verify import run_verification
 EXIT_OK, EXIT_VERIFY, EXIT_CONFIG, EXIT_NUMERIC, EXIT_SINGULAR = 0, 1, 2, 3, 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 _GRID = ("eigen", "solve", "sweep", "limit-s")
 _DATA = ("solve", "sweep", "limit-s")
 
@@ -126,36 +122,36 @@ def resolve_g(spec: str, grid, sd, op):
     try:
         value = {"delta_pow": float, "eigmode": int}.get(name, str)(arg)
     except ValueError:
-        raise ConfigError(f"cannot parse the argument {arg!r} of g profile {spec!r}") from None
+        raise ValueError(f"cannot parse the argument {arg!r} of g profile {spec!r}") from None
     if name == "zero":
         return np.zeros(grid.N)
     if name == "one":
         return np.ones(grid.N)
     if name == "delta_pow":
         if not np.isfinite(value):
-            raise ConfigError(f"delta_pow exponent must be finite, got {arg!r}")
+            raise ValueError(f"delta_pow exponent must be finite, got {arg!r}")
         if value <= -1.0 - op.gamma:
-            raise ConfigError(f"delta_pow exponent {value} outside the admissible range")
+            raise ValueError(f"delta_pow exponent {value} outside the admissible range")
         return grid.delta**value
     if name == "eigmode":
         if sd is None:
             return None
         if not 1 <= value <= sd.m:
-            raise ConfigError(f"eigmode index {value} out of range 1..{sd.m}")
+            raise ValueError(f"eigmode index {value} out of range 1..{sd.m}")
         return sd.phi[:, value - 1].copy()
     if name == "table":
         try:
             data = np.loadtxt(arg, delimiter=",", ndmin=2)
         except OSError as exc:
-            raise ConfigError(f"cannot read g table {arg!r}: {exc}") from exc
+            raise ValueError(f"cannot read g table {arg!r}: {exc}") from exc
         if data.shape[1] != 2:
-            raise ConfigError("custom table must have two columns: x, value")
+            raise ValueError("custom table must have two columns: x, value")
         if not np.all(np.isfinite(data)):
-            raise ConfigError(f"custom table {arg!r} has non-finite values")
+            raise ValueError(f"custom table {arg!r} has non-finite values")
         if not np.all(np.diff(data[:, 0]) > 0):
-            raise ConfigError("custom table's x column must strictly increase")
+            raise ValueError("custom table's x column must strictly increase")
         return np.interp(grid.x, data[:, 0], data[:, 1])
-    raise ConfigError(f"unknown g profile {spec!r}")
+    raise ValueError(f"unknown g profile {spec!r}")
 
 
 def _grid(cfg: RunConfig):
@@ -163,7 +159,7 @@ def _grid(cfg: RunConfig):
     message, before any assembly."""
     for lam in (cfg.lam, *cfg.lam_list):
         if not np.isfinite(lam):
-            raise ConfigError(f"lambda must be finite, got {lam}")
+            raise ValueError(f"lambda must be finite, got {lam}")
     return build_grid(make_domain(cfg.domain, cfg.n, cfg.r), cfg.N, cfg.grade)
 
 
@@ -181,7 +177,7 @@ def _spectrum(cfg: RunConfig):
 
 def cmd_eigen(cfg: RunConfig) -> int:
     if cfg.j_max < 1:
-        raise ConfigError(f"--j-max must be at least 1, got {cfg.j_max}")
+        raise ValueError(f"--j-max must be at least 1, got {cfg.j_max}")
     sd, _ = _spectrum(cfg)
     j_max = min(cfg.j_max, sd.m)
     rows = [[j + 1, sd.lam[j], *sd.phi[:, j]] for j in range(j_max)]
@@ -241,7 +237,7 @@ def cmd_limit_s(cfg: RunConfig) -> int:
     else:
         g = resolve_g(cfg.g, grid, None, lowest)
         if g is None:
-            raise ConfigError("eigmode data needs a spectrum; limit-s computes none")
+            raise ValueError("eigmode data needs a spectrum; limit-s computes none")
         rep = resolvent_convergence_s(cfg.op, cfg.s_list, cfg.lam, g, grid, cfg.M)
     rows = rep.rows()
     header = list(rows[0].keys())

@@ -54,6 +54,9 @@ class OperatorSpec:
     sfl_truncation: int = SFL_TRUNCATION
 
     def __post_init__(self):
+        if self.kind is not OperatorKind.SFL:
+            # only the SFL reads its truncation, so no other operator compares by it
+            object.__setattr__(self, "sfl_truncation", SFL_TRUNCATION)
         if self.kind is OperatorKind.RFL:
             if not 0.0 < self.s < 1.0:
                 raise ValueError(f"RFL requires s in (0,1), got {self.s}")

@@ -46,13 +46,6 @@ class CheckResult:
     to_dict = asdict
 
 
-def _resolvents(sd, lams, f) -> np.ndarray:
-    """G_lambda f at each of the regular lambdas, one column each, from one
-    coefficient pass and one synthesis."""
-    lams = np.array([lambda_context(sd, lam).lam for lam in lams])
-    return sd.synth(sd.coeffs(f)[:, None] / (sd.lam[:, None] - lams)).values
-
-
 def _res(measured, tol, detail="", cmp="lt"):
     return (measured < tol if cmp == "lt" else measured <= tol), measured, tol, detail
 
@@ -252,9 +245,8 @@ class VerifySuite:
         # orthogonal to the lowest three groups so no single near-lambda_1
         # denominator dominates the ladder (f remains orthogonal to phi_1)
         f = project_perp(sd, 3, f).values
-        u = _resolvents(sd, [frac * sd.lam[0] for frac in (0.5, 0.9, 0.99, 0.999)], f)
-        up = project_perp(sd, 1, u).values
-        norms = weighted_norm(up, self.grid, sd.dk.op.gamma)
+        lams = [frac * sd.lam[0] for frac in (0.5, 0.9, 0.99, 0.999)]
+        norms = solver_mod.sweep_lambda(sd.dk.op, sd, f, None, 1, lams).uperp_L1_dgamma
         ratio = max(norms) / min(norms)
         return _res(ratio, 1.1, cmp="le",
                     detail="||u_perp delta^gamma||_L1 max/min over the lambda ladder")
@@ -265,15 +257,12 @@ class VerifySuite:
         return solver_mod.sweep_lambda(self.sfl_sd.dk.op, self.sfl_sd, None, (1.0, 1.0), 1)
 
     def check_fredholm_blowup_rate(self):
-        sd = self.sfl_sd
-        lam1 = sd.lam[0]
-        lam = 0.999 * lam1
-        ctx = lambda_context(sd, lam)
-        rep = solver_mod.solve_large(sd.dk.op, sd, ctx, None, (1.0, 1.0))
-        v_h = rep.v_h.values
-        proj = abs(np.sum(self.grid.w * rep.v_total.values * sd.phi[:, 0]))
+        # rung 1 of the default ladder, SWEEP_OFFSETS[1] = 1e-3 below lambda_1
+        sw, sd = self._sweep, self.sfl_sd
+        lam1, lam = sd.lam[0], sw.lam_list[1]
+        v_h = sw.reports[1].v_h.values
         target = abs(lam1 * np.sum(self.grid.w * v_h * sd.phi[:, 0]))
-        rel = abs(proj * (lam1 - lam) - target) / target
+        rel = abs(abs(sw.proj_i[1]) * (lam1 - lam) - target) / target
         return _res(rel, 1e-3,
                     "|<v, phi_1>| (lambda_1 - lambda) vs lambda_1 <v_h, phi_1> "
                     "at lambda = 0.999 lambda_1")
@@ -295,7 +284,9 @@ class VerifySuite:
         g = rng.uniform(0.5, 1.5, self.grid.N)
         gp = project_perp(sd, 1, g)
         ref = apply_Glambda_perp(sd, 1, sd.lam[0], gp).values
-        v = _resolvents(sd, [sd.lam[0] * (1.0 + sign * 1e-4) for sign in (-1.0, 1.0)], gp)
+        lams = [sd.lam[0] * (1.0 + sign * 1e-4) for sign in (-1.0, 1.0)]
+        sw = solver_mod.sweep_lambda(sd.dk.op, sd, gp, None, 1, lams)
+        v = np.stack([rep.v_total.values for rep in sw.reports], axis=1)
         dists = weighted_norm(v - ref[:, None], self.grid, sd.dk.op.gamma)
         return _res(max(dists), 1e-4,
                     f"L1(delta^gamma) distance to the limit from below/above: "
@@ -345,10 +336,8 @@ class VerifySuite:
         op = make_operator("rfl", 0.75, self.dom)
         h = (2.0, 5.0)
         vh = martin_apply(op, grid, h)
-        errs = []
-        for z, hz in zip((-self.dom.r, self.dom.r), h):
-            tr = weighted_trace(op, vh, z, grid)
-            errs.append(abs(tr.value - hz) / abs(hz))
+        errs = [abs(weighted_trace(op, vh, z, grid) - hz) / abs(hz)
+                for z, hz in zip((-self.dom.r, self.dom.r), h)]
         return _res(max(errs), 1e-3,
                     f"B(M((2,5))) at both endpoints, N = {2 * self.N}")
 
@@ -356,7 +345,7 @@ class VerifySuite:
         # lim delta^{1-s} M(1) = 1 / B(delta^{s-1}), against its closed form
         op = make_operator("rfl", 0.75, self.dom)
         s, r = op.s, self.dom.r
-        measured = 1.0 / weighted_trace(op, self.grid.delta ** (s - 1), r, self.grid).value
+        measured = 1.0 / weighted_trace(op, self.grid.delta ** (s - 1), r, self.grid)
         oracle = 1.0 / (s * gamma_fn(s) ** 2 * r)
         return _res(abs(measured - oracle) / oracle, 1e-8,
                     f"lim delta^(1-s) M(1) = {measured!r} vs kernel candidate "

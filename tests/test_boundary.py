@@ -153,16 +153,15 @@ def test_trace_recovers_boundary_data():
     grid = build_grid(DOM, 256, grading=2.0)
     op = make_operator("rfl", 0.75, DOM)
     vh = martin_apply(op, grid, (2.0, 5.0))
-    assert weighted_trace(op, vh, -1.0, grid).value == pytest.approx(2.0, rel=1e-6)
-    assert weighted_trace(op, vh, 1.0, grid).value == pytest.approx(5.0, rel=1e-6)
+    assert weighted_trace(op, vh, -1.0, grid) == pytest.approx(2.0, rel=1e-6)
+    assert weighted_trace(op, vh, 1.0, grid) == pytest.approx(5.0, rel=1e-6)
 
 
 def test_trace_of_bounded_function_vanishes(grid):
     op = make_operator("rfl", 0.75, DOM)
     dk = assemble_green_matrix(op, grid)
     u = apply_G0(dk, np.ones(grid.N))
-    tr = weighted_trace(op, u, 1.0, grid)
-    assert abs(tr.value) < 1e-8
+    assert abs(weighted_trace(op, u, 1.0, grid)) < 1e-8
 
 
 def test_martin_constant_is_the_reciprocal_trace(grid):
@@ -170,7 +169,17 @@ def test_martin_constant_is_the_reciprocal_trace(grid):
     op = make_operator("rfl", 0.75, DOM)
     s = op.s
     tr = weighted_trace(op, grid.delta ** (s - 1), 1.0, grid)
-    assert 1.0 / tr.value == pytest.approx(1.0 / (s * gamma(s) ** 2), rel=1e-6)
+    assert 1.0 / tr == pytest.approx(1.0 / (s * gamma(s) ** 2), rel=1e-6)
+
+
+def test_trace_that_does_not_converge_raises():
+    # u / M(1) = 1e-3 + 1e16 delta^4: the extrapolations through the five and
+    # the four nearest nodes disagree by more than ten times the trace
+    grid = build_grid(DOM, 64, grading=2.0)
+    op = make_operator("rfl", 0.75, DOM)
+    u = martin_apply(op, grid, 1.0).values * (1e-3 + 1e16 * grid.delta ** 4)
+    with pytest.raises(ValueError, match="did not converge"):
+        weighted_trace(op, u, 1.0, grid)
 
 
 @pytest.mark.parametrize("dom,h", [(DOM, (2.0, 5.0)), (make_domain("ball", 3, 1.0), 5.0)])

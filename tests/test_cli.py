@@ -49,6 +49,18 @@ def test_csv_format(tmp_path):
     assert repr(x0) in lines[1] or f"{x0:.17g}" in lines[1]
 
 
+def test_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    # the rename is the last step of an atomic write; when it fails the
+    # temp file goes, the target is not written and the error propagates
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        cli.write_json(str(tmp_path / "out.json"), {"a": 1})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_maximum_principle_profile(tmp_path):
     out = tmp_path / "o"
     code = run_cli(["solve", "--op", "sfl", "--N", "64", "--M", "64",
@@ -84,6 +96,7 @@ def test_exit_codes(tmp_path, capsys):
                       (["solve", "--g", f"table:{tmp_path / 'missing.csv'}"], "cannot read"),
                       (["solve", "--g", f"table:{unsorted}"], "strictly increase"),
                       (["eigen", "--j-max", "-1"], "--j-max"),
+                      (["eigen", "--op", "sfl", "--M", "0"], "SFL truncation must be positive"),
                       (["eigen", "--grade", "inf"], "grading exponent"),
                       (["eigen", "--grade", "nan"], "grading exponent"),
                       (["eigen", "--r", "nan"], "radius"),

@@ -76,7 +76,7 @@ def test_as_values_rejects_other_grid_of_same_size(grid):
     np.testing.assert_array_equal(as_values(GridFunction(twin, np.ones(grid.N)), grid), 1.0)
 
 
-def test_as_values_accepts_callable_and_array(grid):
+def test_as_values_accepts_arrays_and_rejects_other_shapes(grid):
     np.testing.assert_allclose(as_values(np.ones(grid.N), grid), 1.0)
     assert as_values(np.ones((grid.N, 2)), grid).shape == (grid.N, 2)
     for bad in (np.ones(5), np.ones((5, grid.N)), np.ones((grid.N, 1, 1))):

@@ -80,6 +80,9 @@ def test_polylog_unit_circle_raises_when_unconverged():
     # near |alpha| = 2 pi the series is still far off at order 80
     with pytest.raises(RuntimeError, match="did not converge"):
         polylog_unit_circle(0.5, 6.2)
+    for alpha in (0.0, 2 * pi):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2 pi\)"):
+            polylog_unit_circle(0.5, alpha)
 
 
 def test_operator_validation():
@@ -131,6 +134,8 @@ def test_rfl_green_on_the_diagonal_is_a_numerical_fault():
         rfl_green_ball(op, 0.3, np.array([0.1, 0.3]))
     with pytest.raises(ValueError, match="outside"):
         rfl_green_ball(op, 0.3, 1.5)
+    with pytest.raises(ValueError, match="requires an RFL operator"):
+        rfl_green_ball(make_operator("sfl", 0.75, INTERVAL), 0.3, 0.1)
 
 
 def test_rfl_green_vanishes_at_boundary():
@@ -232,8 +237,12 @@ def test_dispatchers():
 def test_martin_kernel_rejects_an_interior_z(kind, s, n):
     dom = make_domain("interval" if n == 1 else "ball", n, 1.0)
     z = 0.5 if n == 1 else np.array([0.5, 0.0, 0.0])
+    op = make_operator(kind, s, dom)
     with pytest.raises(ValueError, match="boundary point"):
-        martin_kernel(make_operator(kind, s, dom), z, 0.0 * z)
+        martin_kernel(op, z, 0.0 * z)
+    # the boundary point 2 z, and y = z
+    with pytest.raises(ValueError, match="requested at y = z"):
+        martin_kernel(op, 2 * z, 2 * z)
 
 
 def test_k1_bounds_sane():

@@ -82,6 +82,10 @@ def test_fredholm_diagnose_blowup_and_degenerate(setup):
     # g = phi_2, no boundary data: degenerate at the first eigenvalue
     rep2 = fredholm_diagnose(sd, op, sd.phi[:, 1], None, 1)
     assert rep2.degenerate
+    # a degenerate sweep has no K cap A+, so no sup over it and no fitted rate
+    sw = sweep_lambda(op, sd, sd.phi[:, 1], None, 1)
+    assert np.all(np.isnan(sw.sup_K_Aplus))
+    assert np.isnan(sw.fitted_constant) and np.isnan(sw.fitted_spread)
     with pytest.raises(ValueError):
         fredholm_diagnose(sd, op, None, 1.0, 0)
 
@@ -311,6 +315,17 @@ def test_operator_of_another_spectrum_is_rejected(setup, other):
                  lambda: fredholm_diagnose(sd, other, None, 1.0, 1)):
         with pytest.raises(ValueError, match="not the operator of the spectrum"):
             call()
+
+
+def test_an_unread_truncation_does_not_set_operators_apart():
+    # only the SFL reads sfl_truncation; an RFL operator given another one is
+    # the operator of an RFL spectrum built with the default
+    grid = build_grid(DOM, 64, grading=2.0)
+    op = make_operator("rfl", 0.75, DOM)
+    sd = eigendecompose(assemble_green_matrix(op, grid))
+    other = make_operator("rfl", 0.75, DOM, 64)
+    assert other == op
+    solve_large(other, sd, lambda_context(sd, 1.0), None, 1.0)
 
 
 def test_requests_on_a_mirrored_grid_allocate_no_full_matrix():

@@ -62,6 +62,9 @@ def test_lambda_context_regular_and_singular(sfl):
     assert ctx.I == 1
     with pytest.raises(SpectralHit):
         lambda_context(sd, sd.lam[2])
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            lambda_context(sd, lam)
     assert sd.group(3)[-1] + 1 == 3
     with pytest.raises(ValueError):
         sd.group(0)
