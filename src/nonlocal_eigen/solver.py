@@ -53,7 +53,8 @@ def _data(op: OperatorSpec, sd: SpectralData, g, h):
 
     g + lambda v_h then has the coefficients c_g + lambda c_h.  v_h and c_h
     lift the validated h by the Martin basis and its coefficients C_M, both
-    cached on the spectrum, so only g takes a pass over phi, and zero g none.
+    cached on the spectrum, so only g takes a pass over phi, and zero g or a
+    g this spectrum has seen none (``SpectralData.coeffs`` keeps c_g).
     op must be the operator of the spectrum sd; g is one function.
     """
     if op != sd.dk.op:
@@ -113,7 +114,8 @@ def solve_large(op: OperatorSpec, sd: SpectralData, ctx: LambdaContext,
 
     h None is the Dirichlet solve v = G_lambda(g), decomposed over E/E-perp.
     op must be sd's operator and ctx a context of sd.  The coefficients of
-    g + lambda v_h take one single-column pass over phi, and none for zero g.
+    g + lambda v_h take one single-column pass over phi, and none for zero g
+    or for a g this spectrum has seen.
     """
     if ctx.sd is not sd:
         raise ValueError("the lambda context belongs to another spectrum")
@@ -143,7 +145,8 @@ def fredholm_diagnose(sd: SpectralData, op: OperatorSpec, g, h, i: int) -> Fredh
     i is 1-based.  The sign sets A+ and A- hold the nodes where the
     projection lies above eps or below -eps, with eps = 1e-3 times its
     sup, which keeps them nonempty in the blow-up case.  The projection
-    takes one single-column pass over phi, for g, and none for zero g.
+    takes one single-column pass over phi, for g, and none for zero g or
+    for a g this spectrum has seen.
     """
     return _fredholm(sd, _data(op, sd, g, h), i)
 
@@ -193,8 +196,9 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     None is the ladder lambda_i (1 - SWEEP_OFFSETS); a lambda on the
     spectrum raises SpectralHit.  <g + lambda v_h, phi_j> is c_g + lambda c_h,
     so the Fredholm projection and every rung come from one single-column
-    pass for g (none for zero g), and the whole ladder is solved as one
-    block; proj_i and sup_K_Aplus are one product and one reduction of it.
+    pass for g (none for zero g or for a g this spectrum has seen), and the
+    whole ladder is solved as one block; proj_i and sup_K_Aplus are one
+    product and one reduction of it.
     """
     grid = sd.grid
     data = _data(op, sd, g, h)

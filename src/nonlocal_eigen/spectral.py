@@ -10,8 +10,10 @@ odd modes; each mode carries its parity, and the coefficient and
 synthesis products run on the half grid.  Every product takes one
 function or a block of them, one per column, in one pass over phi.
 The coefficients of the Martin basis are taken once per spectrum, so
-those of boundary data M(h) need no pass.  All solve/project operations
-act through the retained eigenpairs, so the resolvent formula
+those of boundary data M(h) need no pass, and a spectrum keeps those of
+each single function it has been asked for, so a function it has seen
+needs none either.  All solve/project operations act through the
+retained eigenpairs, so the resolvent formula
 u = sum <f, phi_j> phi_j / (lambda_j - lambda) is exact in the discrete
 model.
 """
@@ -38,6 +40,9 @@ from .geometry import QuadGrid
 # relative distance that puts lambda on the spectrum and joins eigenvalues into a group
 TAU_MULT = 1e-6
 
+# single functions whose coefficients a spectrum keeps; the oldest goes first
+COEFF_MEMO_SIZE = 32
+
 
 class SpectralHit(ValueError):
     """A spectral parameter lambda lies within TAU_MULT of the discrete spectrum."""
@@ -52,6 +57,8 @@ class SpectralData:
     phi: np.ndarray          # (N, m); column j holds phi_j at the nodes
     n_discarded: int
     parity: np.ndarray       # (m,); +1 even, -1 odd under x -> -x, 0 where not split
+    # read-only coefficients of single functions, keyed by their node values' bytes
+    _coeff_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> QuadGrid:
@@ -65,6 +72,12 @@ class SpectralData:
         """Weighted spectral coefficients <f, phi_j>_W, shape (m,) for one
         function and (m, T) for a block of T columns, in one pass over phi.
 
+        One function's coefficients are kept, read-only, keyed by its exact
+        float64 node values, so a function this spectrum has seen takes no
+        pass; a content key also catches a fresh array of the same values and
+        an array changed in place.  At most COEFF_MEMO_SIZE are kept, the
+        oldest evicted first; a block is never kept.
+
         The block is multiplied as rows, one per function, as in
         ``apply_G0``.  With two parity blocks, phi's bottom half is the mirror
         image of its top half times the parity, so each mode pairs the top half
@@ -72,6 +85,10 @@ class SpectralData:
         against the even parts of every function and their odd parts.
         """
         v = as_values(f, self.grid)
+        memo = self._coeff_memo
+        key = v.tobytes() if v.ndim == 1 else None
+        if key in memo:
+            return memo[key]
         y = self.grid.w * np.atleast_2d(v.T)
         if len(self.dk.blocks) == 2:
             n, T = self.grid.N // 2, len(y)
@@ -80,7 +97,13 @@ class SpectralData:
             c = np.where(self.parity > 0, c[:T], c[T:])
         else:
             c = y @ self.phi
-        return c.T.reshape(c.shape[1:] + v.shape[1:])
+        c = c.T.reshape(c.shape[1:] + v.shape[1:])
+        if key is not None:
+            c.setflags(write=False)
+            if len(memo) >= COEFF_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = c
+        return c
 
     def synth(self, c: np.ndarray, modes=slice(None)) -> GridFunction:
         """sum_j c_j phi_j over the selected modes (all by default), for

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from phi_products import counted_spectrum
 
 from nonlocal_eigen import solver
 from nonlocal_eigen.boundary import martin_apply, weighted_trace
@@ -18,7 +19,6 @@ from nonlocal_eigen.solver import (
     sweep_lambda,
 )
 from nonlocal_eigen.spectral import (
-    SpectralData,
     apply_Glambda,
     apply_Glambda_neumann,
     apply_Glambda_perp,
@@ -136,48 +136,76 @@ def test_sweep_rungs_are_the_solves_at_their_lambdas(setup, offsets):
         assert rep.green_residual <= 1e-12 * np.sqrt(np.sum(grid.w * u * u))
 
 
-def _count_passes(monkeypatch):
-    """Count apply_G0 in the solver and coefficient passes over phi; the
-    Martin coefficients must be cached before counting starts."""
-    calls = {"apply_G0": 0, "coeffs": 0}
+def _count_apply_G0(monkeypatch):
+    """Count apply_G0 in the solver."""
+    calls = [0]
+    apply_G0 = solver.apply_G0
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        calls[0] += 1
+        return apply_G0(*args)
 
-    monkeypatch.setattr(solver, "apply_G0", counted("apply_G0", solver.apply_G0))
-    monkeypatch.setattr(SpectralData, "coeffs", counted("coeffs", SpectralData.coeffs))
+    monkeypatch.setattr(solver, "apply_G0", counted)
     return calls
+
+
+def _fresh_spectrum(setup):
+    """A spectrum of the setup kernel of its own, so no case sees another's
+    data, with its Martin coefficients taken, and the list of coefficient
+    passes over its phi from then on."""
+    sd, passes = counted_spectrum(setup[3])
+    sd.martin_coeffs
+    passes.clear()
+    return sd, passes
+
+
+DATA = {"one": np.ones, "zero": np.zeros, None: lambda N: None}
 
 
 def test_default_sweep_takes_one_block_product(setup, monkeypatch):
     # one K product for the whole ladder, and one coefficient pass, for g:
     # v_h's coefficients come from the spectrum's cached Martin coefficients
-    # and the Fredholm projection from c_g + lambda_i c_h; zero g takes none
-    op, grid, dk, sd = setup
-    sd.martin_coeffs
-    calls = _count_passes(monkeypatch)
-    for g, passes in ((np.ones(grid.N), 1), (np.zeros(grid.N), 0), (None, 0)):
-        calls.update(apply_G0=0, coeffs=0)
-        sw = sweep_lambda(op, sd, g, (1.0, 2.0), 2)
-        assert len(sw.reports) == len(solver.SWEEP_OFFSETS)
-        assert calls == {"apply_G0": 1, "coeffs": passes}
+    # and the Fredholm projection from c_g + lambda_i c_h; zero g takes none,
+    # and so does a g that the spectrum has seen, in a fresh array
+    op, grid, dk, _ = setup
+    calls = _count_apply_G0(monkeypatch)
+    for g in DATA:
+        sd, passes = _fresh_spectrum(setup)
+        for repeat in (False, True):
+            calls[0] = 0
+            sw = sweep_lambda(op, sd, DATA[g](grid.N), (1.0, 2.0), 2)
+            assert len(sw.reports) == len(solver.SWEEP_OFFSETS)
+            assert calls[0] == 1
+            assert len(passes) == (1 if g == "one" else 0), (g, repeat)
 
 
-@pytest.mark.parametrize("g", ["one", "zero", None])
+@pytest.mark.parametrize("g", list(DATA))
 def test_fredholm_and_solve_take_a_pass_for_g_only(setup, monkeypatch, g):
-    # fredholm_diagnose makes no K product and, with zero g, no coefficient pass
-    op, grid, dk, sd = setup
-    sd.martin_coeffs
+    # fredholm_diagnose makes no K product and takes a coefficient pass for
+    # nonzero g only; the solve that follows reads the spectrum's c_g
+    op, grid, dk, _ = setup
+    sd, passes = _fresh_spectrum(setup)
     ctx = lambda_context(sd, 3.0)
-    calls = _count_passes(monkeypatch)
-    gv = {"one": np.ones(grid.N), "zero": np.zeros(grid.N), None: None}[g]
-    fredholm_diagnose(sd, op, gv, (1.0, 2.0), 2)
-    assert calls == {"apply_G0": 0, "coeffs": 1 if g == "one" else 0}
-    solve_large(op, sd, ctx, gv, (1.0, 2.0))
-    assert calls == {"apply_G0": 1, "coeffs": 2 if g == "one" else 0}
+    calls = _count_apply_G0(monkeypatch)
+    fredholm_diagnose(sd, op, DATA[g](grid.N), (1.0, 2.0), 2)
+    assert calls[0] == 0 and len(passes) == (1 if g == "one" else 0)
+    solve_large(op, sd, ctx, DATA[g](grid.N), (1.0, 2.0))
+    assert calls[0] == 1 and len(passes) == (1 if g == "one" else 0)
+
+
+def test_a_repeated_solve_takes_no_coefficient_pass(setup, monkeypatch):
+    # the second request with the same g, in a fresh array as the CLI builds
+    # it, reads phi only to synthesize, and returns the same numbers
+    op, grid, dk, _ = setup
+    sd, passes = _fresh_spectrum(setup)
+    ctx = lambda_context(sd, 3.0)
+    calls = _count_apply_G0(monkeypatch)
+    first = solve_large(op, sd, ctx, np.cos(grid.x), (1.0, 2.0))
+    assert calls[0] == 1 and len(passes) == 1
+    again = solve_large(op, sd, ctx, np.cos(grid.x), (1.0, 2.0))
+    assert calls[0] == 2 and len(passes) == 1
+    assert np.array_equal(again.v_total.values, first.v_total.values)
+    assert again.green_residual == first.green_residual
 
 
 @pytest.mark.parametrize("kind,s,domain,N,kw,hs", [

@@ -4,11 +4,13 @@ from math import pi
 import numpy as np
 import pytest
 from kernel_oracles import full_matrix
+from phi_products import counted_spectrum
 
 from nonlocal_eigen.discretize import DiscreteKernel, apply_G0, assemble_green_matrix
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import make_operator
 from nonlocal_eigen.spectral import (
+    COEFF_MEMO_SIZE,
     SpectralData,
     SpectralHit,
     apply_Glambda,
@@ -182,6 +184,72 @@ def test_block_products_are_the_column_products(kind, s, domain, N, kw):
     for modes in (slice(None), slice(7), slice(7, None), np.array([9, 2, 4])):
         C = rng.standard_normal((len(np.arange(sd.m)[modes]), 5))
         columns_agree(lambda c: sd.synth(c, modes).values, C)
+
+
+MEMO_CASES = [("sfl", 0.75, DOM, 96, {"sfl_truncation": 256}),    # mirrored
+              ("rfl", 0.6, DOM, 95, {}),                               # odd N
+              ("rfl", 0.75, make_domain("ball", 3, 1.0), 24, {})]      # 3-ball
+
+
+@pytest.mark.parametrize("kind,s,domain,N,kw", MEMO_CASES)
+def test_a_seen_function_takes_no_pass(kind, s, domain, N, kw):
+    # a function's coefficients are kept by its node values: a fresh array of
+    # the same values takes no pass and reads what a fresh spectrum's pass gives
+    grid = build_grid(domain, N)
+    dk = assemble_green_matrix(make_operator(kind, s, domain, **kw), grid)
+    sd, passes = counted_spectrum(eigendecompose(dk))
+    g = np.random.default_rng(7).uniform(-1.0, 1.0, N)
+    first = sd.coeffs(g)
+    again = sd.coeffs(g.copy())
+    assert len(passes) == 1
+    assert np.array_equal(again, eigendecompose(dk).coeffs(g))
+    assert np.array_equal(first, again)
+    for c in (first, again):
+        assert not c.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 0.0
+    # a block takes its pass each time, is writable, and leaves its columns unseen
+    B = np.random.default_rng(8).uniform(-1.0, 1.0, (N, 3))
+    for _ in range(2):
+        assert sd.coeffs(B).flags.writeable
+    assert len(passes) == 3
+    sd.coeffs(B[:, 0])
+    assert len(passes) == 4
+
+
+def test_a_function_changed_in_place_takes_a_fresh_pass(sfl):
+    _, dk, sd0 = sfl
+    sd, passes = counted_spectrum(sd0)
+    g = np.cos(dk.grid.x)
+    old = sd.coeffs(g).copy()
+    g[3] += 1.0
+    new = sd.coeffs(g)
+    assert len(passes) == 2
+    assert np.array_equal(new, dataclasses.replace(sd0).coeffs(g)) and not np.array_equal(new, old)
+
+
+def test_the_oldest_function_is_evicted_first(sfl):
+    _, dk, sd0 = sfl
+    sd, passes = counted_spectrum(sd0)
+    F = np.random.default_rng(9).standard_normal((COEFF_MEMO_SIZE + 1, dk.grid.N))
+    for f in F:
+        sd.coeffs(f)
+    assert len(passes) == COEFF_MEMO_SIZE + 1
+    for f in F[1:]:
+        sd.coeffs(f)
+    assert len(passes) == COEFF_MEMO_SIZE + 1
+    sd.coeffs(F[0])
+    assert len(passes) == COEFF_MEMO_SIZE + 2
+
+
+def test_two_spectra_share_no_coefficients(sfl):
+    _, dk, sd0 = sfl
+    (a, passes_a), (b, passes_b) = counted_spectrum(sd0), counted_spectrum(sd0)
+    g = np.sin(dk.grid.x)
+    a.coeffs(g)
+    a.coeffs(g)
+    b.coeffs(g)
+    assert len(passes_a) == 1 and len(passes_b) == 1
 
 
 def _decompose(kind, s, N, grading, **kw):
