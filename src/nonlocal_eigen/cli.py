@@ -212,6 +212,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    # the upper end of the group range needs the spectrum, which sd.group checks
+    if cfg.group < 1:
+        raise ValueError(f"--group must be at least 1, got {cfg.group}")
     sd, g = _spectrum(cfg)
     sw = solver_mod.sweep_lambda(sd.dk.op, sd, g, cfg.h, cfg.group, cfg.lam_list or None)
     path = os.path.join(cfg.out, "sweep.csv")

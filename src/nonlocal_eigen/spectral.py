@@ -175,34 +175,32 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     W^{1/2} of the left half-grid on both sides; each eigenvector u lifts to
     [u; +-Ju] / sqrt(2), with parity +1 for E's modes and -1 for O's.  A
     one-block kernel, with parity 0, is any other grid's or one built by
-    hand, and its K must be symmetric to 1e-10.  The spectra merge into one descending mu list.
-    Eigenvalues of A below 1e-14 * mu_max are quadrature noise and are
-    discarded.  Signs are fixed in one vectorized pass: phi_1 has
-    sum w phi_1 >= 0, and every other phi_j has its first entry above
-    1e-10 max|phi_j| positive; the top half holds that entry.
+    hand.  Each scaled block must be finite and symmetric to 1e-10 of its
+    largest entry.  The spectra merge into one descending mu list; those
+    below 1e-14 * mu_max are quadrature noise and are discarded.  One rule
+    signs every mode, phi_1 included: psi_j = W^{1/2} phi_j has its first
+    entry on the top half above 1e-3 max|psi_j| positive.  ``eigh`` returns
+    psi to about eps |psi| per entry, so that entry keeps its digits at every
+    grading; phi's first entries, at nodes of tiny weight, may keep none.
     """
     w, N, n = dk.grid.w, dk.grid.N, len(dk.blocks[0])
     sw = np.sqrt(w[:n])
-    blocks = []
+    # each block's spectrum descending, then one stable merge, which keeps a
+    # single block in LAPACK's order
+    mus, psis = [], []
     for K in dk.blocks:
         A = K * sw[:, None]
         A *= sw
         if not np.all(np.isfinite(A)):
             raise ValueError("symmetrized kernel has non-finite entries")
-        blocks.append(A)
-    scale = max(max(np.max(np.abs(A)) for A in blocks), 1e-300)
-    # each block's spectrum descending, then one stable merge, which keeps a
-    # single block in LAPACK's order
-    mus, psis = [], []
-    for A in blocks:
         # a J-symmetric K is symmetric if and only if both its blocks are
-        asym = np.max(np.abs(A - A.T)) / scale
+        asym = np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300)
         if asym > 1e-10:
             raise ValueError(f"symmetrized kernel is not symmetric (relative residual {asym:.2e})")
         mu_b, psi_b = np.linalg.eigh(A)
         mus.append(mu_b[::-1])
         psis.append(psi_b[:, ::-1])
-    del blocks, A
+    del A
     mu = np.concatenate(mus)
     order = np.argsort(-mu, kind="stable")
     mu = mu[order]
@@ -215,16 +213,14 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
         cols = cols[cols < m]
         phi[:n, cols] = psi_b[:, :len(cols)]
     del psis
+    # the sign rule on psi's top half, which the lift copies to the bottom half
+    a = np.abs(phi[:n])
+    lead = phi[np.argmax(a > 1e-3 * a.max(axis=0), axis=0), np.arange(m)]
+    phi[:n] *= np.where(lead < 0, -1.0, 1.0)
     # the lift [u; +-Ju] / sqrt(2) of a half-size block; one block has n = N
     if n < N:
         np.multiply(phi[n - 1::-1], parity, out=phi[n:])
     phi /= (np.sqrt(w) * np.sqrt(N / n))[:, None]
-    # deterministic signs from phi_1's weighted sum and each column's first
-    # significant entry; the bottom half mirrors the top half up to sign
-    a = np.abs(phi[:n])
-    lead = phi[np.argmax(a > 1e-10 * a.max(axis=0), axis=0), np.arange(m)]
-    lead[:1] = w @ phi[:, :1]
-    phi *= np.where(lead < 0, -1.0, 1.0)
     return SpectralData(dk=dk, lam=1.0 / mu[:m], phi=phi, n_discarded=len(mu) - m, parity=parity)
 
 

@@ -174,6 +174,7 @@ def test_bad_request_rejected_before_assembly(tmp_path, monkeypatch, capsys):
                       (["solve", "--h", "1,2,3"], "boundary value"),
                       (["limit-s", "--h", "1,2,3"], "boundary value"),
                       (["sweep", "--g", f"table:{missing}"], "cannot read"),
+                      (["sweep", "--group", "0"], "group"),
                       (["solve", "--g", "eigmode:abc"], "g profile 'eigmode:abc'")):
         assert run_cli([argv[0], "--N", "32", "--out", str(tmp_path), *argv[1:]]) == 2, argv
         assert msg in capsys.readouterr().err, argv

@@ -267,18 +267,15 @@ def test_gram_residual_at_roundoff(s, grading, N):
     assert np.max(np.abs(G - np.eye(sd.m))) <= 2e-14
 
 
-def _reference_signs(phi, w):
-    """The docstring's sign rule, one column at a time."""
+def _reference_signs(phi, w, n):
+    """The docstring's sign rule, one column at a time, on psi = W^1/2 phi over
+    the top n nodes."""
     phi = phi.copy()
+    psi = np.sqrt(w[:n, None]) * phi[:n]
     for j in range(phi.shape[1]):
-        col = phi[:, j]
-        if j == 0:
-            flip = np.sum(w * col) < 0
-        else:
-            big = np.flatnonzero(np.abs(col) > 1e-10 * np.max(np.abs(col)))
-            flip = col[big[0]] < 0
-        if flip:
-            phi[:, j] = -col
+        big = np.flatnonzero(np.abs(psi[:, j]) > 1e-3 * np.max(np.abs(psi[:, j])))
+        if psi[big[0], j] < 0:
+            phi[:, j] = -phi[:, j]
     return phi
 
 
@@ -289,20 +286,41 @@ def test_sign_rule_is_the_docstring_rule(kind, s, N, kw):
     sd = _decompose(kind, s, N, 4.0, **kw)
     assert sd.n_discarded > 0 and sd.m + sd.n_discarded == N
     flips = np.random.default_rng(3).choice([-1.0, 1.0], sd.m)
-    np.testing.assert_array_equal(_reference_signs(sd.phi * flips, sd.grid.w), sd.phi)
+    np.testing.assert_array_equal(_reference_signs(sd.phi * flips, sd.grid.w, N // 2), sd.phi)
+
+
+@pytest.mark.parametrize("kind", ["sfl", "rfl"])
+def test_roundoff_in_the_kernel_flips_no_sign(kind):
+    # a symmetric entrywise 1e-15 relative perturbation of each block, three
+    # draws; a rule read on phi's first entry above 1e-10 max|phi_j|, where
+    # the weight is tiny, flipped 11-22 of modes 1-50 on these draws
+    grid = build_grid(DOM, 1024, grading=4.0)
+    dk = assemble_green_matrix(make_operator(kind, 0.9, DOM), grid)
+    sd = eigendecompose(dk)
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        blocks = []
+        for K in dk.blocks:
+            E = np.triu(rng.uniform(-1.0, 1.0, K.shape))
+            blocks.append(K * (1.0 + 1e-15 * (E + np.triu(E, 1).T)))
+        other = eigendecompose(dataclasses.replace(dk, blocks=tuple(blocks)))
+        overlap = grid.w @ (sd.phi[:, :50] * other.phi[:, :50])
+        assert np.all(overlap > 0), np.flatnonzero(overlap < 0) + 1
 
 
 @pytest.mark.parametrize("N", [96, 95])
 def test_nonsymmetric_kernel_rejected(N):
-    # a skew term x_i^2 - x_j^2 of 1e-8 in the even block of a mirrored grid's
-    # kernel reaches the block check, and in the one block at odd N the same
+    # a skew term x_i^2 - x_j^2 of 1e-8 in the even block alone, or the odd
+    # block alone, of a mirrored grid's kernel reaches that block's check, and
+    # in the one block at odd N the same
     grid = build_grid(DOM, N)
     dk = assemble_green_matrix(make_operator("rfl", 0.5, DOM), grid)
-    K, *rest = dk.blocks
-    x2 = grid.x[:len(K)] ** 2
-    skewed = K + 1e-8 * np.max(K) * np.subtract.outer(x2, x2)
-    with pytest.raises(ValueError, match="not symmetric"):
-        eigendecompose(dataclasses.replace(dk, blocks=(skewed, *rest)))
+    for b, K in enumerate(dk.blocks):
+        x2 = grid.x[:len(K)] ** 2
+        blocks = list(dk.blocks)
+        blocks[b] = K + 1e-8 * np.max(K) * np.subtract.outer(x2, x2)
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigendecompose(dataclasses.replace(dk, blocks=tuple(blocks)))
 
 
 def test_nonfinite_kernel_rejected(sfl):
