@@ -12,7 +12,10 @@ boundary distances.  The SFL kernel is continuous and keeps its exact
 pointwise diagonal.  On a mirrored interval grid K is kept as its two
 half-grid parity blocks: the quadrature kernels fill them from N^2/4
 kernel values, the SFL from the odd-k and even-k sine modes on the left
-half-grid, and every product with K runs on the half grid.
+half-grid, and every product with K runs on the half grid.  A block's SFL
+sine modes come from two angle tables, joined by one stacked product; they
+stay within 3e-15 of the direct sines (max |B| = 0.71 at M = 4096), and K
+within 1.1e-14 of max |K| of the direct series.
 """
 
 from __future__ import annotations
@@ -140,16 +143,55 @@ def rfl_green_radial(op: OperatorSpec, delta_x, delta_y, d) -> np.ndarray:
     return total * sphere_area(n - 1) / sphere_area(n)
 
 
-def _sfl_gram(op: OperatorSpec, grid: QuadGrid, n: int, k: np.ndarray) -> np.ndarray:
-    """B B^T with B_ik = mu_k^{-s/2} e_k(x_i), the SFL series over the modes k
-    at the first n nodes.
+def _cos_from_half(h: np.ndarray, r: float) -> None:
+    """cos x from h = sin(x/2)/sqrt(r), in place: 1 - 2 sin^2(x/2)."""
+    np.square(h, out=h)
+    h *= -2.0 * r
+    h += 1.0
+
+
+def _sfl_gram(op: OperatorSpec, grid: QuadGrid, n: int, k: range) -> np.ndarray:
+    """B B^T with B_ik = mu_k^{-s/2} e_k(x_i), the SFL series over the modes
+    k = k0 + d j, j < J, at the first n nodes (d = 2 on the half-grid, 1 on
+    one block).
 
     e_k is read from boundary distances, never from x, which rounds to -+r
     at a strong grading: e_k(-r + delta) left of 0, and on the right
-    e_k(r - delta) = (-1)^(k+1) e_k(-r + delta).
+    e_k(r - delta) = (-1)^(k+1) e_k(-r + delta).  The n J sines come from
+    two angle tables.  With theta = pi delta / 2r and j = W a + b, k theta
+    is X_a + Y_b, X_a = d W a theta and Y_b = (k0 + d b) theta, so
+    sin(k theta) = sin X_a cos Y_b + cos X_a sin Y_b: one stacked product
+    of [sin X, cos X], (n, A, 2), by [cos Y; sin Y], (n, 2, W), from
+    2n(A + W) sine modes in place of n J.  W is the least power of two with
+    W^2 >= J, so a power-of-two J splits exactly.  Each cosine is
+    1 - 2 sin^2 of the half angle, so every table entry is a value of
+    sfl_eigenfunction.  The tables are freed before the Gram product.
+
+    The bound kept: at M = 4096 the arguments reach 2048 pi, and either way
+    of forming them rounds them by about 1e-12, so the unscaled modes differ
+    from the direct sines by up to 1.7e-12 and B, scaled by mu_k^{-s/2}, by
+    at most 3e-15 (max |B| = 0.71).
     """
-    B = sfl_eigenfunction(op.domain, k[None, :], grid.delta[:n, None])
-    B[grid.x[:n] > 0] *= (-1.0) ** (k + 1)
+    J, W = len(k), 1
+    while W * W < J:
+        W *= 2
+    A = -(-J // W)
+    X = k.step * W * np.arange(A)
+    Y = np.arange(k.start, k.start + k.step * W, k.step)
+    # the product's buffer is taken before the tables: taken after them, it
+    # raised the peak RSS of an sfl-requests run by 1.6 MiB (heap layout)
+    B = np.empty((n, A, W))
+    # the sines carry the modes' 1/sqrt(r), the cosines not
+    plus = grid.delta[:n, None, None]
+    L = sfl_eigenfunction(op.domain, np.stack([X, X / 2], axis=-1), plus)
+    R = sfl_eigenfunction(op.domain, np.stack([Y / 2, Y]), plus)
+    _cos_from_half(L[..., 1], op.domain.r)
+    _cos_from_half(R[:, 0], op.domain.r)
+    # d W a is even (W = 1 only where J <= 1 and a = 0), so the parity of
+    # k is that of Y's wavenumber, and R carries the right side's sign
+    R[grid.x[:n] > 0] *= (-1.0) ** (Y + 1)
+    B = np.matmul(L, R, out=B).reshape(n, A * W)[:, :J]
+    del L, R
     B *= sfl_eigenvalue(op.domain, k) ** (-op.s / 2)
     return B @ B.T
 
@@ -210,18 +252,17 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
     if op.domain != grid.domain:
         raise ValueError("operator and grid live on different domains")
     if op.kind is OperatorKind.SFL:
-        k = np.arange(1, op.sfl_truncation + 1)
+        M = op.sfl_truncation
         if grid.mirrored:
             # mode k has parity (-1)^(k+1), so on the left half-grid K11 and
             # K12 J are the odd-k Gram plus and minus the even-k Gram: E is
             # twice the odd-k Gram and O twice the even-k Gram
             n = grid.N // 2
-            blocks = tuple(2.0 * _sfl_gram(op, grid, n, k[p::2]) for p in (0, 1))
+            blocks = tuple(2.0 * _sfl_gram(op, grid, n, range(p, M + 1, 2)) for p in (1, 2))
         else:
-            blocks = (_sfl_gram(op, grid, grid.N, k),)
+            blocks = (_sfl_gram(op, grid, grid.N, range(1, M + 1)),)
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
-        M = op.sfl_truncation
         neg_tol = (np.pi / (2 * op.domain.r)) ** (-2 * op.s) \
             * M ** (1.0 - 2.0 * op.s) / (op.domain.r * (2.0 * op.s - 1.0))
     elif op.domain.kind is DomainKind.INTERVAL or op.kind is OperatorKind.RFL:

@@ -189,6 +189,17 @@ def test_boundary_node_at_roundoff_assembles(tmp_path):
     assert np.isfinite(lam1) and lam1 > 0
 
 
+@pytest.mark.parametrize("M", [1, 2])
+def test_sfl_with_one_or_two_modes(tmp_path, M):
+    # M = 1 leaves the even-k block with no mode; K has rank M, so M modes
+    # are kept, and lambda_1 is mu_1^s (measured to 1.1e-15)
+    assert run_cli(["eigen", "--op", "sfl", "--N", "64", "--M", str(M),
+                    "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "eigen.json").read_text())
+    assert summary["n_discarded"] == 64 - M
+    assert summary["lambda_1"] == pytest.approx((np.pi / 2) ** 1.5, rel=1e-13)
+
+
 def test_numerical_fault_in_assembly_exits_3(tmp_path, monkeypatch):
     # two nodes that coincide (in x and in delta, which the fill reads on
     # one side) put the kernel on its diagonal: a numerical fault (exit 3),

@@ -263,22 +263,43 @@ def test_sfl_matrix_diagonalizes():
     np.testing.assert_allclose(out, phi2 * mu2 ** (-op.s), atol=1e-6)
 
 
-@pytest.mark.parametrize("N,M", [(256, 1024), (96, 4096)])
-def test_sfl_half_grid_matrix_is_the_full_series(N, M):
-    # on a mirrored grid the blocks are twice the left half-grid's odd-k and
-    # even-k Gram matrices; the K they make must be the full B B^T, exactly
-    # symmetric and exactly J-symmetric
-    grid = build_grid(DOM, N)
-    op = make_operator("sfl", 0.75, DOM, sfl_truncation=M)
+@pytest.mark.parametrize("N,M,grading,r", [
+    pytest.param(256, 1024, 2.0, 1.0, id="256-1024"),
+    pytest.param(96, 4096, 2.0, 1.0, id="96-4096"),
+    # one block (odd N): d = 1, J = 1024, and the right side's sign
+    pytest.param(255, 1024, 2.0, 1.0, id="one-block-255-1024"),
+    # J = 0 and 1 (M = 1, 2), and J = 2 and 1 (M = 3)
+    pytest.param(64, 1, 2.0, 1.0, id="64-1"),
+    pytest.param(64, 2, 2.0, 1.0, id="64-2"),
+    pytest.param(64, 3, 2.0, 1.0, id="64-3"),
+    # J = 500 is no multiple of the table width W = 32
+    pytest.param(256, 1000, 2.0, 1.0, id="256-1000"),
+    # delta falls to 5e-17 and X_a reaches about 2000 pi
+    pytest.param(1024, 4096, 4.0, 1.0, id="1024-4096-grading4"),
+    # r = 2.5: the sines carry 1/sqrt(r) and the cosines do not
+    pytest.param(256, 1024, 2.0, 2.5, id="256-1024-r2.5"),
+])
+def test_sfl_half_grid_matrix_is_the_full_series(N, M, grading, r):
+    # the assembled K, from the sine tables of each block, must be the full
+    # B B^T of the direct sines over all N nodes; on a mirrored grid the
+    # blocks are twice the left half-grid's odd-k and even-k Gram matrices.
+    # Measured at most 1.1e-14 of max|K| (grading 4), 5.9e-15 on one block,
+    # 5.5e-16 at M <= 3, 4.6e-15 at M = 1000 and 7.6e-15 at r = 2.5: a
+    # margin of 9x or more.
+    # K is exactly symmetric, and exactly J-symmetric on a mirrored grid
+    dom = make_domain("interval", 1, r)
+    grid = build_grid(dom, N, grading=grading)
+    op = make_operator("sfl", 0.75, dom, sfl_truncation=M)
     K = full_matrix(assemble_green_matrix(op, grid))
     k = np.arange(1, M + 1)
     plus = grid.sides[0]
-    B = sfl_eigenfunction(DOM, k[None, :], plus[:, None]) * sfl_eigenvalue(DOM, k) ** (-0.375)
+    B = sfl_eigenfunction(dom, k[None, :], plus[:, None]) * sfl_eigenvalue(dom, k) ** (-0.375)
     full = B @ B.T
-    assert grid.mirrored
+    assert grid.mirrored == (N % 2 == 0)
     assert np.max(np.abs(K - full)) <= 1e-13 * np.max(np.abs(full))
     np.testing.assert_array_equal(K, K.T)
-    np.testing.assert_array_equal(K, K[::-1, ::-1])
+    if grid.mirrored:
+        np.testing.assert_array_equal(K, K[::-1, ::-1])
 
 
 def test_operator_grid_domain_mismatch(grid):

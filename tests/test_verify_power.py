@@ -47,6 +47,8 @@ def _eigenvalues(monkeypatch):
 
 
 def _sfl_sine_phase(monkeypatch):
+    # a 1e-5 relative phase error in every sine mode the SFL assembly reads:
+    # its angle-table sines, and the half-angle sines its cosines come from
     sine = discretize.sfl_eigenfunction
     monkeypatch.setattr(discretize, "sfl_eigenfunction",
                         lambda domain, k, plus: sine(domain, k, plus * (1 + 1e-5)))
