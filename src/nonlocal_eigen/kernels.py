@@ -4,7 +4,9 @@ Three operators are implemented on the interval/ball:
 
 * RFL: the restricted fractional Laplacian, via the explicit ball
   Green's function (one incomplete-Beta series, summed from whichever end
-  of [0, inf] is nearer) and its boundary-normalized limit (the Martin kernel).
+  of [0, inf] is nearer, re-centred at 1/4, where its terms fall like 3^-j
+  and 36 of them reach 2^-56) and its boundary-normalized limit (the
+  Martin kernel).
 * SFL: the spectral fractional Laplacian on the interval, via the sine
   eigenbasis; its Martin kernel is the Abel limit of a conditionally
   convergent series, evaluated through a polylogarithm expansion.
@@ -21,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import ceil, log2, pi
 from math import gamma as gamma_fn
-from math import pi
 
 import numpy as np
 
@@ -96,8 +98,26 @@ def _boggio_constant(n: int, s: float) -> float:
     return gamma_fn(n / 2.0) / (2.0 ** (2 * s) * gamma_fn(s) ** 2 * pi ** (n / 2.0))
 
 
-# incomplete-Beta terms: the series variable is at most 1/2, where 56 reach roundoff
+# incomplete-Beta terms: at the largest series variable, 1/2, the plain
+# series reaches 2^-BETA_TERMS after BETA_TERMS terms
 BETA_TERMS = 56
+# about 1/4 the series variable stays within 1/4 of the centre and the
+# singularity at 1 lies 3/4 away, so the re-centred terms fall like 3^-j:
+# 36 of them reach the same 2^-BETA_TERMS
+SHIFTED_TERMS = ceil(BETA_TERMS / log2(3))
+
+
+@lru_cache(maxsize=None)
+def _taylor_shift():
+    """S_jk = C(k, j) 4^(j-k): sum_k c_k x^k = sum_j (S c)_j (x - 1/4)^j over
+    the first 3 BETA_TERMS terms; the later terms add below 2^-200 to the
+    first SHIFTED_TERMS shifted ones."""
+    k = np.arange(3 * BETA_TERMS)
+    j = np.arange(1, SHIFTED_TERMS)[:, None]
+    # row j is row j - 1 times 4 (k - j + 1)/j; the factor is 0 at k = j - 1
+    S = np.cumprod(np.vstack([0.25 ** k, 4.0 * (k - j + 1) / j]), axis=0)
+    S.setflags(write=False)
+    return S
 
 
 def _expm1_ratio(e: float, L):
@@ -106,14 +126,16 @@ def _expm1_ratio(e: float, L):
 
 
 def _beta_sum(x, p: float, coeffs):
-    """x^p times the polynomial with coefficients ``coeffs`` (highest first),
-    cut to the m lowest terms, where x^m <= 2^-BETA_TERMS at the largest x."""
-    m = int(np.ceil(BETA_TERMS / -np.log2(max(np.max(x), 2.0 ** -BETA_TERMS))))
-    acc = np.zeros(np.shape(x))
-    for c in coeffs[-m:]:
-        acc *= x
+    """x^p times the polynomial in x - 1/4 with coefficients ``coeffs``
+    (highest first), by Horner."""
+    t = np.subtract(x, 0.25)
+    acc = np.full(np.shape(t), coeffs[0])
+    for c in coeffs[1:]:
+        acc *= t
         acc += c
-    return x ** p * acc
+    del t
+    acc *= x ** p
+    return acc
 
 
 def _beta_tail(w, a: float, high):
@@ -129,12 +151,17 @@ def _boggio_series(s: float, n: int):
     boggio_integral is B(z; s, a) at z = rho/(1+rho), and K - _beta_tail(w)
     at w = 1/(1+rho).  Matching the two at rho = 1 gives K, which is
     Gamma(s)Gamma(a)/Gamma(n/2) - 1/a and stays finite at a = 0.
+
+    Both polynomials are re-centred at x = 1/4 by a Taylor shift of their
+    first 3 BETA_TERMS terms (_taylor_shift).  z and w lie in [0, 1/2], within 1/4
+    of the centre, and the series are singular only at 1, so the shifted
+    terms fall like 3^-j and SHIFTED_TERMS = 36 of them reach 2^-BETA_TERMS.
     """
     a = n / 2.0 - s
-    k = np.arange(BETA_TERMS)
+    k = np.arange(3 * BETA_TERMS)
     low = np.cumprod(np.r_[1.0, (k[:-1] + 1.0 - a) / (k[:-1] + 1.0)]) / (s + k)
     high = np.cumprod((k + 1.0 - s) / (k + 1.0)) / (a + k + 1.0)
-    low, high = low[::-1].tolist(), high[::-1].tolist()
+    low, high = (np.sum(_taylor_shift() * c, axis=1)[::-1].tolist() for c in (low, high))
     return low, high, a, float(_beta_sum(0.5, s, low) + _beta_tail(0.5, a, high))
 
 
@@ -146,8 +173,10 @@ def boggio_integral(rho, s: float, n: int):
     """
     low, high, a, K = _boggio_series(s, n)
     rho = np.asarray(rho, dtype=float)
-    return np.piecewise(rho, [rho <= 1.0], [lambda v: _beta_sum(v / (1.0 + v), s, low),
-                                           lambda v: K - _beta_tail(1.0 / (1.0 + v), a, high)])
+    # each branch gets its own copy of its part of rho, and overwrites it
+    return np.piecewise(rho, [rho <= 1.0],
+                        [lambda v: _beta_sum(np.divide(v, 1.0 + v, out=v), s, low),
+                         lambda v: K - _beta_tail(np.divide(1.0, 1.0 + v, out=v), a, high)])
 
 
 def _scalar(val):
@@ -192,7 +221,10 @@ def rfl_green_from_gaps(op: OperatorSpec, gap_x, gap_y, dist):
     if np.any(dist == 0):
         raise ZeroDivisionError("Green's function requested on the diagonal x = y")
     rho = gap_x * gap_y / (r * r * dist * dist)
-    return _scalar(_boggio_constant(n, s) * dist ** (2 * s - n) * boggio_integral(rho, s, n))
+    # the series first, then its factors: no factor is held while it runs
+    B = boggio_integral(rho, s, n)
+    del rho
+    return _scalar(_boggio_constant(n, s) * dist ** (2 * s - n) * B)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from kernel_oracles import (
     sfl_martin_series_abel,
 )
 
+from nonlocal_eigen import kernels
 from nonlocal_eigen.geometry import build_grid, make_domain
 from nonlocal_eigen.kernels import (
     boggio_integral,
@@ -51,17 +52,44 @@ def test_boggio_integral_oracle(n, s, rho, expected):
 def test_boggio_integral_matches_mpmath_betainc():
     # int_0^rho t^{s-1}(1+t)^{-n/2} dt = B(rho/(1+rho); s, n/2 - s), the
     # incomplete Beta function (not regularized), at 30 digits; s = 1/2 +- eps
-    # straddles the logarithmic case n = 2s = 1
-    rho = np.logspace(-3, 12, 46)
+    # straddles the logarithmic case n = 2s = 1.  On [0.5, 2] both series
+    # variables reach 1/2, the far edge of the re-centred series.  The worst
+    # error measured is 1.44e-15 (n = 1, s = 0.99), before and after the
+    # series was re-centred at 1/4; rtol allows three times that, for other
+    # platforms' libm
+    rho = np.r_[np.logspace(-10, 12, 45), np.linspace(0.5, 2.0, 31)]
     with mpmath.workdps(30):
         for n in (1, 2, 3):
             for s in (0.02, 0.1, 0.25, 0.5 - 1e-9, 0.5, 0.5 + 1e-12, 0.75, 0.99):
                 ref = np.array([float(mpmath.betainc(s, mpmath.mpf(n) / 2 - s, 0,
                                                      mpmath.mpf(r) / (1 + mpmath.mpf(r))))
                                 for r in rho])
-                np.testing.assert_allclose(boggio_integral(rho, s, n), ref, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(boggio_integral(rho, s, n), ref,
+                                           rtol=3 * 1.5e-15, atol=0)
                 scalar = [boggio_integral(float(r), s, n) for r in rho[::9]]
-                np.testing.assert_allclose(scalar, ref[::9], rtol=1e-13, atol=0)
+                np.testing.assert_allclose(scalar, ref[::9], rtol=3 * 1.5e-15, atol=0)
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.02), (1, 0.5), (1, 0.99), (2, 0.25), (3, 0.75)])
+def test_boggio_series_is_the_plain_series_recentred(n, s):
+    # about 1/4 the terms fall like 3^-j, so ceil(56 / log2 3) = 36 reach
+    # the 2^-56 of 56 plain terms at 1/2; both polynomials, summed by
+    # Horner in x - 1/4, match the plain 168-term series summed at 40
+    # digits to 4 ulp at 64 points of [0, 1/2] (measured at most 2)
+    low, high, a, _ = kernels._boggio_series(s, n)
+    assert kernels.SHIFTED_TERMS == 36 == len(low) == len(high)
+    x = np.linspace(0.0, 0.5, 64)
+    with mpmath.workdps(40):
+        sm, am = mpmath.mpf(s), mpmath.mpf(n) / 2 - mpmath.mpf(s)
+        # sum_k (1-q)_k/k! x^k/(p+k): (p, q) = (s, a) at the low end; the
+        # high end's polynomial holds the terms k >= 1 of (p, q) = (a, s)
+        plain = [[mpmath.rf(1 - am, k) / mpmath.factorial(k) / (sm + k) for k in range(168)],
+                 [mpmath.rf(1 - sm, k + 1) / mpmath.factorial(k + 1) / (am + k + 1)
+                  for k in range(168)]]
+        for coeffs, c in zip((low, high), plain):
+            ref = np.array([float(mpmath.polyval(c[::-1], mpmath.mpf(v))) for v in x])
+            got = kernels._beta_sum(x, 0.0, coeffs)
+            assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
 def test_boggio_integral_vectorized_and_monotone():
