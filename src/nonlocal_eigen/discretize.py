@@ -12,18 +12,17 @@ boundary distances.  The SFL kernel is continuous and keeps its exact
 pointwise diagonal.  On a mirrored interval grid K is kept as its two
 half-grid parity blocks: the quadrature kernels fill them from N^2/4
 kernel values, the SFL from the odd-k and even-k sine modes on the left
-half-grid, and every product with K runs on the half grid.  The pairs of
-a quadrature kernel are two index lists cached per half-grid size, and the
-kernel runs once over them, in slices that keep its temporaries in L2.  A
-block's SFL sine modes come from two angle tables, joined by one stacked
-product; they stay within 3e-15 of the direct sines (max |B| = 0.71 at
-M = 4096), and K within 1.1e-14 of max |K| of the direct series.
+half-grid, and every product with K runs on the half grid.  A quadrature
+kernel runs once over the node pairs of both blocks, in slices that keep
+its temporaries in L2.  A block's SFL sine modes come from two angle
+tables, joined by one stacked product; they stay within 3e-15 of the
+direct sines (max |B| = 0.71 at M = 4096), and K within 1.1e-14 of
+max |K| of the direct series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gamma
 
 import numpy as np
@@ -200,25 +199,20 @@ def _sfl_gram(op: OperatorSpec, grid: QuadGrid, n: int, k: range) -> np.ndarray:
 
 
 # pairs per kernel call in the fill: each of the kernel's temporaries then
-# holds 256 KiB, so the few alive at once stay near a 2 MiB L2, and an
-# assembly at N = 1024 peaks at half the memory of one call over all pairs
+# holds 256 KiB, so the few alive at once stay near a 2 MiB L2
 FILL_SLICE = 2 ** 15
 
 
-@lru_cache(maxsize=4)
-def _pairs(n: int, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The fill's pairs (i, j) row by row, as read-only row and column lists:
-    the n (n - 1)/2 pairs i < j of K, or of K11 on a mirrored half-grid,
-    then on a mirrored one the n (n + 1)/2 pairs i <= j of K12 J."""
+def _pairs(n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fill's node pairs (i, c), i < n, as row and column lists, row by
+    row: K11's i < c < n, then on a mirrored grid (N = 2n) K12 J's
+    n <= c < N - i; np.repeat builds them faster than np.triu_indices."""
     i = np.arange(n)
-    starts = [i + 1, i] if mirrored else [i + 1]
-    first = np.concatenate(starts)
-    lengths = n - first
-    rows = np.repeat(np.tile(i, len(starts)), lengths)
+    sets = [(i + 1, n - 1 - i)] + ([(np.full(n, n), n - i)] if N > n else [])
+    first, lengths = (np.concatenate(a) for a in zip(*sets))
+    rows = np.repeat(np.tile(i, len(sets)), lengths)
     # a pair's column is its row's first column plus its place in the row
     cols = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths - first, lengths)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
     return rows, cols
 
 
@@ -227,49 +221,47 @@ def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.ndarray | No
 
     Returns K with a zero diagonal, and None; on a mirrored grid (n = N/2)
     the left half's K11, with a zero diagonal, and K12 J, both symmetric
-    and together N^2/4 kernel values.  The kernel runs once over the cached
-    pair lists (_pairs), in slices of FILL_SLICE pairs.  |x_i - x_j| is
-    |delta_i - delta_j| for two nodes on one side, where x may have rounded
-    to +-r, and x_j - x_i across.  On the ball Boggio's angular mean is the
+    and together N^2/4 kernel values.  The kernel runs once over the node
+    pairs of both (_pairs), in slices of FILL_SLICE pairs.  |x_i - x_c| is
+    |delta_i - delta_c| for two nodes on one side, where x may have rounded
+    to +-r, and x_c - x_i across.  On the ball Boggio's angular mean is the
     kernel on radial functions.
     """
     N, dl, x = grid.N, grid.delta, grid.x
     plus, minus = grid.sides
     gap, left = plus * minus, x < 0
     mirrored = grid.mirrored
-    # only an odd-N interval grid has pairs i < j on both sides of 0
-    crosses = not mirrored and bool(np.any(left))
-
-    def kernel(i, j, cut):
-        # the first cut pairs are (i, j), x_i < x_j; the rest pair node i with
-        # node N - 1 - j, whose values the reversed arrays hold at j
-        i1, j1, i2, j2 = i[:cut], j[:cut], i[cut:], j[cut:]
-        if op.kind is OperatorKind.CLASSICAL:
-            return plus[i] * np.concatenate([minus[j1], minus[::-1][j2]]) / (2 * op.domain.r)
-        d = np.abs(dl[i1] - dl[j1])
-        if crosses:
-            d = np.where(left[i1] == left[j1], d, x[j1] - x[i1])
-        d = np.concatenate([d, x[::-1][j2] - x[i2]])
-        if op.domain.kind is DomainKind.BALL:
-            return rfl_green_radial(op, dl[i], dl[j], d)
-        return rfl_green_from_gaps(op, gap[i], np.concatenate([gap[j1], gap[::-1][j2]]), d)
-
     n = N // 2 if mirrored else N
-    rows, cols = _pairs(n, mirrored)
-    # K11's pairs come first, m of them
+    rows, cols = _pairs(n, N)
+    # K11's pairs come first, m of them; on a mirrored grid the rest lie across 0
     m = n * (n - 1) // 2
-    v = np.empty(len(rows))
+    d = np.empty(len(rows))
+    np.abs(dl[rows[:m]] - dl[cols[:m]], out=d[:m])
+    np.subtract(x[cols[m:]], x[rows[m:]], out=d[m:])
+    if not mirrored and np.any(left):
+        # an odd-N grid's pairs i < c may lie on both sides of 0
+        d = np.where(left[rows] == left[cols], d, x[cols] - x[rows])
+
+    def kernel(i, c, dist):
+        # pairs with x_i < x_c
+        if op.kind is OperatorKind.CLASSICAL:
+            return plus[i] * minus[c] / (2 * op.domain.r)
+        if op.domain.kind is DomainKind.BALL:
+            return rfl_green_radial(op, dl[i], dl[c], dist)
+        return rfl_green_from_gaps(op, gap[i], gap[c], dist)
+
+    W = np.zeros((n, N))
     for lo in range(0, len(rows), FILL_SLICE):
-        hi = lo + FILL_SLICE
-        v[lo:hi] = kernel(rows[lo:hi], cols[lo:hi], max(0, min(FILL_SLICE, m - lo)))
-    K = np.zeros((n, n))
-    K[rows[:m], cols[:m]] = v[:m]
-    K = K + K.T
+        part = slice(lo, lo + FILL_SLICE)
+        W[rows[part], cols[part]] = kernel(rows[part], cols[part], d[part])
+    # freed before K and C are formed, which would otherwise set the peak
+    del rows, cols, d
+    K = W[:, :n] + W[:, :n].T
     if not mirrored:
         return K, None
-    # (K12 J)_ij pairs node i with N - 1 - j, the mirror image of node j
-    C = np.zeros((n, n))
-    C[rows[m:], cols[m:]] = v[m:]
+    # (K12 J)_ij pairs node i with N - 1 - j, the mirror image of node j, so
+    # K12 J is W's right half reversed; C + C^T doubles its diagonal
+    C = W[:, :n - 1:-1]
     C = C + C.T
     C.flat[::n + 1] *= 0.5
     return K, C

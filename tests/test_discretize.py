@@ -133,8 +133,8 @@ def test_matrix_symmetric(grid, kind, s):
 def test_fill_evaluates_one_kernel_value_per_pair(kind, domain, N, monkeypatch):
     # N^2/4 values on a mirrored grid: n (n - 1)/2 for K11 and n (n + 1)/2 for
     # the symmetric K12 J; N (N - 1)/2 on any other grid.  One kernel call
-    # per FILL_SLICE = 2^15 pairs: one up to N = 256, and 8 for the 262,144
-    # values at N = 1024
+    # per FILL_SLICE = 2^15 pairs, over K11's and K12 J's pairs together: one
+    # up to N = 256, and 8 for the 262,144 values at N = 1024
     grid = build_grid(domain, N)
     # the ball's kernel is the angular mean, which calls Boggio's many times
     name = "rfl_green_radial" if domain.n > 1 else "rfl_green_from_gaps"
@@ -155,7 +155,7 @@ def test_fill_evaluates_one_kernel_value_per_pair(kind, domain, N, monkeypatch):
                                                      (make_domain("ball", 2, 1.0), 24, 2.0, 50)])
 def test_sliced_fill_is_the_one_slice_fill(domain, N, grading, sliced, monkeypatch):
     # a slice's values do not depend on where the slice ends: 8 slices at
-    # N = 1024, the fourth straddling K11's last pairs and K12 J's first,
+    # N = 1024, the fourth holding K11's last pairs and K12 J's first,
     # 33 on the odd grid and 6 on the ball, against one slice of every pair
     grid = build_grid(domain, N, grading)
     op = make_operator("rfl", 0.75, domain)
@@ -167,19 +167,15 @@ def test_sliced_fill_is_the_one_slice_fill(domain, N, grading, sliced, monkeypat
     assert (C is None and C1 is None) or np.array_equal(C, C1)
 
 
-def test_cached_pair_lists_are_read_only_and_row_major():
-    # K11's pairs i < j, then K12 J's i <= j, row by row; a grid that is not
-    # mirrored keeps the first list only
-    for n, mirrored in ((7, True), (7, False), (128, True)):
-        rows, cols = discretize._pairs(n, mirrored)
-        assert discretize._pairs(n, mirrored)[0] is rows
-        lists = [np.triu_indices(n, 1)] + ([np.triu_indices(n)] if mirrored else [])
-        np.testing.assert_array_equal(rows, np.concatenate([i for i, _ in lists]))
-        np.testing.assert_array_equal(cols, np.concatenate([j for _, j in lists]))
-        for a in (rows, cols):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1
+def test_pair_lists_hold_k11_then_k12j_row_by_row():
+    # node pairs (i, c): K11's i < c < n row by row, then on a mirrored grid
+    # (N = 2n) K12 J's n <= c < N - i, c = N - 1 - j for j >= i; a grid that
+    # is not mirrored (n = N) has the first set only
+    for n, N in ((7, 14), (7, 7), (128, 256)):
+        ref = [(i, c) for i in range(n) for c in range(i + 1, n)]
+        ref += [(i, c) for i in range(n) for c in range(n, N - i)]
+        rows, cols = discretize._pairs(n, N)
+        np.testing.assert_array_equal(np.c_[rows, cols], ref)
 
 
 APPLY_CASES = [("rfl", 0.5, DOM, 64, {}), ("sfl", 0.75, DOM, 64, {"sfl_truncation": 256}),
