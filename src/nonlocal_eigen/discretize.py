@@ -216,16 +216,17 @@ def _pairs(n: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.ndarray | None]:
-    """The off-diagonal kernel values, one per pair, formed from boundary distances.
+def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[tuple[np.ndarray, ...], float, float]:
+    """The blocks of K with a zero diagonal, from one kernel value per pair,
+    and the least and greatest kernel value.
 
-    Returns K with a zero diagonal, and None; on a mirrored grid (n = N/2)
-    the left half's K11, with a zero diagonal, and K12 J, both symmetric
-    and together N^2/4 kernel values.  The kernel runs once over the node
-    pairs of both (_pairs), in slices of FILL_SLICE pairs.  |x_i - x_c| is
-    |delta_i - delta_c| for two nodes on one side, where x may have rounded
-    to +-r, and x_c - x_i across.  On the ball Boggio's angular mean is the
-    kernel on radial functions.
+    On a mirrored grid (n = N/2) the N^2/4 pairs of the left half's K11 and
+    of the symmetric K12 J (_pairs) give (E, O) = (K11 + K12 J, K11 - K12 J),
+    K11's diagonal left 0; any other grid gives (K,).  The kernel runs in
+    slices of FILL_SLICE pairs.  |x_i - x_c| is |delta_i - delta_c| for two
+    nodes on one side, where x may have rounded to +-r, and x_c - x_i
+    across.  On the ball Boggio's angular mean is the kernel on radial
+    functions.
     """
     N, dl, x = grid.N, grid.delta, grid.x
     plus, minus = grid.sides
@@ -251,33 +252,27 @@ def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[np.ndarray, np.ndarray | No
         return rfl_green_from_gaps(op, gap[i], gap[c], dist)
 
     W = np.zeros((n, N))
-    for lo in range(0, len(rows), FILL_SLICE):
-        part = slice(lo, lo + FILL_SLICE)
-        W[rows[part], cols[part]] = kernel(rows[part], cols[part], d[part])
-    # freed before K and C are formed, which would otherwise set the peak
+    lo, hi = np.inf, -np.inf
+    for start in range(0, len(rows), FILL_SLICE):
+        part = slice(start, start + FILL_SLICE)
+        v = kernel(rows[part], cols[part], d[part])
+        W[rows[part], cols[part]] = v
+        lo, hi = min(lo, v.min()), max(hi, v.max())
+        del v    # before the next slice's kernel call
+    # freed before the blocks are formed, which would otherwise set the peak
     del rows, cols, d
-    K = W[:, :n] + W[:, :n].T
     if not mirrored:
-        return K, None
+        return (W + W.T,), lo, hi
     # (K12 J)_ij pairs node i with N - 1 - j, the mirror image of node j, so
-    # K12 J is W's right half reversed; C + C^T doubles its diagonal
-    C = W[:, :n - 1:-1]
-    C = C + C.T
-    C.flat[::n + 1] *= 0.5
-    return K, C
-
-
-def _entry_range(blocks) -> tuple[float, float]:
-    """The least and greatest entry of K: of K itself, or of K11 = (E + O)/2
-    and K12 J = (E - O)/2."""
-    if len(blocks) == 1:
-        K, = blocks
-        return float(np.min(K)), float(np.max(K))
-    E, O = blocks
-    t = E + O
-    lo, hi = np.min(t), np.max(t)
-    np.subtract(E, O, out=t)
-    return 0.5 * float(min(lo, np.min(t))), 0.5 * float(max(hi, np.max(t)))
+    # K12 J's upper triangle is W's right half reversed; a block is its upper
+    # triangle plus the transpose, which counts the diagonal twice
+    U, V = W[:, :n], W[:, :n - 1:-1]
+    blocks = (U + V, U - V)
+    del W, U, V
+    for B in blocks:
+        B += B.T
+        B.flat[::n + 1] *= 0.5
+    return blocks, lo, hi
 
 
 def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
@@ -291,16 +286,20 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
             # K12 J are the odd-k Gram plus and minus the even-k Gram: E is
             # twice the odd-k Gram and O twice the even-k Gram
             n = grid.N // 2
-            blocks = tuple(2.0 * _sfl_gram(op, grid, n, range(p, M + 1, 2)) for p in (1, 2))
+            odd, even = (_sfl_gram(op, grid, n, range(p, M + 1, 2)) for p in (1, 2))
+            K11, K12J = odd + even, odd - even
+            lo, hi = min(K11.min(), K12J.min()), max(K11.max(), K12J.max())
+            blocks = (np.multiply(odd, 2.0, out=odd), np.multiply(even, 2.0, out=even))
         else:
             blocks = (_sfl_gram(op, grid, grid.N, range(1, M + 1)),)
+            lo, hi = blocks[0].min(), blocks[0].max()
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
         neg_tol = (np.pi / (2 * op.domain.r)) ** (-2 * op.s) \
             * M ** (1.0 - 2.0 * op.s) / (op.domain.r * (2.0 * op.s - 1.0))
     elif op.domain.kind is DomainKind.INTERVAL or op.kind is OperatorKind.RFL:
-        K, C = _fill(op, grid)
-        n = len(K)
+        blocks, lo, hi = _fill(op, grid)
+        n = len(blocks[0])
         # singularity subtraction: the diagonal is set so that each row
         # integrates f = 2 - |x|^2/r^2 to u_f = G_0 f in closed form.  f is
         # not constant, so the torsion solve stays an independent check.  It
@@ -313,17 +312,16 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         a, q = s + dim / 2 + 1, (1 + s) * (dim / 2 + s) / (dim / 2)
         u_f = (dl * (2 * r - dl)) ** s / lam0 * (2 - ((a * rho2 - dim / 2) / q + dim / 2) / a)
         wf = grid.w[:n] * (2 - rho2)
-        blocks = (K,) if C is None else (K + C, np.subtract(K, C, out=K))
         # f is even, so on a mirrored grid the row sums of K (w f) are E (w f)[:n]
         d = (u_f - blocks[0] @ wf) / wf
         for B in blocks:
             B.flat[::n + 1] += d
+        # d is K11's diagonal; the fill wrote every other entry
+        lo, hi = min(lo, d.min()), max(hi, d.max())
+        neg_tol = 1e-12 * hi
     else:
         raise ValueError("classical kernel matrices: interval only")
 
-    lo, hi = _entry_range(blocks)
-    if op.kind is not OperatorKind.SFL:
-        neg_tol = 1e-12 * hi
     if lo < -neg_tol:
         raise AssertionError("negative kernel matrix entry beyond truncation noise")
     return DiscreteKernel(op=op, grid=grid, blocks=blocks)

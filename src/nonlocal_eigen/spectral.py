@@ -185,10 +185,11 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
     """
     w, N, n = dk.grid.w, dk.grid.N, len(dk.blocks[0])
     sw = np.sqrt(w[:n])
-    # each block's spectrum descending, then one stable merge, which keeps a
-    # single block in LAPACK's order
-    mus, psis = [], []
-    for K in dk.blocks:
+    # each block's modes, finished as eigh returns them, descending, side by
+    # side in T; then one stable merge, which keeps one block in LAPACK's order
+    T = np.empty((n, len(dk.blocks) * n))
+    mus = []
+    for K, out in zip(dk.blocks, np.hsplit(T, len(dk.blocks))):
         A = K * sw[:, None]
         A *= sw
         if not np.all(np.isfinite(A)):
@@ -197,30 +198,29 @@ def eigendecompose(dk: DiscreteKernel) -> SpectralData:
         asym = np.max(np.abs(A - A.T)) / max(np.max(np.abs(A)), 1e-300)
         if asym > 1e-10:
             raise ValueError(f"symmetrized kernel is not symmetric (relative residual {asym:.2e})")
-        mu_b, psi_b = np.linalg.eigh(A)
+        mu_b, psi = np.linalg.eigh(A)
+        del A
         mus.append(mu_b[::-1])
-        psis.append(psi_b[:, ::-1])
-    del A
+        # the sign rule on psi, with out as scratch for |psi|; out then takes
+        # phi's values, its columns reversed so that they descend
+        a = np.abs(psi, out=out)
+        lead = psi[np.argmax(a > 1e-3 * a.max(axis=0), axis=0), np.arange(n)]
+        psi *= np.where(lead < 0, -1.0, 1.0)
+        np.divide(psi, (sw * np.sqrt(N / n))[:, None], out=out[:, ::-1])
+        del psi
     mu = np.concatenate(mus)
     order = np.argsort(-mu, kind="stable")
     mu = mu[order]
     # mu descends, so the kept modes are a prefix, and a prefix of each block
     m = int(np.sum(mu > 1e-14 * mu[0]))
     parity = np.repeat((1, -1) if len(dk.blocks) == 2 else (0,), n)[order][:m]
-    # the column of phi that each block's modes go to; the blocks have equal size
     phi = np.empty((N, m))
-    for cols, psi_b in zip(np.split(np.argsort(order), len(psis)), psis):
-        cols = cols[cols < m]
-        phi[:n, cols] = psi_b[:, :len(cols)]
-    del psis
-    # the sign rule on psi's top half, which the lift copies to the bottom half
-    a = np.abs(phi[:n])
-    lead = phi[np.argmax(a > 1e-3 * a.max(axis=0), axis=0), np.arange(m)]
-    phi[:n] *= np.where(lead < 0, -1.0, 1.0)
-    # the lift [u; +-Ju] / sqrt(2) of a half-size block; one block has n = N
+    # mode="clip" writes into phi itself; the default "raise" buffers out
+    np.take(T, order[:m], axis=1, out=phi[:n], mode="clip")
+    # the lift [u; +-Ju] / sqrt(2) of a half-size block (w equals its mirror
+    # image, so the bottom half is divided too); one block has n = N
     if n < N:
         np.multiply(phi[n - 1::-1], parity, out=phi[n:])
-    phi /= (np.sqrt(w) * np.sqrt(N / n))[:, None]
     return SpectralData(dk=dk, lam=1.0 / mu[:m], phi=phi, n_discarded=len(mu) - m, parity=parity)
 
 

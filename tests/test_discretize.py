@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from math import gamma, pi
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from kernel_oracles import full_matrix, green_function, mirror_matrix
+from kernel_oracles import full_matrix, green_function
 from rfl_oracle import ball_rfl_eigenvalues
 from scipy.integrate import IntegrationWarning, quad
 
@@ -85,9 +86,21 @@ def test_as_values_accepts_arrays_and_rejects_other_shapes(grid):
 
 
 def _filled(op, grid):
-    """The off-diagonal kernel values the fill computes, as an N x N matrix."""
-    K, C = discretize._fill(op, grid)
-    return K if C is None else mirror_matrix(K, C)
+    """The kernel values the fill computes at every pair, as an N x N matrix
+    with a zero diagonal: the one block it fills on a twin of the grid whose
+    first weight is doubled, which no fill reads, so the twin is not
+    mirrored.  On a mirrored grid the fill's blocks E and O must be
+    K11 + K12 J and K11 - K12 J of those values, each rounded once."""
+    twin = dataclasses.replace(grid, w=np.r_[2 * grid.w[0], grid.w[1:]])
+    assert not twin.mirrored
+    (K,), _, _ = discretize._fill(op, twin)
+    if grid.mirrored:
+        n = grid.N // 2
+        K11, K12J = K[:n, :n], K[:n, :n - 1:-1]
+        (E, O), _, _ = discretize._fill(op, grid)
+        np.testing.assert_array_equal(E, K11 + K12J)
+        np.testing.assert_array_equal(O, K11 - K12J)
+    return K
 
 
 @pytest.mark.parametrize("kind,s", [("rfl", 0.75), ("sfl", 0.75), ("classical", 1.0)])
@@ -100,7 +113,8 @@ def test_matrix_symmetric(grid, kind, s):
     # the kernel at every pair, bit for bit, as the fill computes it from
     # boundary distances: the classical (r + x_i)(r - x_j) / 2r for x_i < x_j
     # from grid.sides, Boggio's from the gaps delta (2r - delta) and |x - y|,
-    # which is |delta_x - delta_y| for two nodes on one side
+    # which is |delta_x - delta_y| for two nodes on one side; the parity
+    # blocks are their sum and difference, each rounded once (_filled)
     X, Y = np.meshgrid(grid.x, grid.x, indexing="ij")
     off = ~np.eye(grid.N, dtype=bool)
     if kind == "classical":
@@ -136,18 +150,23 @@ def test_fill_evaluates_one_kernel_value_per_pair(kind, domain, N, monkeypatch):
     # per FILL_SLICE = 2^15 pairs, over K11's and K12 J's pairs together: one
     # up to N = 256, and 8 for the 262,144 values at N = 1024
     grid = build_grid(domain, N)
+    op = make_operator(kind, 1.0 if kind == "classical" else 0.5, domain)
     # the ball's kernel is the angular mean, which calls Boggio's many times
     name = "rfl_green_radial" if domain.n > 1 else "rfl_green_from_gaps"
     calls, orig = [], getattr(discretize, name)
     monkeypatch.setattr(discretize, name,
                         lambda op, a, *rest: calls.append(np.size(a)) or orig(op, a, *rest))
-    K, C = discretize._fill(make_operator(kind, 1.0 if kind == "classical" else 0.5,
-                                          domain), grid)
+    blocks, lo, hi = discretize._fill(op, grid)
     pairs = N * N // 4 if grid.mirrored else N * (N - 1) // 2
     assert sum(calls) == (0 if kind == "classical" else pairs)
     assert len(calls) == (0 if kind == "classical" else 8 if N == 1024 else 1)
-    assert (C is None) != grid.mirrored
-    assert K.shape == (N // 2,) * 2 if grid.mirrored else (N, N)
+    n = N // 2 if grid.mirrored else N
+    assert len(blocks) == (2 if grid.mirrored else 1)
+    assert all(B.shape == (n, n) for B in blocks)
+    # the least and greatest of the values written, K11's and K12 J's
+    rows, cols = discretize._pairs(n, N)
+    written = _filled(op, grid)[rows, cols]
+    assert (lo, hi) == (written.min(), written.max())
 
 
 @pytest.mark.parametrize("domain,N,grading,sliced", [(DOM, 1024, 4.0, 2 ** 15),
@@ -160,11 +179,12 @@ def test_sliced_fill_is_the_one_slice_fill(domain, N, grading, sliced, monkeypat
     grid = build_grid(domain, N, grading)
     op = make_operator("rfl", 0.75, domain)
     monkeypatch.setattr(discretize, "FILL_SLICE", sliced)
-    K, C = discretize._fill(op, grid)
+    blocks, lo, hi = discretize._fill(op, grid)
     monkeypatch.setattr(discretize, "FILL_SLICE", N * N)
-    K1, C1 = discretize._fill(op, grid)
-    np.testing.assert_array_equal(K, K1)
-    assert (C is None and C1 is None) or np.array_equal(C, C1)
+    blocks1, lo1, hi1 = discretize._fill(op, grid)
+    assert len(blocks) == len(blocks1) and (lo, hi) == (lo1, hi1)
+    for B, B1 in zip(blocks, blocks1):
+        np.testing.assert_array_equal(B, B1)
 
 
 def test_pair_lists_hold_k11_then_k12j_row_by_row():
@@ -176,6 +196,38 @@ def test_pair_lists_hold_k11_then_k12j_row_by_row():
         ref += [(i, c) for i in range(n) for c in range(n, N - i)]
         rows, cols = discretize._pairs(n, N)
         np.testing.assert_array_equal(np.c_[rows, cols], ref)
+
+
+@pytest.mark.parametrize("N", [64, 63])
+@pytest.mark.parametrize("planted", [0, -1])
+def test_negative_rfl_kernel_value_is_rejected(N, planted, monkeypatch):
+    # one negative value among those the fill writes: K11's first pair, or
+    # the last pair, K12 J's on a mirrored grid (N = 64), K's at odd N
+    orig = discretize.rfl_green_from_gaps
+
+    def planted_kernel(op, *args):
+        v = orig(op, *args)
+        v[planted] = -1e-6 * v.max()
+        return v
+
+    monkeypatch.setattr(discretize, "rfl_green_from_gaps", planted_kernel)
+    with pytest.raises(AssertionError, match="negative kernel matrix entry"):
+        assemble_green_matrix(make_operator("rfl", 0.5, DOM), build_grid(DOM, N))
+
+
+def test_sfl_sign_check_reads_k12j(monkeypatch):
+    # Grams of the odd-k and even-k modes with E = 2 I and O = I + 1 1^T,
+    # both non-negative, while K12 J = (I - 1 1^T)/2 is -1/2 off the
+    # diagonal, far below the tail bound at M = 4096 (0.016); with equal
+    # Grams K12 J is 0 and the kernel passes
+    n = 32
+    grams = {1: np.eye(n), 2: 0.5 * (np.eye(n) + np.ones((n, n)))}
+    monkeypatch.setattr(discretize, "_sfl_gram", lambda op, grid, n, k: grams[k.start].copy())
+    op = make_operator("sfl", 0.75, DOM, sfl_truncation=4096)
+    with pytest.raises(AssertionError, match="negative kernel matrix entry"):
+        assemble_green_matrix(op, build_grid(DOM, 2 * n))
+    grams[2] = np.eye(n)
+    assert all(np.all(B >= 0) for B in assemble_green_matrix(op, build_grid(DOM, 2 * n)).blocks)
 
 
 APPLY_CASES = [("rfl", 0.5, DOM, 64, {}), ("sfl", 0.75, DOM, 64, {"sfl_truncation": 256}),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -287,6 +288,92 @@ def test_sign_rule_is_the_docstring_rule(kind, s, N, kw):
     assert sd.n_discarded > 0 and sd.m + sd.n_discarded == N
     flips = np.random.default_rng(3).choice([-1.0, 1.0], sd.m)
     np.testing.assert_array_equal(_reference_signs(sd.phi * flips, sd.grid.w, N // 2), sd.phi)
+
+
+def _merged(dk):
+    """eigendecompose by the straightforward merge: every block's modes
+    descending, all of them taken into phi's top half in merged eigenvalue
+    order, the sign rule on the merged psi, the lift, and one divide over
+    both halves.  Returns lam, phi, parity and n_discarded."""
+    w, N, n = dk.grid.w, dk.grid.N, len(dk.blocks[0])
+    sw = np.sqrt(w[:n])
+    mus, psis = [], []
+    for K in dk.blocks:
+        mu_b, psi_b = np.linalg.eigh(K * sw[:, None] * sw)
+        mus.append(mu_b[::-1])
+        psis.append(psi_b[:, ::-1])
+    mu = np.concatenate(mus)
+    order = np.argsort(-mu, kind="stable")
+    mu = mu[order]
+    m = int(np.sum(mu > 1e-14 * mu[0]))
+    parity = np.repeat((1, -1) if len(dk.blocks) == 2 else (0,), n)[order][:m]
+    psi = np.concatenate(psis, axis=1)[:, order[:m]]
+    a = np.abs(psi)
+    psi *= np.where(psi[np.argmax(a > 1e-3 * a.max(axis=0), axis=0), np.arange(m)] < 0, -1.0, 1.0)
+    phi = psi if n == N else np.concatenate([psi, psi[::-1] * parity])
+    phi /= (np.sqrt(w) * np.sqrt(N / n))[:, None]
+    return 1.0 / mu[:m], phi, parity, len(mu) - m
+
+
+def _assert_merged(sd):
+    lam, phi, parity, n_discarded = _merged(sd.dk)
+    assert sd.n_discarded == n_discarded
+    for a, b in ((sd.lam, lam), (sd.phi, phi), (sd.parity, parity)):
+        np.testing.assert_array_equal(a, b)
+
+
+BALL3 = make_domain("ball", 3, 1.0)
+
+
+@pytest.mark.parametrize("kind,s,domain,N,grading,kw,dropped", [
+    ("rfl", 0.5, DOM, 128, 1.0, {}, False),
+    ("rfl", 0.9, DOM, 255, 2.0, {}, False),
+    ("rfl", 0.75, DOM, 256, 4.0, {}, True),
+    ("classical", 1.0, DOM, 127, 4.0, {}, True),
+    ("classical", 1.0, DOM, 128, 2.0, {}, False),
+    ("sfl", 0.75, DOM, 128, 2.0, {"sfl_truncation": 1}, True),
+    ("sfl", 0.75, DOM, 129, 1.0, {"sfl_truncation": 1}, True),
+    ("sfl", 0.75, DOM, 256, 4.0, {"sfl_truncation": 4096}, True),
+    ("sfl", 0.55, DOM, 255, 2.0, {"sfl_truncation": 4096}, True),
+    ("rfl", 0.5, BALL3, 32, 2.0, {}, False)])
+def test_eigendecompose_is_the_straightforward_merge(kind, s, domain, N, grading, kw, dropped):
+    # each block finished as eigh returns it, then one gather: bit for bit
+    # the merge that finishes the modes after taking them into phi
+    dk = assemble_green_matrix(make_operator(kind, s, domain, **kw),
+                               build_grid(domain, N, grading=grading))
+    sd = eigendecompose(dk)
+    assert (sd.n_discarded > 0) == dropped
+    _assert_merged(sd)
+
+
+def test_tied_parity_blocks_keep_the_even_mode_first():
+    # with K12 J = 0 the blocks E and O are both K11, so every eigenvalue is
+    # a tie of an even and an odd mode, and the even one comes first
+    grid = build_grid(DOM, 64, grading=2.0)
+    E = assemble_green_matrix(make_operator("rfl", 0.5, DOM), grid).blocks[0]
+    sd = eigendecompose(DiscreteKernel(op=make_operator("rfl", 0.5, DOM), grid=grid,
+                                       blocks=(E, E.copy())))
+    assert sd.m == grid.N and np.array_equal(sd.lam[::2], sd.lam[1::2])
+    np.testing.assert_array_equal(sd.parity, np.tile([1, -1], grid.N // 2))
+    _assert_merged(sd)
+
+
+def test_eigendecompose_peak_at_n1024():
+    # the SFL at N = 1024 drops 66 of its modes in the gather; the blocks'
+    # finished modes (4 MiB) and phi (7.5 MiB) set the peak, measured at
+    # 11.66 MiB, where taking the modes into phi first and finishing them
+    # there reached 14.21 MiB
+    grid = build_grid(DOM, 1024, grading=2.0)
+    dk = assemble_green_matrix(make_operator("sfl", 0.75, DOM, sfl_truncation=4096), grid)
+    tracemalloc.start()
+    try:
+        sd = eigendecompose(dk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sd.n_discarded == 66
+    assert peak < 12.5 * 2 ** 20, peak / 2 ** 20
+    _assert_merged(sd)
 
 
 @pytest.mark.parametrize("kind", ["sfl", "rfl"])
