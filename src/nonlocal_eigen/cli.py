@@ -150,6 +150,11 @@ def resolve_g(spec: str, grid, sd, op):
             raise ValueError(f"custom table {arg!r} has non-finite values")
         if not np.all(np.diff(data[:, 0]) > 0):
             raise ValueError("custom table's x column must strictly increase")
+        # np.interp would copy the end values to every node outside the table
+        (a, b), (lo, hi) = data[[0, -1], 0], grid.x[[0, -1]]
+        if a > lo or b < hi:
+            raise ValueError(f"custom table's x column spans [{a:.17g}, {b:.17g}], "
+                             f"short of the grid's nodes on [{lo:.17g}, {hi:.17g}]")
         return np.interp(grid.x, data[:, 0], data[:, 1])
     raise ValueError(f"unknown g profile {spec!r}")
 

@@ -261,14 +261,12 @@ def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[tuple[np.ndarray, ...], flo
         del v    # before the next slice's kernel call
     # freed before the blocks are formed, which would otherwise set the peak
     del rows, cols, d
-    if not mirrored:
-        return (W + W.T,), lo, hi
     # (K12 J)_ij pairs node i with N - 1 - j, the mirror image of node j, so
-    # K12 J's upper triangle is W's right half reversed; a block is its upper
-    # triangle plus the transpose, which counts the diagonal twice
-    U, V = W[:, :n], W[:, :n - 1:-1]
-    blocks = (U + V, U - V)
-    del W, U, V
+    # W's rows fold into E's and O's upper triangles.  A block is its upper
+    # triangle plus the transpose, which counts the diagonal twice; one
+    # block holds the pairs i < c only, so its diagonal is 0 and stays 0
+    blocks = parity_parts(W) if mirrored else (W,)
+    del W
     for B in blocks:
         B += B.T
         B.flat[::n + 1] *= 0.5
@@ -329,10 +327,10 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
 
 def parity_parts(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """y_top + J y_bot and y_top - J y_bot, the even and odd parts of values
-    on a mirrored grid, each on the left half-grid; along axis 0, so each
-    column of a block is split."""
-    n = len(y) // 2
-    top, bot = y[:n], y[:n - 1:-1]
+    on a mirrored grid, each on the left half-grid; along the last axis, so
+    each row of a block is split."""
+    n = y.shape[-1] // 2
+    top, bot = y[..., :n], y[..., :n - 1:-1]
     return top + bot, top - bot
 
 
@@ -352,12 +350,9 @@ def apply_G0(dk: DiscreteKernel, f) -> GridFunction:
         u = y @ dk.blocks[0]
     else:
         E, O = dk.blocks
-        a, b = parity_parts(y.T)
-        ea, ob = a.T @ E, b.T @ O
-        n = grid.N // 2
-        u = np.empty(y.shape)
-        np.add(ea, ob, out=u[:, :n])
-        np.subtract(ea, ob, out=u[:, :n - 1:-1])
+        a, b = parity_parts(y)
+        ea, ob = a @ E, b @ O
+        u = np.concatenate([ea + ob, (ea - ob)[:, ::-1]], axis=1)
         u *= 0.5
     return GridFunction(grid, u.T.reshape(v.shape))
 

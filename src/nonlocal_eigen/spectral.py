@@ -92,8 +92,7 @@ class SpectralData:
         y = self.grid.w * np.atleast_2d(v.T)
         if len(self.dk.blocks) == 2:
             n, T = self.grid.N // 2, len(y)
-            a, b = parity_parts(y.T)
-            c = np.concatenate([a.T, b.T]) @ self.phi[:n]
+            c = np.concatenate(parity_parts(y)) @ self.phi[:n]
             c = np.where(self.parity > 0, c[:T], c[T:])
         else:
             c = y @ self.phi

@@ -8,6 +8,7 @@ import pytest
 
 from nonlocal_eigen import cli, limits, verify
 from nonlocal_eigen.cli import main
+from nonlocal_eigen.geometry import build_grid, make_domain
 
 
 def run_cli(args):
@@ -165,6 +166,8 @@ def test_bad_request_rejected_before_assembly(tmp_path, monkeypatch, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     missing = tmp_path / "missing.csv"
+    short = tmp_path / "short.csv"
+    short.write_text("-0.5,1\n0.5,3\n")
     for argv, msg in ((["solve", "--lambda", "inf"], "lambda must be finite"),
                       (["sweep", "--lambda-list", "1,nan"], "lambda must be finite"),
                       (["limit-s", "--lambda=-inf"], "lambda must be finite"),
@@ -174,6 +177,7 @@ def test_bad_request_rejected_before_assembly(tmp_path, monkeypatch, capsys):
                       (["solve", "--h", "1,2,3"], "boundary value"),
                       (["limit-s", "--h", "1,2,3"], "boundary value"),
                       (["sweep", "--g", f"table:{missing}"], "cannot read"),
+                      (["solve", "--g", f"table:{short}"], "short of the grid's nodes"),
                       (["sweep", "--group", "0"], "group"),
                       (["solve", "--g", "eigmode:abc"], "g profile 'eigmode:abc'")):
         assert run_cli([argv[0], "--N", "32", "--out", str(tmp_path), *argv[1:]]) == 2, argv
@@ -198,6 +202,12 @@ def test_sfl_with_one_or_two_modes(tmp_path, M):
     summary = json.loads((tmp_path / "eigen.json").read_text())
     assert summary["n_discarded"] == 64 - M
     assert summary["lambda_1"] == pytest.approx((np.pi / 2) ** 1.5, rel=1e-13)
+
+
+def test_grading_that_underflows_delta_exits_3(tmp_path, capsys):
+    # at N = 64 and grading 200 the outermost delta underflows to 0
+    assert run_cli(["eigen", "--N", "64", "--grade", "200", "--out", str(tmp_path)]) == 3
+    assert "nonpositive weights or boundary distances" in capsys.readouterr().err
 
 
 def test_numerical_fault_in_assembly_exits_3(tmp_path, monkeypatch):
@@ -230,6 +240,25 @@ def test_g_profiles(tmp_path):
         assert run_cli(["solve", "--op", "sfl", "--N", "64", "--M", "64",
                         "--g", g, "--h", "0", "--lambda", "0.1",
                         "--out", str(out)]) == 0
+
+
+def test_g_table_must_span_the_nodes(tmp_path, capsys):
+    # np.interp copies a table's end values to every node outside it: a
+    # table on [-0.5, 0.5] once ran at N = 16 as g = 1 and g = 3 at the
+    # nodes next to the boundary, x = -+0.9996, where the large solutions
+    # blow up.  A table short of either end exits 2 and names both ranges;
+    # one that ends exactly at the outermost nodes runs
+    x = build_grid(make_domain("interval", 1, 1.0), 16, 2.0).x
+    nodes = f"[{x[0]:.17g}, {x[-1]:.17g}]"
+    table = tmp_path / "g.csv"
+    for a, b in ((-0.5, 0.5), (-1.0, 0.5), (-0.5, 1.0), (x[0], np.nextafter(x[-1], 0))):
+        table.write_text(f"{a:.17g},1\n{b:.17g},3\n")
+        assert run_cli(["solve", "--N", "16", "--g", f"table:{table}",
+                        "--out", str(tmp_path)]) == 2, (a, b)
+        err = capsys.readouterr().err
+        assert f"spans [{a:.17g}, {b:.17g}]" in err and nodes in err, err
+    table.write_text(f"{x[0]:.17g},1\n{x[-1]:.17g},3\n")
+    assert run_cli(["solve", "--N", "16", "--g", f"table:{table}", "--out", str(tmp_path)]) == 0
 
 
 def test_sweep_footer(tmp_path):

@@ -17,6 +17,7 @@ from nonlocal_eigen.discretize import (
     apply_G0,
     as_values,
     assemble_green_matrix,
+    parity_parts,
     rfl_green_radial,
     weighted_norm,
 )
@@ -90,7 +91,8 @@ def _filled(op, grid):
     with a zero diagonal: the one block it fills on a twin of the grid whose
     first weight is doubled, which no fill reads, so the twin is not
     mirrored.  On a mirrored grid the fill's blocks E and O must be
-    K11 + K12 J and K11 - K12 J of those values, each rounded once."""
+    K11 + K12 J and K11 - K12 J of those values, each rounded once: the
+    parity parts of the top half's rows."""
     twin = dataclasses.replace(grid, w=np.r_[2 * grid.w[0], grid.w[1:]])
     assert not twin.mirrored
     (K,), _, _ = discretize._fill(op, twin)
@@ -100,6 +102,8 @@ def _filled(op, grid):
         (E, O), _, _ = discretize._fill(op, grid)
         np.testing.assert_array_equal(E, K11 + K12J)
         np.testing.assert_array_equal(O, K11 - K12J)
+        for B, part in zip((E, O), parity_parts(K[:n])):
+            np.testing.assert_array_equal(B, part)
     return K
 
 
@@ -185,6 +189,35 @@ def test_sliced_fill_is_the_one_slice_fill(domain, N, grading, sliced, monkeypat
     assert len(blocks) == len(blocks1) and (lo, hi) == (lo1, hi1)
     for B, B1 in zip(blocks, blocks1):
         np.testing.assert_array_equal(B, B1)
+
+
+@pytest.mark.parametrize("domain,N,grading", [(DOM, 63, 2.0), (DOM, 63, 4.0), (DOM, 255, 2.0),
+                                             (DOM, 255, 4.0), (make_domain("ball", 2, 1.0), 24, 2.0)])
+def test_one_block_fill_is_symmetric_with_a_zero_diagonal(domain, N, grading):
+    # one block's table holds the pairs i < c only, so the one tail's
+    # B += B^T adds a 0 to every entry and its halved diagonal stays 0
+    grid = build_grid(domain, N, grading)
+    assert not grid.mirrored
+    (K,), _, _ = discretize._fill(make_operator("rfl", 0.75, domain), grid)
+    np.testing.assert_array_equal(K, K.T)
+    assert np.all(np.diag(K) == 0.0)
+    assert np.all(K[~np.eye(N, dtype=bool)] > 0)
+
+
+def test_parity_parts_fold_each_row():
+    # a (T, N) block folds row by row, bit for bit, into y_top + J y_bot and
+    # y_top - J y_bot, J y_bot the bottom half reversed: y_i +- y_(N-1-i)
+    rng = np.random.default_rng(3)
+    for N in (2, 16, 64):
+        Y, n = rng.standard_normal((5, N)), N // 2
+        a, b = parity_parts(Y)
+        assert a.shape == b.shape == (5, n)
+        for t, y in enumerate(Y):
+            at, bt = parity_parts(y)
+            np.testing.assert_array_equal(at, y[:n] + y[::-1][:n])
+            np.testing.assert_array_equal(bt, y[:n] - y[::-1][:n])
+            np.testing.assert_array_equal(a[t], at)
+            np.testing.assert_array_equal(b[t], bt)
 
 
 def test_pair_lists_hold_k11_then_k12j_row_by_row():

@@ -96,6 +96,16 @@ def test_neumann_agrees_with_spectral(sfl):
         apply_Glambda_neumann(lambda_context(sd, 0.5 * (sd.lam[0] + sd.lam[1])), f)
 
 
+def test_neumann_raises_when_it_does_not_converge():
+    # just below lambda_1 the iteration contracts by about 1 - 1e-4 a step,
+    # so 10000 steps leave a residual of 4.2e-1 (RFL, s = 0.5, N = 16)
+    grid = build_grid(DOM, 16)
+    sd = eigendecompose(assemble_green_matrix(make_operator("rfl", 0.5, DOM), grid))
+    ctx = lambda_context(sd, (1.0 - 1e-4) * sd.lam[0])
+    with pytest.raises(RuntimeError, match=r"10000 iterations \(residual 4\.2\d*e-01\)"):
+        apply_Glambda_neumann(ctx, np.ones(grid.N))
+
+
 def test_project_perp_and_perp_solve(sfl):
     _, dk, sd = sfl
     lam = 0.5 * (sd.lam[1] + sd.lam[2])  # E = groups 1..2
