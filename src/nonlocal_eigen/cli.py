@@ -274,6 +274,26 @@ _COMMANDS = {"eigen": cmd_eigen, "solve": cmd_solve, "sweep": cmd_sweep,
              "limit-s": cmd_limit_s, "verify": cmd_verify}
 
 
+def _join_negative_values(argv) -> list:
+    """argv with each numeric flag and a following value that starts with `-`
+    and reads as the flag's type joined into one `--flag=value` token:
+    argparse takes such a token for a flag unless it is a plain negative
+    number, so `--lambda -1e3` and `--h -1,2` would lack their argument."""
+    kinds = {_flag(f): f.metadata["argparse"]["type"] for f in fields(RunConfig)
+             if f.metadata["argparse"]["type"] in (int, float, _floats)}
+    out, rest = [], list(argv)
+    while rest:
+        token = rest.pop(0)
+        if token in kinds and rest and rest[0].startswith("-"):
+            try:
+                kinds[token](rest[0])
+                token = f"{token}={rest.pop(0)}"
+            except ValueError:
+                pass  # `--lambda --g`: argparse reports the missing argument
+        out.append(token)
+    return out
+
+
 def _parse_args(argv) -> tuple[str, RunConfig]:
     p = argparse.ArgumentParser(
         prog="nonlocal-eigen",
@@ -287,7 +307,7 @@ def _parse_args(argv) -> tuple[str, RunConfig]:
     for f in fields(RunConfig):
         for name in f.metadata["commands"]:
             parsers[name].add_argument(_flag(f), dest=f.name, **f.metadata["argparse"])
-    a = vars(p.parse_args(argv))
+    a = vars(p.parse_args(_join_negative_values(argv)))
     command = a.pop("command")
     if a.get("s_list") == []:
         del a["s_list"]  # an empty --s-list keeps the default ladder

@@ -281,16 +281,15 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         M = op.sfl_truncation
         if grid.mirrored:
             # mode k has parity (-1)^(k+1), so on the left half-grid K11 and
-            # K12 J are the odd-k Gram plus and minus the even-k Gram: E is
-            # twice the odd-k Gram and O twice the even-k Gram
+            # K12 J, formed in turn for K's least entry only, are the odd-k
+            # Gram plus and minus the even-k Gram; E and O are twice those Grams
             n = grid.N // 2
             odd, even = (_sfl_gram(op, grid, n, range(p, M + 1, 2)) for p in (1, 2))
-            K11, K12J = odd + even, odd - even
-            lo, hi = min(K11.min(), K12J.min()), max(K11.max(), K12J.max())
+            lo = min((odd + even).min(), (odd - even).min())
             blocks = (np.multiply(odd, 2.0, out=odd), np.multiply(even, 2.0, out=even))
         else:
             blocks = (_sfl_gram(op, grid, grid.N, range(1, M + 1)),)
-            lo, hi = blocks[0].min(), blocks[0].max()
+            lo = blocks[0].min()
         # the truncated series may dip below zero by at most the tail sum
         # (1/r) sum_{k>M} mu_k^{-s} ~ (pi/2r)^{-2s} M^{1-2s} / (r (2s-1))
         neg_tol = (np.pi / (2 * op.domain.r)) ** (-2 * op.s) \

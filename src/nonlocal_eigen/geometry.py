@@ -187,6 +187,9 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
         jac = r * beta * (1.0 - t) ** (beta - 1.0)
         w = wt * jac * sphere_area(domain.n) * x ** (domain.n - 1)
 
+    # (1 - |t|)^grading of the outermost node underflows to 0 from a grading
+    # that falls as N grows (about 120 at N = 64): an input the grid cannot hold
     if np.any(w <= 0) or np.any(d <= 0):
-        raise AssertionError("grid construction produced nonpositive weights or boundary distances")
+        raise ValueError(f"grading {grading} underflows the outermost nodes' boundary "
+                         f"distance or weight to 0 at N = {N}; take a smaller grading")
     return QuadGrid(domain=domain, x=x, w=w, delta=d, grading=grading)

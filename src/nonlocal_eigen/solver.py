@@ -215,9 +215,7 @@ def sweep_lambda(op: OperatorSpec, sd: SpectralData, g, h, i: int,
     mask = grid.compact_mask()
     reports, total, norms = _solve(ctxs, data, split_at, mask)
 
-    maskKA = np.zeros(grid.N, dtype=bool)
-    maskKA[fred.A_plus] = True
-    maskKA &= mask
+    maskKA = mask & (fred.projection.values > fred.eps)
     if maskKA.any():
         supKA = np.max(np.abs(total), axis=1, where=maskKA, initial=0.0)
     else:

@@ -149,11 +149,12 @@ def test_exit_codes(tmp_path, capsys):
                         "--group", group, "--out", out]) == 2
     # a flag the subcommand does not read, also as the prefix of one it does;
     # eigmode data needs a spectrum, which limit-s does not compute; only the
-    # large-solution ladder (--g zero) of limit-s reads --h
+    # large-solution ladder (--g zero) of limit-s reads --h; a flag is not
+    # the value of the numeric flag before it
     for argv in (["verify", "--op", "sfl", "--N", "16"], ["eigen", "--lambda", "3"],
                  ["eigen", "--g", "one"], ["sweep", "--lambda", "3"],
                  ["limit-s", "--s", "0.8"], ["limit-s", "--g", "eigmode:1"],
-                 ["limit-s", "--g", "one", "--h", "1"]):
+                 ["limit-s", "--g", "one", "--h", "1"], ["solve", "--lambda", "--g", "one"]):
         assert run_cli(argv + ["--out", out]) == 2, argv
 
 
@@ -204,10 +205,16 @@ def test_sfl_with_one_or_two_modes(tmp_path, M):
     assert summary["lambda_1"] == pytest.approx((np.pi / 2) ** 1.5, rel=1e-13)
 
 
-def test_grading_that_underflows_delta_exits_3(tmp_path, capsys):
-    # at N = 64 and grading 200 the outermost delta underflows to 0
-    assert run_cli(["eigen", "--N", "64", "--grade", "200", "--out", str(tmp_path)]) == 3
-    assert "nonpositive weights or boundary distances" in capsys.readouterr().err
+def test_grading_that_underflows_delta_exits_2(tmp_path, monkeypatch, capsys):
+    # at N = 64 and grading 200 the outermost delta underflows to 0: an input
+    # the grid cannot hold, rejected before assembly
+    def assemble(*_):
+        raise AssertionError("assembled on a grid with delta = 0")
+
+    monkeypatch.setattr(cli, "assemble_green_matrix", assemble)
+    assert run_cli(["eigen", "--N", "64", "--grade", "200", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: grading 200.0 underflows" in err and "at N = 64" in err
 
 
 def test_numerical_fault_in_assembly_exits_3(tmp_path, monkeypatch):
@@ -224,6 +231,21 @@ def test_numerical_fault_in_assembly_exits_3(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_grid", merged)
     assert run_cli(["eigen", "--op", "rfl", "--N", "16", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("argv,key,value",
+                         [(["solve", "--lambda", "-1e3"], "lam", -1e3),
+                          (["solve", "--h", "-1,2"], "h", [-1.0, 2.0]),
+                          (["sweep", "--lambda-list", "-2,-1"], "lam_list", [-2.0, -1.0]),
+                          (["limit-s", "--lambda", "-1e1"], "lam", -10.0)])
+def test_negative_values_need_no_equals_sign(tmp_path, argv, key, value):
+    # argparse takes "-1e3" or "-1,2" for a flag; each runs as its = form
+    grid = ["--op", "sfl", "--N", "32", "--M", "32"]
+    joined = [argv[0], f"{argv[1]}={argv[2]}", *grid]
+    assert cli._parse_args([*argv, *grid]) == cli._parse_args(joined)
+    assert run_cli([*argv, *grid, "--out", str(tmp_path)]) == 0
+    sidecar = next(tmp_path.glob("*.json"))
+    assert json.loads(sidecar.read_text())["config"][key] == value
 
 
 def test_lambda_defaults_to_zero(tmp_path):

@@ -263,6 +263,18 @@ def test_sfl_sign_check_reads_k12j(monkeypatch):
     assert all(np.all(B >= 0) for B in assemble_green_matrix(op, build_grid(DOM, 2 * n)).blocks)
 
 
+def test_sfl_sign_check_reads_k11(monkeypatch):
+    # the plant on the other side: Grams with E = 2 I and O = I - 1 1^T, so
+    # K12 J = (I + 1 1^T)/2 is non-negative while K11 = (3 I - 1 1^T)/2 is
+    # -1/2 off the diagonal
+    n = 32
+    grams = {1: np.eye(n), 2: 0.5 * (np.eye(n) - np.ones((n, n)))}
+    monkeypatch.setattr(discretize, "_sfl_gram", lambda op, grid, n, k: grams[k.start].copy())
+    op = make_operator("sfl", 0.75, DOM, sfl_truncation=4096)
+    with pytest.raises(AssertionError, match="negative kernel matrix entry"):
+        assemble_green_matrix(op, build_grid(DOM, 2 * n))
+
+
 APPLY_CASES = [("rfl", 0.5, DOM, 64, {}), ("sfl", 0.75, DOM, 64, {"sfl_truncation": 256}),
                ("classical", 1.0, DOM, 64, {}), ("rfl", 0.75, DOM, 63, {}),
                ("rfl", 0.75, make_domain("ball", 2, 1.0), 24, {})]

@@ -64,14 +64,14 @@ def test_grid_rejects_bad_parameters():
 
 def test_grading_that_underflows_delta_is_rejected():
     # at N = 64 the outermost delta is r (1 - |t_0|)^grading: 1.5e-172 at
-    # grading 60 and 4.1e-287 at 100; at 200 it underflows to 0, which the
-    # grid's own check rejects
+    # grading 60 and 4.1e-287 at 100; at 200 it underflows to 0, an input
+    # error that names the grading and N
     dom = make_domain("interval", 1, 1.0)
     for grading, least in ((60.0, 1.467173775055207e-172), (100.0, 4.0813382810388213e-287)):
         grid = build_grid(dom, 64, grading=grading)
         assert np.min(grid.delta) == pytest.approx(least, rel=1e-12)
         assert np.all(grid.w > 0)
-    with pytest.raises(AssertionError, match="nonpositive weights or boundary distances"):
+    with pytest.raises(ValueError, match=r"grading 200\.0 underflows .* at N = 64"):
         build_grid(dom, 64, grading=200.0)
 
 

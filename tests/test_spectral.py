@@ -386,6 +386,21 @@ def test_eigendecompose_peak_at_n1024():
     _assert_merged(sd)
 
 
+def test_sfl_assembly_peak_at_n1024():
+    # the two Grams (2 MiB each) and one n x n sum, for K's least entry, set
+    # the peak, measured at 6.00 MiB; forming K11 and K12 J side by side
+    # reached 8.00 MiB
+    grid = build_grid(DOM, 1024, grading=2.0)
+    op = make_operator("sfl", 0.75, DOM, sfl_truncation=512)
+    tracemalloc.start()
+    try:
+        assemble_green_matrix(op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 2 ** 20, peak / 2 ** 20
+
+
 @pytest.mark.parametrize("kind", ["sfl", "rfl"])
 def test_roundoff_in_the_kernel_flips_no_sign(kind):
     # a symmetric entrywise 1e-15 relative perturbation of each block, three
