@@ -27,7 +27,7 @@ from math import gamma
 
 import numpy as np
 
-from .geometry import DomainKind, QuadGrid, sphere_area
+from .geometry import DomainKind, QuadGrid, gauss_rule, sphere_area
 from .kernels import (
     OperatorKind,
     OperatorSpec,
@@ -110,10 +110,8 @@ class DiscreteKernel:
     blocks: tuple[np.ndarray, ...]
 
 
-# Gauss-Legendre points on [0, 1] for the ball's angular rule
+# Gauss-Legendre points per panel of the ball's angular rule
 PRODUCT_NODES = 16
-_u, _wu = np.polynomial.legendre.leggauss(PRODUCT_NODES)
-_u, _wu = 0.5 * (_u + 1.0), 0.5 * _wu
 
 
 # geometric panels of the ball's angular rule: 24 keep their ratio below
@@ -137,7 +135,8 @@ def rfl_green_radial(op: OperatorSpec, delta_x, delta_y, d) -> np.ndarray:
     ends = np.concatenate([0 * w, w * (np.pi / w) ** np.linspace(0, 1, ANGLE_PANELS + 1)], axis=-1)
     lo, hi = ends[..., :-1], ends[..., 1:]
     total = 0.0
-    for u, wu in zip(_u, _wu):
+    x, wx = gauss_rule(PRODUCT_NODES)
+    for u, wu in zip(0.5 * (x + 1.0), 0.5 * wx):
         theta = lo + (hi - lo) * u
         t = np.sqrt(d * d + 4.0 * rr * np.sin(theta / 2) ** 2)
         g = rfl_green_from_gaps(op, gap_x, gap_y, t) * np.sin(theta) ** (n - 2)
@@ -257,7 +256,8 @@ def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[tuple[np.ndarray, ...], flo
         part = slice(start, start + FILL_SLICE)
         v = kernel(rows[part], cols[part], d[part])
         W[rows[part], cols[part]] = v
-        lo, hi = min(lo, v.min()), max(hi, v.max())
+        # np.minimum and np.maximum, unlike min and max, keep a NaN
+        lo, hi = np.minimum(lo, v.min()), np.maximum(hi, v.max())
         del v    # before the next slice's kernel call
     # freed before the blocks are formed, which would otherwise set the peak
     del rows, cols, d
@@ -285,7 +285,7 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
             # Gram plus and minus the even-k Gram; E and O are twice those Grams
             n = grid.N // 2
             odd, even = (_sfl_gram(op, grid, n, range(p, M + 1, 2)) for p in (1, 2))
-            lo = min((odd + even).min(), (odd - even).min())
+            lo = np.minimum((odd + even).min(), (odd - even).min())
             blocks = (np.multiply(odd, 2.0, out=odd), np.multiply(even, 2.0, out=even))
         else:
             blocks = (_sfl_gram(op, grid, grid.N, range(1, M + 1)),)
@@ -314,13 +314,15 @@ def assemble_green_matrix(op: OperatorSpec, grid: QuadGrid) -> DiscreteKernel:
         for B in blocks:
             B.flat[::n + 1] += d
         # d is K11's diagonal; the fill wrote every other entry
-        lo, hi = min(lo, d.min()), max(hi, d.max())
+        lo, hi = np.minimum(lo, d.min()), np.maximum(hi, d.max())
         neg_tol = 1e-12 * hi
     else:
         raise ValueError("classical kernel matrices: interval only")
 
-    if lo < -neg_tol:
-        raise AssertionError("negative kernel matrix entry beyond truncation noise")
+    # lo carries any NaN of K, which fails this comparison too
+    if not lo >= -neg_tol:
+        raise AssertionError(f"negative kernel matrix entry or a non-finite one: least entry "
+                             f"{lo:.3g}, allowed down to {-neg_tol:.3g}")
     return DiscreteKernel(op=op, grid=grid, blocks=blocks)
 
 

@@ -121,8 +121,8 @@ class QuadGrid:
 
 
 @lru_cache(maxsize=8)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-point Gauss-Legendre rule on [-1, 1], read-only."""
+def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only, cached per n."""
     rule = np.polynomial.legendre.leggauss(n)
     for a in rule:
         a.setflags(write=False)
@@ -134,7 +134,7 @@ def _gauss_panels(a: float, b: float, counts) -> tuple[np.ndarray, np.ndarray]:
     edges = np.linspace(a, b, len(counts) + 1)
     ts, ws = [], []
     for p, n in enumerate(counts):
-        xi, wi = _gauss_rule(n)
+        xi, wi = gauss_rule(n)
         lo, hi = edges[p], edges[p + 1]
         ts.append(0.5 * (hi - lo) * xi + 0.5 * (hi + lo))
         ws.append(0.5 * (hi - lo) * wi)

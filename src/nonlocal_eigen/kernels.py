@@ -146,7 +146,7 @@ def _beta_tail(w, a: float, high):
 @lru_cache(maxsize=None)
 def _boggio_series(s: float, n: int):
     """Horner coefficients of B(x; p, q) = sum_k (1-q)_k/k! x^{p+k}/(p+k) at
-    both ends of boggio_integral, a = n/2 - s and K, cached per (s, n).
+    both ends of boggio_integral, as tuples, a = n/2 - s and K, cached per (s, n).
 
     boggio_integral is B(z; s, a) at z = rho/(1+rho), and K - _beta_tail(w)
     at w = 1/(1+rho).  Matching the two at rho = 1 gives K, which is
@@ -161,7 +161,7 @@ def _boggio_series(s: float, n: int):
     k = np.arange(3 * BETA_TERMS)
     low = np.cumprod(np.r_[1.0, (k[:-1] + 1.0 - a) / (k[:-1] + 1.0)]) / (s + k)
     high = np.cumprod((k + 1.0 - s) / (k + 1.0)) / (a + k + 1.0)
-    low, high = (np.sum(_taylor_shift() * c, axis=1)[::-1].tolist() for c in (low, high))
+    low, high = (tuple(np.sum(_taylor_shift() * c, 1)[::-1].tolist()) for c in (low, high))
     return low, high, a, float(_beta_sum(0.5, s, low) + _beta_tail(0.5, a, high))
 
 
@@ -220,8 +220,14 @@ def rfl_green_from_gaps(op: OperatorSpec, gap_x, gap_y, dist):
     r, s, n = op.domain.r, op.s, op.domain.n
     if np.any(dist == 0):
         raise ZeroDivisionError("Green's function requested on the diagonal x = y")
-    rho = gap_x * gap_y / (r * r * dist * dist)
+    den = r * r * dist * dist
+    # at a strong grading |x - y|^2 of two boundary nodes underflows to 0
+    if np.any(den == 0):
+        raise ValueError("|x - y|^2 underflows to 0 in Boggio's kernel: the grid's "
+                         "grading is too strong for the kernel; take a smaller grading")
+    rho = gap_x * gap_y / den
     # the series first, then its factors: no factor is held while it runs
+    del den
     B = boggio_integral(rho, s, n)
     del rho
     return _scalar(_boggio_constant(n, s) * dist ** (2 * s - n) * B)

@@ -19,7 +19,7 @@ from .kernels import OperatorSpec
 from .spectral import LambdaContext, SpectralData, apply_Glambda, lambda_context
 
 # relative offsets below lambda_i of the default sweep ladder
-SWEEP_OFFSETS = [1e-2, 1e-3, 1e-4, 1e-5, 2e-6]
+SWEEP_OFFSETS = (1e-2, 1e-3, 1e-4, 1e-5, 2e-6)
 
 # random draws of each Monte-Carlo check
 TRIALS = 100

@@ -217,6 +217,24 @@ def test_grading_that_underflows_delta_exits_2(tmp_path, monkeypatch, capsys):
     assert "configuration error: grading 200.0 underflows" in err and "at N = 64" in err
 
 
+@pytest.mark.parametrize("N,grading", [(64, 100), (256, 60)])
+def test_grading_that_underflows_a_node_gap_exits_2(tmp_path, capsys, N, grading):
+    # the outermost nodes' |x - y|^2 underflows to 0 in Boggio's kernel: a
+    # configuration error, with no numpy warning (was a 0/0 that put NaN in K)
+    assert run_cli(["eigen", "--op", "rfl", "--N", str(N), "--grade", str(grading),
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: |x - y|^2 underflows to 0 in Boggio's kernel" in err
+    assert "grading is too strong" in err
+
+
+def test_grading_whose_gap_product_underflows_still_runs(tmp_path):
+    # at N = 64, grading 70, one kernel value is 0 where the true one is about
+    # 2e-24: the gap product underflows, but |x - y|^2 does not
+    assert run_cli(["eigen", "--op", "rfl", "--N", "64", "--grade", "70",
+                    "--out", str(tmp_path)]) == 0
+
+
 def test_numerical_fault_in_assembly_exits_3(tmp_path, monkeypatch):
     # two nodes that coincide (in x and in delta, which the fill reads on
     # one side) put the kernel on its diagonal: a numerical fault (exit 3),
@@ -374,3 +392,14 @@ def test_cli_import_leaves_scipy_out():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_quadrature():
+    # every cached rule is built on first use: numpy.polynomial, which
+    # computes the Gauss-Legendre rules, is not imported at start-up
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, nonlocal_eigen.cli; "
+         "print('numpy.polynomial' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -275,6 +275,22 @@ def test_sfl_sign_check_reads_k11(monkeypatch):
         assemble_green_matrix(op, build_grid(DOM, 2 * n))
 
 
+def test_sign_check_rejects_a_nan_entry(monkeypatch):
+    # a NaN fails every comparison, so "lo < -tol" let it through to
+    # eigendecompose; the check now raises for it itself
+    orig = discretize._fill
+
+    def planted_fill(op, grid):
+        blocks, lo, hi = orig(op, grid)
+        blocks[0][0, 1] = blocks[0][1, 0] = np.nan
+        return blocks, lo, hi
+
+    monkeypatch.setattr(discretize, "_fill", planted_fill)
+    with pytest.raises(AssertionError, match="negative kernel matrix entry or a non-finite one: "
+                                             "least entry nan"):
+        assemble_green_matrix(make_operator("rfl", 0.5, DOM), build_grid(DOM, 64))
+
+
 APPLY_CASES = [("rfl", 0.5, DOM, 64, {}), ("sfl", 0.75, DOM, 64, {"sfl_truncation": 256}),
                ("classical", 1.0, DOM, 64, {}), ("rfl", 0.75, DOM, 63, {}),
                ("rfl", 0.75, make_domain("ball", 2, 1.0), 24, {})]

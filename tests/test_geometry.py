@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nonlocal_eigen.geometry import (
     BOUNDARY_NODES,
     build_grid,
+    gauss_rule,
     make_domain,
     sphere_area,
 )
@@ -163,3 +164,10 @@ def test_every_grading_4_grid_builds():
         assert np.all(grid.delta > 0) and np.all(grid.w > 0), N
         assert np.sum(grid.w) == pytest.approx(2.0, rel=1e-10), N
     assert build_grid(dom, 1024, grading=4.0).x[0] == -1.0
+
+
+def test_gauss_rule_is_read_only_and_computed_once():
+    # the grid panels and the ball's angular rule share one cached rule
+    x, w = gauss_rule(16)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert gauss_rule(16)[0] is x

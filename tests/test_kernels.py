@@ -21,6 +21,7 @@ from nonlocal_eigen.kernels import (
     martin_kernel,
     polylog_unit_circle,
     rfl_green_ball,
+    rfl_green_from_gaps,
     sfl_eigenvalue,
 )
 
@@ -164,6 +165,22 @@ def test_rfl_green_on_the_diagonal_is_a_numerical_fault():
         rfl_green_ball(op, 0.3, 1.5)
     with pytest.raises(ValueError, match="requires an RFL operator"):
         rfl_green_ball(make_operator("sfl", 0.75, INTERVAL), 0.3, 0.1)
+
+
+def test_rfl_green_rejects_a_distance_whose_square_underflows():
+    # |x - y|^2 = 0 at |x - y| = 1e-200, as between the outermost nodes of a
+    # strongly graded grid: a configuration error (exit 2) where the quotient
+    # of the gap product by it was 0/0; an exact x = y stays a numerical fault
+    op = make_operator("rfl", 0.5, INTERVAL)
+    with pytest.raises(ValueError, match="grading is too strong"):
+        rfl_green_from_gaps(op, np.full(2, 1e-300), np.full(2, 1e-300), np.array([1e-200, 0.5]))
+    with pytest.raises(ZeroDivisionError, match="diagonal"):
+        rfl_green_from_gaps(op, 0.5, 0.5, 0.0)
+
+
+def test_boggio_series_cache_is_read_only():
+    low, high, _, _ = kernels._boggio_series(0.5, 1)
+    assert type(low) is tuple and type(high) is tuple
 
 
 def test_rfl_green_vanishes_at_boundary():

@@ -377,3 +377,8 @@ def test_requests_on_a_mirrored_grid_allocate_no_full_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * N * N, peak
+
+
+def test_sweep_offsets_cannot_be_changed_by_a_caller():
+    # every default ladder reads the module constant
+    assert type(solver.SWEEP_OFFSETS) is tuple
