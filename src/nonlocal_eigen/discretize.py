@@ -222,10 +222,10 @@ def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[tuple[np.ndarray, ...], flo
     On a mirrored grid (n = N/2) the N^2/4 pairs of the left half's K11 and
     of the symmetric K12 J (_pairs) give (E, O) = (K11 + K12 J, K11 - K12 J),
     K11's diagonal left 0; any other grid gives (K,).  The kernel runs in
-    slices of FILL_SLICE pairs.  |x_i - x_c| is |delta_i - delta_c| for two
-    nodes on one side, where x may have rounded to +-r, and x_c - x_i
-    across.  On the ball Boggio's angular mean is the kernel on radial
-    functions.
+    slices of FILL_SLICE pairs.  Each slice forms |x_i - x_c| by one rule:
+    |delta_i - delta_c| for two nodes on one side, where x may have rounded
+    to +-r, and x_c - x_i across.  On the ball Boggio's angular mean is the
+    kernel on radial functions.
     """
     N, dl, x = grid.N, grid.delta, grid.x
     plus, minus = grid.sides
@@ -233,19 +233,12 @@ def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[tuple[np.ndarray, ...], flo
     mirrored = grid.mirrored
     n = N // 2 if mirrored else N
     rows, cols = _pairs(n, N)
-    # K11's pairs come first, m of them; on a mirrored grid the rest lie across 0
-    m = n * (n - 1) // 2
-    d = np.empty(len(rows))
-    np.abs(dl[rows[:m]] - dl[cols[:m]], out=d[:m])
-    np.subtract(x[cols[m:]], x[rows[m:]], out=d[m:])
-    if not mirrored and np.any(left):
-        # an odd-N grid's pairs i < c may lie on both sides of 0
-        d = np.where(left[rows] == left[cols], d, x[cols] - x[rows])
 
-    def kernel(i, c, dist):
+    def kernel(i, c):
         # pairs with x_i < x_c
         if op.kind is OperatorKind.CLASSICAL:
             return plus[i] * minus[c] / (2 * op.domain.r)
+        dist = np.where(left[i] == left[c], np.abs(dl[i] - dl[c]), x[c] - x[i])
         if op.domain.kind is DomainKind.BALL:
             return rfl_green_radial(op, dl[i], dl[c], dist)
         return rfl_green_from_gaps(op, gap[i], gap[c], dist)
@@ -253,14 +246,15 @@ def _fill(op: OperatorSpec, grid: QuadGrid) -> tuple[tuple[np.ndarray, ...], flo
     W = np.zeros((n, N))
     lo, hi = np.inf, -np.inf
     for start in range(0, len(rows), FILL_SLICE):
-        part = slice(start, start + FILL_SLICE)
-        v = kernel(rows[part], cols[part], d[part])
-        W[rows[part], cols[part]] = v
+        i, c = rows[start:start + FILL_SLICE], cols[start:start + FILL_SLICE]
+        v = kernel(i, c)
+        W[i, c] = v
         # np.minimum and np.maximum, unlike min and max, keep a NaN
         lo, hi = np.minimum(lo, v.min()), np.maximum(hi, v.max())
         del v    # before the next slice's kernel call
-    # freed before the blocks are formed, which would otherwise set the peak
-    del rows, cols, d
+    # freed before the blocks are formed, which would otherwise set the
+    # peak; the slice views i and c hold the pair lists too
+    del rows, cols, i, c
     # (K12 J)_ij pairs node i with N - 1 - j, the mirror image of node j, so
     # W's rows fold into E's and O's upper triangles.  A block is its upper
     # triangle plus the transpose, which counts the diagonal twice; one

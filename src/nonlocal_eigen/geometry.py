@@ -23,6 +23,11 @@ class DomainKind(Enum):
     BALL = "ball"
 
 
+# the radii the kernels can hold: beyond them products of lengths such as
+# r^2 |x - y|^2 in Boggio's kernel overflow or underflow
+MIN_RADIUS, MAX_RADIUS = 1e-30, 1e30
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     kind: DomainKind
@@ -30,8 +35,8 @@ class DomainSpec:
     r: float
 
     def __post_init__(self):
-        if not 0 < self.r < inf:
-            raise ValueError(f"radius must be positive and finite, got {self.r}")
+        if not MIN_RADIUS <= self.r <= MAX_RADIUS:
+            raise ValueError(f"radius must lie in [{MIN_RADIUS:g}, {MAX_RADIUS:g}], got {self.r}")
         if not (self.n >= 1 and self.n % 1 == 0):
             raise ValueError(f"dimension must be an integer >= 1, got {self.n}")
         if (self.kind is DomainKind.INTERVAL) != (self.n == 1):
@@ -150,10 +155,11 @@ def _panel_counts(N: int, n_panels: int) -> list[int]:
 def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
     """Boundary-graded composite Gauss-Legendre grid with N nodes.
 
-    The reference coordinate t is mapped by a sign-symmetric power map of
-    exponent ``grading``; the weights carry the Jacobian and, for the
-    ball, the spherical volume factor.  t ascends and the map is
-    nondecreasing, so the nodes are built in ascending order.
+    Only the reference coordinate t depends on the domain.  One
+    sign-symmetric power map of exponent ``grading`` gives delta, x and the
+    weights, which carry its Jacobian and, for the ball, the spherical
+    volume factor.  t ascends and the map is nondecreasing, so the nodes
+    are built in ascending order.
     """
     if N < 8:
         raise ValueError(f"N must be >= 8, got {N}")
@@ -163,29 +169,25 @@ def build_grid(domain: DomainSpec, N: int, grading: float = 2.0) -> QuadGrid:
 
     # about 32 Gauss points per panel
     n_panels = max(1, N // 32)
-    if domain.kind is DomainKind.INTERVAL:
-        # an even panel count keeps t=0 (the kink of the map) on a panel edge
-        half = max(1, n_panels // 2)
-        if N % 2:
-            t, wt = _gauss_panels(-1.0, 1.0, _panel_counts(N, 2 * half))
-        else:
-            # [-1, 0] and its mirror image: x, w and delta equal their mirrors
-            # bit for bit, and the extra points sit at both ends
-            t, wt = _gauss_panels(-1.0, 0.0, _panel_counts(N // 2, half))
-            t, wt = np.concatenate([t, -t[::-1]]), np.concatenate([wt, wt[::-1]])
-        # delta from the map keeps full precision where r - |x| would cancel,
-        # and x may round to +-r at a strong grading; positions near the
-        # boundary are read from delta only
-        d = r * (1.0 - np.abs(t)) ** beta
-        x = np.sign(t) * (r - d)
-        jac = r * beta * (1.0 - np.abs(t)) ** (beta - 1.0)
-        w = wt * jac
-    else:
+    # an even panel count on the interval keeps t=0 (the kink of the map) on a panel edge
+    half = max(1, n_panels // 2)
+    if domain.kind is DomainKind.BALL:
         t, wt = _gauss_panels(0.0, 1.0, _panel_counts(N, n_panels))
-        d = r * (1.0 - t) ** beta
-        x = r - d
-        jac = r * beta * (1.0 - t) ** (beta - 1.0)
-        w = wt * jac * sphere_area(domain.n) * x ** (domain.n - 1)
+    elif N % 2:
+        t, wt = _gauss_panels(-1.0, 1.0, _panel_counts(N, 2 * half))
+    else:
+        # [-1, 0] and its mirror image: x, w and delta equal their mirrors
+        # bit for bit, and the extra points sit at both ends
+        t, wt = _gauss_panels(-1.0, 0.0, _panel_counts(N // 2, half))
+        t, wt = np.concatenate([t, -t[::-1]]), np.concatenate([wt, wt[::-1]])
+    # delta from the map keeps full precision where r - |x| would cancel,
+    # and x may round to +-r at a strong grading; positions near the
+    # boundary are read from delta only
+    d = r * (1.0 - np.abs(t)) ** beta
+    x = np.sign(t) * (r - d)
+    w = wt * (r * beta * (1.0 - np.abs(t)) ** (beta - 1.0))
+    if domain.kind is DomainKind.BALL:
+        w = w * sphere_area(domain.n) * x ** (domain.n - 1)
 
     # (1 - |t|)^grading of the outermost node underflows to 0 from a grading
     # that falls as N grows (about 120 at N = 64): an input the grid cannot hold

@@ -72,6 +72,20 @@ def test_solve_maximum_principle_profile(tmp_path):
     assert np.all(v >= 0)
 
 
+@pytest.mark.parametrize("r", ["1e-30", "1e30"])
+@pytest.mark.parametrize("op", [["--op", "rfl", "--grade", "4"], ["--op", "sfl", "--grade", "4"],
+                                ["--op", "classical", "--s", "1", "--grade", "4"],
+                                ["--op", "rfl", "--domain", "ball", "--n", "3"]],
+                         ids=["rfl", "sfl", "classical", "rfl-ball3"])
+def test_each_operator_runs_at_the_radius_bounds(op, r, tmp_path):
+    # a numpy warning at either bound fails here (filterwarnings = error);
+    # past them solve and sweep overflowed at r = 1e70 (classical) and 1e100
+    # (SFL), Boggio's r^2 |x - y|^2 overflowed at 1e77 and underflowed at
+    # 1e-80, and the RFL's least entry was NaN at 1e100 (exit 3)
+    for cmd in (["eigen"], ["solve", "--g", "one"], ["sweep", "--g", "one"]):
+        assert run_cli(cmd + op + ["--N", "16", "--r", r, "--out", str(tmp_path)]) == 0, cmd
+
+
 def test_exit_codes(tmp_path, capsys):
     out = str(tmp_path)
     # bad config
@@ -102,6 +116,8 @@ def test_exit_codes(tmp_path, capsys):
                       (["eigen", "--grade", "nan"], "grading exponent"),
                       (["eigen", "--r", "nan"], "radius"),
                       (["eigen", "--r", "inf"], "radius"),
+                      (["eigen", "--r", "1e31"], "radius"),
+                      (["eigen", "--r", "1e-31"], "radius"),
                       (["solve", "--g", "delta_pow:inf"], "delta_pow exponent must be finite"),
                       (["solve", "--g", "delta_pow:1e400"], "delta_pow exponent must be finite"),
                       (["solve", "--g", "delta_pow:nan"], "delta_pow exponent must be finite"),

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from math import gamma, pi
 
@@ -107,8 +108,13 @@ def _filled(op, grid):
     return K
 
 
-@pytest.mark.parametrize("kind,s", [("rfl", 0.75), ("sfl", 0.75), ("classical", 1.0)])
-def test_matrix_symmetric(grid, kind, s):
+# N = 64 gives the two parity blocks; N = 63 keeps K as one block, whose
+# pairs i < c lie on one side of 0 or across it
+@pytest.mark.parametrize("kind,s,N", [
+    pytest.param(kind, s, N, id=f"{kind}-{s}" + ("" if N == 64 else f"-N{N}"))
+    for N in (64, 63) for kind, s in (("rfl", 0.75), ("sfl", 0.75), ("classical", 1.0))])
+def test_matrix_symmetric(kind, s, N):
+    grid = build_grid(DOM, N, grading=2.0)
     op = make_operator(kind, s, DOM, sfl_truncation=64)
     K = full_matrix(assemble_green_matrix(op, grid))
     np.testing.assert_allclose(K, K.T, atol=1e-14)
@@ -202,6 +208,24 @@ def test_one_block_fill_is_symmetric_with_a_zero_diagonal(domain, N, grading):
     np.testing.assert_array_equal(K, K.T)
     assert np.all(np.diag(K) == 0.0)
     assert np.all(K[~np.eye(N, dtype=bool)] > 0)
+
+
+@pytest.mark.parametrize("N,limit_mib", [(1023, 19.5), (1024, 11.0)])
+def test_fill_peak(N, limit_mib):
+    # each slice forms its own pair distances, and the slice views go with
+    # the pair lists before the blocks are formed: measured 18.10 MiB at
+    # N = 1023 (one block, 522,753 pairs) and 10.39 MiB at N = 1024; an
+    # array of every pair's distance held 21.84 and 12.14 MiB
+    grid = build_grid(DOM, N, grading=2.0)
+    op = make_operator("rfl", 0.5, DOM)
+    discretize._fill(op, grid)
+    tracemalloc.start()
+    try:
+        discretize._fill(op, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20, peak / 2 ** 20
 
 
 def test_parity_parts_fold_each_row():

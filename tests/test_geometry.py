@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from nonlocal_eigen.geometry import (
     BOUNDARY_NODES,
+    MAX_RADIUS,
+    MIN_RADIUS,
     build_grid,
     gauss_rule,
     make_domain,
@@ -30,6 +32,19 @@ def test_domain_validation():
         make_domain("ball", 2.5, 1.0)
     ball = make_domain("ball", 3, 2.0)
     assert ball.volume == pytest.approx(4.0 / 3.0 * np.pi * 8.0)
+
+
+def test_radius_outside_the_kernels_range_is_rejected():
+    # past 1e30 or below 1e-30 products of lengths in the kernels overflow
+    # or underflow: r = 1e77 overflowed Boggio's r^2 |x - y|^2, and
+    # r = 1e-80 underflowed it
+    assert (MIN_RADIUS, MAX_RADIUS) == (1e-30, 1e30)
+    for r in (MIN_RADIUS, MAX_RADIUS):
+        assert make_domain("interval", 1, r).r == r
+    for r in (0.0, 1e-31, 1e31, 1e77, -1e-80, float("inf"), float("nan")):
+        for kind, n in (("interval", 1), ("ball", 3)):
+            with pytest.raises(ValueError, match="radius"):
+                make_domain(kind, n, r)
 
 
 @pytest.mark.parametrize("kind,n", [("interval", 1), ("ball", 2), ("ball", 3)])
