@@ -38,7 +38,6 @@ def test_radius_outside_the_kernels_range_is_rejected():
     # past 1e30 or below 1e-30 products of lengths in the kernels overflow
     # or underflow: r = 1e77 overflowed Boggio's r^2 |x - y|^2, and
     # r = 1e-80 underflowed it
-    assert (MIN_RADIUS, MAX_RADIUS) == (1e-30, 1e30)
     for r in (MIN_RADIUS, MAX_RADIUS):
         assert make_domain("interval", 1, r).r == r
     for r in (0.0, 1e-31, 1e31, 1e77, -1e-80, float("inf"), float("nan")):
